@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .features import AddressMatch, detect_address
+from .features import AddressMatch, _normalize_ws, detect_address
 
 
 class CompletionRule(Enum):
@@ -87,10 +87,6 @@ _TEXAS_RE = re.compile(r"texas|\btx\b", re.IGNORECASE)
 def contains_texas(text: str) -> bool:
     """'texas' anywhere or 'TX' as a standalone token, case-insensitive."""
     return _TEXAS_RE.search(text) is not None
-
-
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
 
 
 def _connector(text: str, pos: int) -> Optional[re.Match]:

@@ -119,7 +119,7 @@ def _build_geocoder(args, config: dict) -> Geocoder:
     raise ConfigError("geocoder: select a backend via --geocoder/--gazetteer or config")
 
 
-def _input_lines(args, config: dict) -> Iterable[str]:
+def _input_lines(args, config: dict) -> Iterable[bytes]:
     paths: list[str] = list(getattr(args, "input", None) or [])
     if not paths:
         paths = list(config.get("inputs", []))
@@ -136,13 +136,13 @@ def _input_lines(args, config: dict) -> Iterable[str]:
     if not paths:
         raise ConfigError("input: give --input FILE (or '-' for stdin), --manifest, or config inputs")
 
-    def generate() -> Iterable[str]:
+    # Raw byte lines: each is decoded on its own, so one bad byte costs one line.
+    def generate() -> Iterable[bytes]:
         for path in paths:
             if path == "-":
-                yield from sys.stdin
+                yield from sys.stdin.buffer
             else:
-                file_path = Path(path)
-                with file_path.open(encoding="utf-8") as handle:
+                with open(path, "rb") as handle:
                     yield from handle
 
     missing = [p for p in paths if p != "-" and not Path(p).is_file()]
@@ -194,7 +194,7 @@ def _cmd_classify(args) -> int:
 
 def _raw_texts(args, config):
     for i, line in enumerate(_input_lines(args, config), start=1):
-        yield str(i), line.rstrip("\n")
+        yield str(i), line.decode("utf-8", errors="replace").rstrip("\r\n")
 
 
 def _parsed_texts(args, config):

@@ -8,9 +8,8 @@ advertisement) fire.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .lexicons import LexiconConfig, load_street_suffixes
 
@@ -45,26 +44,8 @@ class FeatureVector:
     has_political: bool
     has_ads: bool
 
-    def negatives(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (
-            self.has_status_update,
-            self.has_offer_help,
-            self.has_news_report,
-            self.has_political,
-            self.has_ads,
-        )
-
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "has_address": self.has_address,
-            "has_ask_help": self.has_ask_help,
-            "has_disaster_context": self.has_disaster_context,
-            "has_status_update": self.has_status_update,
-            "has_offer_help": self.has_offer_help,
-            "has_news_report": self.has_news_report,
-            "has_political": self.has_political,
-            "has_ads": self.has_ads,
-        }
+        return asdict(self)
 
 
 # --- street address detection -------------------------------------------------
@@ -132,84 +113,28 @@ def detect_address(text: str) -> list[AddressMatch]:
     return matches
 
 
-# --- phrase lexicon matching ----------------------------------------------
-
-def _phrase_pattern(phrase: str) -> str:
-    # Tolerate a leading '#' and collapsed/stretched whitespace between the
-    # words of a phrase ("please help" also matches "#PleaseHelp").
-    words = [re.escape(w) for w in phrase.split()]
-    return r"#?\b" + r"\s*".join(words) + r"\b"
-
-
-def _compile_phrases(phrases: tuple[str, ...]) -> re.Pattern | None:
-    patterns = [_phrase_pattern(p) for p in phrases if p.strip()]
-    if not patterns:
-        return None
-    return re.compile("|".join(patterns), re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class _CompiledLexicon:
-    help_rx: re.Pattern | None
-    names_rx: re.Pattern | None
-    pair_rxs: tuple[tuple[re.Pattern, re.Pattern], ...]
-    pair_gate_rx: re.Pattern | None  # any region word at all; skips the pair loop
-    situation_rx: re.Pattern | None
-    negative_rxs: tuple[tuple[str, re.Pattern | None], ...]
-
-
-@lru_cache(maxsize=16)
-def _compile_lexicon(key: tuple) -> _CompiledLexicon:
-    help_keywords, names, pairs, situation, negatives = key
-    return _CompiledLexicon(
-        help_rx=_compile_phrases(help_keywords),
-        names_rx=_compile_phrases(names),
-        pair_rxs=tuple(
-            (_compile_phrases((region,)), _compile_phrases((word,)))
-            for region, word in pairs
-        ),
-        pair_gate_rx=_compile_phrases(tuple(dict.fromkeys(region for region, _ in pairs))),
-        situation_rx=_compile_phrases(situation),
-        negative_rxs=tuple(
-            (name, _compile_phrases(phrases)) for name, phrases in negatives
-        ),
-    )
-
-
-def _compiled(lex: LexiconConfig) -> _CompiledLexicon:
-    return _compile_lexicon(lex.cache_key())
-
-
-def _hit(rx: re.Pattern | None, text: str) -> bool:
-    return rx is not None and rx.search(text) is not None
-
-
 # --- feature detectors ------------------------------------------------------
 
 def detect_ask_help(text: str, lex: LexiconConfig) -> bool:
     """True when any help-request phrase occurs in the text."""
-    return _hit(_compiled(lex).help_rx, text)
+    return lex.patterns.help.search(text) is not None
 
 
 def detect_disaster_context(text: str, lex: LexiconConfig) -> bool:
     """True for a disaster name, a full region/disaster pair, or a situation word."""
-    compiled = _compiled(lex)
-    if _hit(compiled.names_rx, text):
-        return True
-    if _hit(compiled.pair_gate_rx, text):
-        for region_rx, word_rx in compiled.pair_rxs:
-            if _hit(region_rx, text) and _hit(word_rx, text):
-                return True
-    return _hit(compiled.situation_rx, text)
+    patterns = lex.patterns
+    return (
+        patterns.names.search(text) is not None
+        or any(region.search(text) and words.search(text) for region, words in patterns.pairs)
+        or patterns.situation.search(text) is not None
+    )
 
 
 def detect_negative_features(
     text: str, lex: LexiconConfig
 ) -> tuple[bool, bool, bool, bool, bool]:
     """(status_update, offer_help, news_report, political, ads) flags."""
-    compiled = _compiled(lex)
-    # negative_rxs is built in NEGATIVE_FEATURES order.
-    return tuple(_hit(rx, text) for _, rx in compiled.negative_rxs)  # type: ignore[return-value]
+    return tuple(rx.search(text) is not None for rx in lex.patterns.negatives)  # type: ignore[return-value]
 
 
 def extract_features(

@@ -203,6 +203,9 @@ class HttpBackend:
         return GeocodeResult(query=query, point=point, status=GeocodeStatus.OK)
 
 
+_CACHED_STATUSES = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
+
+
 class _Inflight:
     __slots__ = ("event", "result")
 
@@ -241,22 +244,24 @@ class Geocoder:
                     break
             entry.event.wait()
             if entry.result is not None:
-                cached_statuses = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
                 return replace(
                     entry.result,
                     query=query,
-                    from_cache=entry.result.status in cached_statuses,
+                    from_cache=entry.result.status in _CACHED_STATUSES,
                 )
 
+        result = None
         try:
-            result = self._backend.resolve(query)
+            result = replace(self._backend.resolve(query), from_cache=False)
         except Exception:
             result = GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
-        result = replace(result, from_cache=False)
-        with self._lock:
-            if result.status in (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND):
-                self._cache[key] = result
-            entry.result = result
-            del self._inflight[key]
-        entry.event.set()
+        finally:
+            # Also on KeyboardInterrupt and the like: waiters then find no
+            # result and retry, instead of blocking on this key forever.
+            with self._lock:
+                if result is not None and result.status in _CACHED_STATUSES:
+                    self._cache[key] = result
+                entry.result = result
+                del self._inflight[key]
+            entry.event.set()
         return result

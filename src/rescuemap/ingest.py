@@ -76,17 +76,13 @@ HARVEY_BBOX = BoundingBox(*HARVEY_BBOX_TUPLE)
 class StreamConfig:
     """Pre-filter applied while replaying the stream.
 
-    ``combine`` is fixed OR semantics: a record passes if it matches any
-    keyword or falls inside the bounding box.
+    A record passes if it matches any keyword or falls inside the bounding box.
     """
 
     track_keywords: tuple[str, ...] = HARVEY_KEYWORDS
     bbox: Optional[BoundingBox] = HARVEY_BBOX
-    combine: str = "OR"
 
     def __post_init__(self) -> None:
-        if self.combine != "OR":
-            raise ValueError("keyword/bounding-box combination is fixed to OR")
         if not self.track_keywords and self.bbox is None:
             raise ValueError("stream config needs keywords or a bounding box")
 
@@ -106,22 +102,23 @@ def extract_hashtags(text: str) -> tuple[str, ...]:
 
 
 def _parse_created_at(value: object, line_no: int | None) -> datetime:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return datetime.fromtimestamp(value, tz=timezone.utc)
-    if not isinstance(value, str):
-        raise TweetParseError(f"unsupported created_at value: {value!r}", line_no)
-    text = value.strip()
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TweetParseError(f"unsupported created_at type: {type(value).__name__}", line_no)
+    # Out-of-range instants (1e20, NaN, year 1 with an offset) raise
+    # ValueError, OverflowError or OSError from the datetime functions.
     try:
-        return datetime.strptime(text, _TWITTER_TIME_FORMAT).astimezone(timezone.utc)
-    except ValueError:
-        pass
-    try:
-        parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError:
+        if not isinstance(value, str):
+            return datetime.fromtimestamp(value, tz=timezone.utc)
+        text = value.strip()
+        try:
+            return datetime.strptime(text, _TWITTER_TIME_FORMAT).astimezone(timezone.utc)
+        except ValueError:
+            parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=timezone.utc)
+        return parsed.astimezone(timezone.utc)
+    except (ValueError, OverflowError, OSError):
         raise TweetParseError(f"unparseable created_at: {value!r}", line_no) from None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
 
 
 def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float]:
@@ -142,23 +139,28 @@ def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float
 def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tweet:
     """Parse one newline-delimited JSON record into a :class:`Tweet`.
 
-    Accepts either the raw line or an already-decoded mapping. Twitter-v1
-    style field names (``id_str``, ``full_text``, ``entities.hashtags``,
-    ``user.location``) are understood alongside the plain schema.
+    Accepts either the raw line (UTF-8 when given as bytes) or an
+    already-decoded mapping. Twitter-v1 style field names (``id_str``,
+    ``full_text``, ``entities.hashtags``, ``user.location``) are understood
+    alongside the plain schema.
     """
     if isinstance(record, (str, bytes)):
         try:
             obj = json.loads(record)
         except json.JSONDecodeError as exc:
             raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
+        except UnicodeDecodeError:
+            raise TweetParseError("line is not UTF-8", line_no) from None
+        except (ValueError, RecursionError) as exc:  # e.g. too deep, or a huge integer
+            raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
     else:
         obj = record
     if not isinstance(obj, Mapping):
         raise TweetParseError("record is not a JSON object", line_no)
 
     raw_id = obj.get("id_str") or obj.get("id")
-    if raw_id is None or str(raw_id).strip() == "":
-        raise TweetParseError("missing id", line_no)
+    if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)) or not str(raw_id).strip():
+        raise TweetParseError("missing id, or id is not a string or an integer", line_no)
     text = obj.get("text")
     if text is None:
         text = obj.get("full_text")
@@ -202,9 +204,9 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
 
 
 def read_stream(
-    source: Iterable[str], stats: IngestStats | None = None
+    source: Iterable[str | bytes], stats: IngestStats | None = None
 ) -> Iterator[Tweet]:
-    """Yield tweets from an iterable of NDJSON lines, in input order.
+    """Yield tweets from an iterable of NDJSON lines (str or UTF-8 bytes), in input order.
 
     Malformed lines and duplicate ids are counted in ``stats`` and skipped;
     blank lines are ignored. An unreadable source raises the underlying

@@ -7,9 +7,11 @@ classifier stays auditable: one entry per line, UTF-8, lines starting with
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 NEGATIVE_FEATURES = ("status_update", "offer_help", "news_report", "political", "ads")
 
@@ -79,6 +81,34 @@ def load_street_suffixes() -> frozenset[str]:
     return frozenset(s.upper() for s in _read_lines(text.read_text(encoding="utf-8")))
 
 
+def _compile_phrases(phrases: Iterable[str]) -> re.Pattern:
+    """One case-insensitive regex that finds any of the phrases as whole words.
+
+    A match may carry a leading '#', and the words of a phrase may be joined
+    by any run of whitespace or none ("please help" also matches
+    "#PleaseHelp"). An empty list never matches.
+    """
+    bodies = [r"\s*".join(re.escape(w) for w in p.split()) for p in phrases if p.strip()]
+    if not bodies:
+        return re.compile("(?!)")
+    return re.compile(r"#?\b(?:" + "|".join(bodies) + r")\b", re.IGNORECASE)
+
+
+@dataclass(frozen=True)
+class LexiconPatterns:
+    """The compiled phrase lists of one :class:`LexiconConfig`.
+
+    ``pairs`` holds one (region, any of its disaster words) pattern pair per
+    distinct region; ``negatives`` follows ``NEGATIVE_FEATURES`` order.
+    """
+
+    help: re.Pattern
+    names: re.Pattern
+    pairs: tuple[tuple[re.Pattern, re.Pattern], ...]
+    situation: re.Pattern
+    negatives: tuple[re.Pattern, ...]
+
+
 @dataclass(frozen=True)
 class LexiconConfig:
     """The phrase lists driving every text feature detector.
@@ -99,14 +129,21 @@ class LexiconConfig:
         if missing:
             raise LexiconError(f"negative_lexicons missing entries for: {missing}")
 
-    def cache_key(self) -> tuple:
-        """Hashable identity used to cache compiled pattern sets."""
-        return (
-            self.help_keywords,
-            self.disaster_names,
-            self.region_disaster_pairs,
-            self.situation_words,
-            tuple((k, tuple(self.negative_lexicons[k])) for k in NEGATIVE_FEATURES),
+    @cached_property
+    def patterns(self) -> LexiconPatterns:
+        """Every phrase list compiled once, on first use."""
+        regions: dict[str, list[str]] = {}
+        for region, word in self.region_disaster_pairs:
+            regions.setdefault(region, []).append(word)
+        return LexiconPatterns(
+            help=_compile_phrases(self.help_keywords),
+            names=_compile_phrases(self.disaster_names),
+            pairs=tuple(
+                (_compile_phrases((region,)), _compile_phrases(words))
+                for region, words in regions.items()
+            ),
+            situation=_compile_phrases(self.situation_words),
+            negatives=tuple(_compile_phrases(self.negative_lexicons[k]) for k in NEGATIVE_FEATURES),
         )
 
 

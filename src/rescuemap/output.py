@@ -14,7 +14,7 @@ from datetime import datetime
 from typing import Sequence
 
 from .address import FullAddress
-from .features import AddressMatch, FeatureVector
+from .features import FeatureVector
 from .geocode import GeocodeResult, GeocodeStatus
 from .ingest import HARVEY_BBOX_TUPLE, Tweet
 
@@ -28,7 +28,6 @@ class RescueRequest:
     address: FullAddress
     geocode: GeocodeResult
     local_time: datetime
-    extra_matches: tuple[AddressMatch, ...] = ()
 
 
 def _ungeocoded_entry(request: RescueRequest) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .address import complete_address, extract_full_address
@@ -41,20 +41,11 @@ class RunSummary:
     geocode_failed: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "read": self.read,
-            "malformed": self.malformed,
-            "duplicates": self.duplicates,
-            "stream_passed": self.stream_passed,
-            "stream_rejected": self.stream_rejected,
-            "classified_positive": self.classified_positive,
-            "geocoded_ok": self.geocoded_ok,
-            "geocode_failed": self.geocode_failed,
-        }
+        return asdict(self)
 
 
 def _classified_positives(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     stream_cfg: StreamConfig,
     lex: LexiconConfig,
     summary: RunSummary,
@@ -91,7 +82,6 @@ def _geocode_request(tweet, features, matches, geocoder: Geocoder) -> RescueRequ
         address=address,
         geocode=result,
         local_time=to_local_time(tweet.created_at_utc),
-        extra_matches=tuple(matches[1:]),
     )
 
 
@@ -99,7 +89,7 @@ _DONE = object()
 
 
 def run_pipeline(
-    lines: Iterable[str],
+    lines: Iterable[str | bytes],
     *,
     stream_cfg: StreamConfig,
     lex: LexiconConfig,
@@ -107,7 +97,7 @@ def run_pipeline(
     sequential: bool = True,
     queue_size: int = 256,
 ) -> tuple[list[RescueRequest], RunSummary]:
-    """Run the full pipeline over NDJSON lines.
+    """Run the full pipeline over NDJSON lines (str or UTF-8 bytes).
 
     Returns the rescue requests in input order plus the per-stage counts.
     ``sequential=False`` moves parsing/classification to a producer thread

@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import re
+import tempfile
+from pathlib import Path
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from rescuemap import (
     AddressForm,
     FeatureVector,
     Verdict,
     classify,
+    default_lexicon,
     detect_address,
     detect_ask_help,
     detect_disaster_context,
     detect_negative_features,
     extract_features,
+    lexicon_from_dir,
 )
+from rescuemap.lexicons import NEGATIVE_FEATURES
 
 FIELDS = (
     "has_address",
@@ -160,7 +168,13 @@ class TestExtractFeatures:
         assert features.has_address
         assert features.has_ask_help
         assert features.has_disaster_context
-        assert features.negatives() == (False,) * 5
+        assert not (
+            features.has_status_update
+            or features.has_offer_help
+            or features.has_news_report
+            or features.has_political
+            or features.has_ads
+        )
 
     def test_empty_text_is_all_false(self, lex):
         assert extract_features("", lex) == fv(0, 0, 0, 0, 0, 0, 0, 0)
@@ -222,3 +236,97 @@ class TestClassify:
         for bits in itertools.product((False, True), repeat=7):
             vector = FeatureVector(**dict(zip(FIELDS, (False,) + bits)))
             assert classify(vector) is Verdict.NOT_RESCUE_REQUEST
+
+
+# --- compiled lexicon against one regex per phrase --------------------------
+#
+# The oracle gives every phrase its own `#?\b...\b` alternative and checks each
+# region/disaster pair on its own, with no grouping by region and no gate.
+
+def _oracle_phrase_pattern(phrase: str) -> str:
+    words = [re.escape(w) for w in phrase.split()]
+    return r"#?\b" + r"\s*".join(words) + r"\b"
+
+
+def _oracle_hit(phrases, text: str) -> bool:
+    patterns = [_oracle_phrase_pattern(p) for p in phrases if p.strip()]
+    if not patterns:
+        return False
+    return re.search("|".join(patterns), text, re.IGNORECASE) is not None
+
+
+def _oracle_detectors(text: str, lex) -> tuple[bool, bool, tuple[bool, ...]]:
+    context = (
+        _oracle_hit(lex.disaster_names, text)
+        or any(
+            _oracle_hit((region,), text) and _oracle_hit((word,), text)
+            for region, word in lex.region_disaster_pairs
+        )
+        or _oracle_hit(lex.situation_words, text)
+    )
+    negatives = tuple(_oracle_hit(lex.negative_lexicons[k], text) for k in NEGATIVE_FEATURES)
+    return _oracle_hit(lex.help_keywords, text), context, negatives
+
+
+def _comment_only_help_lexicon():
+    with tempfile.TemporaryDirectory() as directory:
+        (Path(directory) / "help_keywords.txt").write_text("# no help phrases\n", encoding="utf-8")
+        return lexicon_from_dir(directory)
+
+
+LEXICONS = {
+    "default": default_lexicon(),
+    "spanish": default_lexicon(spanish=True),
+    "empty_help": _comment_only_help_lexicon(),
+}
+
+
+def _phrases(lex) -> list[str]:
+    return [
+        *lex.help_keywords,
+        *lex.disaster_names,
+        *lex.situation_words,
+        *(p for k in NEGATIVE_FEATURES for p in lex.negative_lexicons[k]),
+        "water", "at", "12 Oak St", "the",
+    ]
+
+
+_SPANISH = LEXICONS["spanish"]
+_CASES = (str.lower, str.upper, str.title, str.swapcase, lambda s: s)
+_JOINERS = ("", " ", "  ", "\t", "\n ")
+_SEPARATORS = ("", " ", "   ", "\t", "\n", "#", " #", "-", ".", ", ", "_", "x", "1")
+# Half the tokens are pair members, so region/disaster pairs co-occur often.
+_tokens = st.tuples(
+    st.one_of(
+        st.sampled_from(sorted({p for pair in _SPANISH.region_disaster_pairs for p in pair})),
+        st.sampled_from(sorted(set(_phrases(_SPANISH)))),
+    ),
+    st.sampled_from(_JOINERS),
+    st.sampled_from(_CASES),
+    st.sampled_from(_SEPARATORS),
+).map(lambda t: t[2](t[1].join(t[0].split())) + t[3])
+_texts = st.lists(_tokens, max_size=6).map("".join)
+
+
+class TestCompiledLexicon:
+    @pytest.mark.parametrize("name", sorted(LEXICONS))
+    @settings(max_examples=300, deadline=None)
+    @given(text=_texts)
+    def test_detectors_agree_with_per_phrase_oracle(self, name, text):
+        lex = LEXICONS[name]
+        ask, context, negatives = _oracle_detectors(text, lex)
+        assert detect_ask_help(text, lex) is ask
+        assert detect_disaster_context(text, lex) is context
+        assert detect_negative_features(text, lex) == negatives
+        features = extract_features(text, lex)
+        assert (features.has_ask_help, features.has_disaster_context) == (ask, context)
+
+    def test_patterns_are_built_once_per_lexicon(self, lex):
+        assert lex.patterns is lex.patterns
+
+    def test_replaced_lexicon_matches_its_own_phrases(self, lex):
+        assert detect_ask_help("please help", lex)  # the original's patterns exist now
+        boat = dataclasses.replace(lex, help_keywords=("send a boat",))
+        assert detect_ask_help("pls SEND A BOAT", boat)
+        assert not detect_ask_help("please help", boat)
+        assert detect_ask_help("please help", lex)

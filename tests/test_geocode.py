@@ -182,6 +182,27 @@ class TestGeocoderCache:
         assert result.status is GeocodeStatus.BACKEND_ERROR
         assert result.point is None
 
+    def test_interrupted_backend_call_does_not_block_later_calls(self):
+        class InterruptedOnce(CountingBackend):
+            def resolve(self, query):
+                if self.calls == 0:
+                    self.calls += 1
+                    raise KeyboardInterrupt
+                return super().resolve(query)
+
+        backend = InterruptedOnce()
+        geocoder = Geocoder(backend)
+        with pytest.raises(KeyboardInterrupt):
+            geocoder.geocode("1 Main St")
+        results = []
+        second = threading.Thread(
+            target=lambda: results.append(geocoder.geocode("1 Main St")), daemon=True
+        )
+        second.start()
+        second.join(timeout=5)
+        assert not second.is_alive(), "second call for the same key is still blocked"
+        assert results[0].status is GeocodeStatus.OK
+
     def test_mixed_keys_under_thread_contention(self):
         lock = threading.Lock()
 

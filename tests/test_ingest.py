@@ -89,11 +89,36 @@ class TestParseTweet:
             line(id="1", text="x"),
             line(id="1", text="x", created_at="yesterday-ish"),
             line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=[200.0, 10.0]),
+            pytest.param('{"id": "1", "text": "x", "created_at": 1e20}', id="created_at_1e20"),
+            pytest.param('{"id": "1", "text": "x", "created_at": NaN}', id="created_at_nan"),
+            pytest.param(
+                line(id="1", text="x", created_at="0001-01-01T00:00:00+01:00"),
+                id="created_at_before_year_1_in_utc",
+            ),
+            pytest.param(
+                '{"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "x": '
+                + "[" * 100_000 + "]" * 100_000 + "}",
+                id="deep_nesting",
+            ),
+            pytest.param(
+                b'{"id": "1", "text": "x \xff", "created_at": "2017-08-27T12:00:00Z"}',
+                id="non_utf8_byte",
+            ),
+            pytest.param(line(id=False, text="x", created_at="2017-08-27T12:00:00Z"), id="id_false"),
+            pytest.param(line(id=[1, 2], text="x", created_at="2017-08-27T12:00:00Z"), id="id_list"),
         ],
     )
     def test_malformed_records_raise(self, bad):
         with pytest.raises(TweetParseError):
             parse_tweet(bad, line_no=7)
+
+    def test_integer_id_is_accepted(self):
+        tweet = parse_tweet(line(id=17, text="x", created_at="2017-08-27T12:00:00Z"))
+        assert tweet.id == "17"
+
+    def test_utf8_bytes_line(self):
+        raw = line(id="1", text="ayúdanos", created_at="2017-08-27T12:00:00Z").encode("utf-8")
+        assert parse_tweet(raw).text == "ayúdanos"
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(TweetParseError) as exc_info:
@@ -231,3 +256,17 @@ def test_read_stream_preserves_input_order(ids):
             seen.add(f"t{i}")
             expected.append(f"t{i}")
     assert got == expected
+
+
+_GOOD_BYTE_LINES = [
+    b'{"id": "%d", "text": "x", "created_at": "2017-08-27T12:00:00Z"}\n' % i for i in range(3)
+]
+
+
+@given(st.lists(st.one_of(st.binary(max_size=60), st.sampled_from(_GOOD_BYTE_LINES)), max_size=20))
+def test_every_byte_line_is_parsed_malformed_duplicate_or_blank(lines):
+    stats = IngestStats()
+    tweets = list(read_stream(lines, stats))
+    blank = sum(1 for raw in lines if not raw.strip())
+    assert stats.parsed == len(tweets)
+    assert stats.parsed + stats.malformed + stats.duplicates + blank == len(lines)

@@ -175,6 +175,20 @@ class TestCliPipeline:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["read"] == 10
 
+    def test_non_utf8_byte_costs_only_its_line(self, data_dir, tmp_path, capsys):
+        source = tmp_path / "in.ndjson"
+        good = (data_dir / "harvey_sample.ndjson").read_bytes()
+        source.write_bytes(
+            good + b'{"id": "bad", "text": "x \xff", "created_at": "2017-08-27T12:00:00Z"}\n'
+        )
+        code = self.run_cli(
+            "pipeline", "--input", str(source), "--gazetteer", str(data_dir / "gazetteer_sample.tsv")
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["read"] == 10
+        assert summary["malformed"] == 1
+
     def test_missing_input_file_exits_2(self, data_dir, capsys):
         code = self.run_cli(
             "pipeline",
@@ -223,6 +237,14 @@ class TestCliClassify:
         record = json.loads(capsys.readouterr().out.splitlines()[0])
         assert record["verdict"] == "NotRescueRequest"
         assert all(v is False for v in record["features"].values())
+
+    def test_raw_mode_replaces_non_utf8_bytes(self, tmp_path, capsys):
+        source = tmp_path / "texts.txt"
+        source.write_bytes(b"Please help \xff at 12 Oak St\r\n")
+        code = main(["classify", "--raw", "--input", str(source)])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert record["features"]["has_ask_help"] is True
 
     def test_spanish_flag_flips_spanish_requests(self, tmp_path, capsys):
         source = tmp_path / "texts.txt"
