@@ -254,7 +254,9 @@ def _build_parser() -> _Parser:
     p_pipe.add_argument("--out-geojson", help="write the GeoJSON feature collection here")
     p_pipe.add_argument("--out-map", help="write the interactive map document here")
     p_pipe.add_argument(
-        "--sequential", action="store_true", help="single-threaded execution (debugging)"
+        "--sequential",
+        action="store_true",
+        help="one geocoding request at a time instead of 8 in flight (same output)",
     )
     p_pipe.set_defaults(func=_cmd_pipeline)
 

@@ -228,6 +228,13 @@ class Geocoder:
         self._inflight: dict[str, _Inflight] = {}
         self._lock = threading.Lock()
 
+    def cached(self, query: str) -> Optional[GeocodeResult]:
+        """The result :meth:`geocode` would return from the cache, or None on a miss."""
+        key = normalize_query(query)
+        with self._lock:
+            hit = self._cache.get(key)
+        return None if hit is None else replace(hit, query=query, from_cache=True)
+
     def geocode(self, query: str) -> GeocodeResult:
         if not query:
             raise ValueError("empty geocode query")

@@ -14,6 +14,9 @@ from typing import Iterable, Iterator, Mapping, Optional
 from zoneinfo import ZoneInfo
 
 US_CENTRAL = ZoneInfo("America/Chicago")
+# US/Central is behind UTC, so only instants before this one overflow when
+# converted by to_local_time.
+_EARLIEST_LOCAL_UTC = datetime.min.replace(tzinfo=US_CENTRAL).astimezone(timezone.utc)
 
 # Collection defaults used during the Harvey event.
 HARVEY_KEYWORDS = ("#HurricaneHarvey", "#Harvey", "Hurricane", "flooding")
@@ -108,17 +111,21 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
     # ValueError, OverflowError or OSError from the datetime functions.
     try:
         if not isinstance(value, str):
-            return datetime.fromtimestamp(value, tz=timezone.utc)
-        text = value.strip()
-        try:
-            return datetime.strptime(text, _TWITTER_TIME_FORMAT).astimezone(timezone.utc)
-        except ValueError:
-            parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        if parsed.tzinfo is None:
-            parsed = parsed.replace(tzinfo=timezone.utc)
-        return parsed.astimezone(timezone.utc)
+            parsed = datetime.fromtimestamp(value, tz=timezone.utc)
+        else:
+            text = value.strip()
+            try:
+                parsed = datetime.strptime(text, _TWITTER_TIME_FORMAT)
+            except ValueError:
+                parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            if parsed.tzinfo is None:
+                parsed = parsed.replace(tzinfo=timezone.utc)
+            parsed = parsed.astimezone(timezone.utc)
     except (ValueError, OverflowError, OSError):
         raise TweetParseError(f"unparseable created_at: {value!r}", line_no) from None
+    if parsed < _EARLIEST_LOCAL_UTC:
+        raise TweetParseError(f"created_at has no US/Central time: {value!r}", line_no)
+    return parsed
 
 
 def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float]:
@@ -134,6 +141,15 @@ def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
         raise TweetParseError(f"coordinates out of range: ({lon}, {lat})", line_no)
     return (lon, lat)
+
+
+def _encodable(value: str) -> bool:
+    """False when ``value`` holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tweet:
@@ -166,6 +182,9 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
         text = obj.get("full_text")
     if not isinstance(text, str):
         raise TweetParseError("missing text", line_no)
+    # Both are written to the UTF-8 outputs; json.loads lets "\ud800" through.
+    if not _encodable(text) or (isinstance(raw_id, str) and not _encodable(raw_id)):
+        raise TweetParseError("id or text holds a lone surrogate", line_no)
     if "created_at" not in obj:
         raise TweetParseError("missing created_at", line_no)
     created = _parse_created_at(obj["created_at"], line_no)

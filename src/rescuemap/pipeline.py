@@ -1,9 +1,11 @@
 """End-to-end driver: ingest -> stream filter -> classify -> extract -> geocode.
 
 The pipeline streams: records are processed one at a time and only
-classified-positive requests are retained. A concurrent mode runs text
-processing in a producer thread connected to the geocoding consumer by a
-bounded queue; results are identical to sequential mode.
+classified-positive requests are retained. Geocoding is the wait: in
+concurrent mode (the CLI's default) the calling thread parses, classifies and
+answers geocode cache hits, while a fixed pool of GEOCODE_WORKERS threads
+sends the cache misses, so that many backend requests overlap. Results are
+joined in input order and are byte-identical to sequential mode.
 """
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .address import complete_address, extract_full_address
+from .address import FullAddress, complete_address, extract_full_address
 from .features import FeatureVector, Verdict, classify, detect_address, extract_features
-from .geocode import Geocoder, GeocodeStatus
+from .geocode import GeocodeResult, Geocoder, GeocodeStatus
 from .ingest import (
     IngestStats,
     StreamConfig,
@@ -25,6 +27,10 @@ from .ingest import (
 )
 from .lexicons import LexiconConfig
 from .output import RescueRequest
+
+# Backend lookups in flight at once in concurrent mode. Measured against a
+# 2 ms fake service: 16 workers were no faster, 4 reached about half the rate.
+GEOCODE_WORKERS = 8
 
 
 @dataclass
@@ -70,12 +76,16 @@ def _classified_positives(
     summary.duplicates = stats.duplicates
 
 
-def _geocode_request(tweet, features, matches, geocoder: Geocoder) -> RescueRequest:
+def _full_address(tweet: Tweet, matches: list) -> FullAddress:
     address = extract_full_address(tweet.text, matches=matches)
     if address is None:  # cannot happen for positives; classify requires an address
         raise RuntimeError(f"positive tweet {tweet.id} lost its address match")
-    address = complete_address(address, tweet.hashtags)
-    result = geocoder.geocode(address.completed)
+    return complete_address(address, tweet.hashtags)
+
+
+def _rescue_request(
+    tweet: Tweet, features: FeatureVector, address: FullAddress, result: GeocodeResult
+) -> RescueRequest:
     return RescueRequest(
         tweet=tweet,
         features=features,
@@ -85,7 +95,69 @@ def _geocode_request(tweet, features, matches, geocoder: Geocoder) -> RescueRequ
     )
 
 
-_DONE = object()
+def _geocode_pooled(
+    positives: Iterable[tuple[Tweet, FeatureVector, list]],
+    geocoder: Geocoder,
+    queue_size: int,
+) -> list[RescueRequest]:
+    """Geocode cache hits inline and misses on GEOCODE_WORKERS threads, in input order.
+
+    At most ``queue_size`` positives wait on a lookup; the calling thread
+    collects finished lookups before it reads further input.
+    """
+    todo: queue.SimpleQueue = queue.SimpleQueue()  # (slot, query), or None to stop
+    done: queue.SimpleQueue = queue.SimpleQueue()  # (slot, result or exception)
+
+    def work() -> None:
+        while (job := todo.get()) is not None:
+            slot, query = job
+            try:
+                done.put((slot, geocoder.geocode(query)))
+            except BaseException as exc:  # re-raised by the calling thread
+                done.put((slot, exc))
+
+    workers = [
+        threading.Thread(target=work, name=f"rescuemap-geocode-{i}", daemon=True)
+        for i in range(GEOCODE_WORKERS)
+    ]
+    for worker in workers:
+        worker.start()
+    requests: list = []
+    waiting: dict[int, tuple[Tweet, FeatureVector, FullAddress]] = {}
+
+    def collect_one() -> None:
+        slot, result = done.get()
+        if isinstance(result, BaseException):
+            raise result
+        requests[slot] = _rescue_request(*waiting.pop(slot), result)
+
+    try:
+        for tweet, features, matches in positives:
+            address = _full_address(tweet, matches)
+            result = geocoder.cached(address.completed)
+            if result is not None:
+                requests.append(_rescue_request(tweet, features, address, result))
+                continue
+            if len(waiting) >= queue_size:
+                collect_one()
+            slot = len(requests)
+            requests.append(None)
+            waiting[slot] = (tweet, features, address)
+            todo.put((slot, address.completed))
+        while waiting:
+            collect_one()
+    finally:
+        # On an error, lookups not yet started are dropped; running ones finish.
+        try:
+            while True:
+                todo.get_nowait()
+        except queue.Empty:
+            pass
+        for _ in workers:
+            todo.put(None)
+        for worker in workers:
+            worker.join()
+    return requests
 
 
 def run_pipeline(
@@ -100,39 +172,24 @@ def run_pipeline(
     """Run the full pipeline over NDJSON lines (str or UTF-8 bytes).
 
     Returns the rescue requests in input order plus the per-stage counts.
-    ``sequential=False`` moves parsing/classification to a producer thread
-    behind a bounded queue; output is byte-identical either way.
+    ``sequential=True`` geocodes each positive inline, one lookup at a time.
+    ``sequential=False`` answers cache hits inline and sends misses to
+    GEOCODE_WORKERS threads, so up to that many backend requests overlap;
+    ``queue_size`` (at least 1) bounds the positives waiting on a lookup.
+    Output is byte-identical either way.
     """
+    if queue_size < 1:
+        raise ValueError(f"queue_size must be at least 1, got {queue_size}")
     summary = RunSummary()
-    requests: list[RescueRequest] = []
-
+    positives = _classified_positives(lines, stream_cfg, lex, summary)
     if sequential:
-        for tweet, features, matches in _classified_positives(lines, stream_cfg, lex, summary):
-            requests.append(_geocode_request(tweet, features, matches, geocoder))
+        requests = []
+        for tweet, features, matches in positives:
+            address = _full_address(tweet, matches)
+            result = geocoder.geocode(address.completed)
+            requests.append(_rescue_request(tweet, features, address, result))
     else:
-        work: queue.Queue = queue.Queue(maxsize=queue_size)
-        failure: list[BaseException] = []
-
-        def produce() -> None:
-            try:
-                for item in _classified_positives(lines, stream_cfg, lex, summary):
-                    work.put(item)
-            except BaseException as exc:  # surfaced in the consumer
-                failure.append(exc)
-            finally:
-                work.put(_DONE)
-
-        producer = threading.Thread(target=produce, name="rescuemap-ingest", daemon=True)
-        producer.start()
-        while True:
-            item = work.get()
-            if item is _DONE:
-                break
-            tweet, features, matches = item
-            requests.append(_geocode_request(tweet, features, matches, geocoder))
-        producer.join()
-        if failure:
-            raise failure[0]
+        requests = _geocode_pooled(positives, geocoder, queue_size)
 
     for request in requests:
         if request.geocode.status is GeocodeStatus.OK:

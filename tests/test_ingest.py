@@ -106,11 +106,34 @@ class TestParseTweet:
             ),
             pytest.param(line(id=False, text="x", created_at="2017-08-27T12:00:00Z"), id="id_false"),
             pytest.param(line(id=[1, 2], text="x", created_at="2017-08-27T12:00:00Z"), id="id_list"),
+            pytest.param(
+                line(id="1", text="x", created_at="0001-01-01T00:30:00Z"),
+                id="created_at_before_year_1_in_us_central",
+            ),
+            pytest.param(
+                '{"id": "1", "text": "x \\ud800", "created_at": "2017-08-27T12:00:00Z"}',
+                id="text_lone_surrogate",
+            ),
+            pytest.param(
+                '{"id": "1\\udfff", "text": "x", "created_at": "2017-08-27T12:00:00Z"}',
+                id="id_lone_surrogate",
+            ),
         ],
     )
     def test_malformed_records_raise(self, bad):
         with pytest.raises(TweetParseError):
             parse_tweet(bad, line_no=7)
+
+    def test_earliest_instant_with_a_us_central_time_is_accepted(self):
+        # US/Central is UTC-5:50:36 (local mean time) before 1883.
+        tweet = parse_tweet(line(id="1", text="x", created_at="0001-01-01T05:50:36Z"))
+        assert to_local_time(tweet.created_at_utc).replace(tzinfo=None) == datetime(1, 1, 1)
+        with pytest.raises(TweetParseError):
+            parse_tweet(line(id="1", text="x", created_at="0001-01-01T05:50:35Z"))
+
+    def test_escaped_surrogate_pair_is_accepted(self):
+        tweet = parse_tweet('{"id": "1", "text": "x \\ud83d\\ude00", "created_at": 0}')
+        assert tweet.text == "x \U0001f600"
 
     def test_integer_id_is_accepted(self):
         tweet = parse_tweet(line(id=17, text="x", created_at="2017-08-27T12:00:00Z"))

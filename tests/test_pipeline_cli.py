@@ -1,12 +1,81 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
+import threading
+import time
+import urllib.parse
 
 import pytest
 
-from rescuemap import Gazetteer, Geocoder, StreamConfig, to_geojson
+from rescuemap import (
+    GeocodeResult,
+    GeocodeStatus,
+    Gazetteer,
+    Geocoder,
+    HttpBackend,
+    StreamConfig,
+    to_geojson,
+    to_map_document,
+)
 from rescuemap.cli import main
-from rescuemap.pipeline import run_pipeline
+from rescuemap.pipeline import GEOCODE_WORKERS, run_pipeline
+
+SERVICE_URL = "https://geocoder.invalid/json?address={query}&key={key}"
+ZERO_RESULTS = json.dumps({"status": "ZERO_RESULTS", "results": []})
+
+
+def rescue_line(tweet_id: str, number: int) -> str:
+    return json.dumps({
+        "id": tweet_id,
+        "text": f"Need rescue! stuck at {number} Clay Rd, Houston, TX #Harvey",
+        "created_at": "2017-08-27T14:03:00Z",
+    })
+
+
+def queried_number(url: str) -> int:
+    """The house number of the address a geocoding request asks for."""
+    address = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)["address"][0]
+    return int(address.split()[0])
+
+
+def geocode_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("rescuemap-geocode")]
+
+
+class FlakyService:
+    """A fake maps API: 0-3 ms per call, so lookups finish out of order.
+
+    Answers depend only on the house number: some always give 429, some
+    always 500, some ZERO_RESULTS, the rest a point.
+    """
+
+    RATE_LIMITED = {3, 11, 17}
+    BROKEN = {5, 23}
+    MISSING = {7, 29}
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def fetch(self, url: str, timeout: float) -> tuple[int, str]:
+        with self._lock:
+            self.calls += 1
+            delay = self._rng.uniform(0.0, 0.003)
+        time.sleep(delay)
+        number = queried_number(url)
+        if number in self.RATE_LIMITED:
+            return 429, ""
+        if number in self.BROKEN:
+            return 500, ""
+        if number in self.MISSING:
+            return 200, ZERO_RESULTS
+        location = {"lat": 29.0 + number / 1e4, "lng": -95.0 - number / 1e4}
+        return 200, json.dumps(
+            {"status": "OK", "results": [{"geometry": {"location": location, "location_type": "ROOFTOP"}}]}
+        )
 
 
 class TestRunPipeline:
@@ -99,6 +168,121 @@ class TestRunPipeline:
                 sequential=False,
             )
 
+    @pytest.mark.parametrize("queue_size", [1, 2, 8])
+    def test_geocode_pool_matches_sequential_under_random_latency(self, lex, queue_size):
+        rng = random.Random(queue_size)
+        lines = []
+        for i in range(150):
+            if i % 6 == 0:
+                lines.append(json.dumps({
+                    "id": f"n{i}", "text": "Heavy flooding reported downtown #Harvey",
+                    "created_at": "2017-08-27T14:03:00Z",
+                }))
+            else:
+                lines.append(rescue_line(f"r{i}", rng.randint(1, 40)))
+
+        def run(sequential: bool):
+            service = FlakyService(seed=queue_size)
+            geocoder = Geocoder(HttpBackend(SERVICE_URL, api_key="test", fetch=service.fetch))
+            requests, summary = run_pipeline(
+                lines, stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder,
+                sequential=sequential, queue_size=queue_size,
+            )
+            return requests, summary, service.calls
+
+        sequential_requests, sequential_summary, sequential_calls = run(True)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers as often as possible
+        try:
+            pooled_requests, pooled_summary, pooled_calls = run(False)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert sequential_summary.classified_positive == 125
+        assert 0 < sequential_summary.geocode_failed < sequential_summary.classified_positive
+        assert to_geojson(pooled_requests) == to_geojson(sequential_requests)
+        assert to_map_document(pooled_requests) == to_map_document(sequential_requests)
+        assert pooled_summary.as_dict() == sequential_summary.as_dict()
+        assert pooled_calls <= sequential_calls
+
+    def test_geocode_pool_overlaps_backend_requests(self, lex):
+        # Each lookup waits until GEOCODE_WORKERS lookups are in flight; a
+        # pool that sent fewer at once would time out into backend errors.
+        gate = threading.Barrier(GEOCODE_WORKERS, timeout=5.0)
+
+        class GatedBackend:
+            def resolve(self, query: str) -> GeocodeResult:
+                gate.wait()
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        lines = [rescue_line(f"r{i}", 100 + i) for i in range(2 * GEOCODE_WORKERS)]
+        requests, _ = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=Geocoder(GatedBackend()), sequential=False,
+        )
+        assert [r.geocode.status for r in requests] == [GeocodeStatus.NOT_FOUND] * len(lines)
+
+    def test_geocode_pool_keeps_http_request_spacing(self, lex):
+        # _pace stamps each request start with its last clock() reading.
+        last_reading = threading.local()
+        starts: list[float] = []
+
+        def clock() -> float:
+            last_reading.value = time.monotonic()
+            return last_reading.value
+
+        def fetch(url: str, timeout: float) -> tuple[int, str]:
+            starts.append(last_reading.value)
+            time.sleep(0.002)
+            return 200, ZERO_RESULTS
+
+        backend = HttpBackend(SERVICE_URL, api_key="test", min_interval=0.005, fetch=fetch, clock=clock)
+        lines = [rescue_line(f"r{i}", 100 + i) for i in range(3 * GEOCODE_WORKERS)]
+        run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex, geocoder=Geocoder(backend), sequential=False
+        )
+        starts.sort()
+        assert len(starts) == len(lines)
+        assert min(b - a for a, b in zip(starts, starts[1:])) >= 0.005 - 1e-9
+
+    def test_source_error_after_queued_lookups_stops_the_pool(self, lex):
+        service_calls = []
+
+        def fetch(url: str, timeout: float) -> tuple[int, str]:
+            service_calls.append(url)
+            time.sleep(0.02)
+            return 200, ZERO_RESULTS
+
+        def source():
+            for i in range(200):
+                yield rescue_line(f"r{i}", 100 + i)
+            raise OSError("source lost mid-stream")
+
+        geocoder = Geocoder(HttpBackend(SERVICE_URL, api_key="test", fetch=fetch))
+        with pytest.raises(OSError, match="source lost"):
+            run_pipeline(
+                source(), stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder, sequential=False
+            )
+        assert geocode_threads() == []
+        assert len(service_calls) < 200  # lookups that had not started were dropped
+
+    def test_backend_interrupt_in_a_worker_reaches_the_caller(self, lex):
+        class Interrupt(BaseException):
+            pass
+
+        class InterruptingBackend:
+            def resolve(self, query: str) -> GeocodeResult:
+                if query.startswith("107 "):
+                    raise Interrupt()
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        lines = [rescue_line(f"r{i}", 100 + i) for i in range(20)]
+        with pytest.raises(Interrupt):
+            run_pipeline(
+                lines, stream_cfg=StreamConfig(), lex=lex,
+                geocoder=Geocoder(InterruptingBackend()), sequential=False,
+            )
+        assert geocode_threads() == []
+
     def test_malformed_and_duplicate_lines_reach_the_summary(
         self, sample_corpus_lines, sample_geocoder, lex
     ):
@@ -188,6 +372,47 @@ class TestCliPipeline:
         summary = json.loads(capsys.readouterr().out)
         assert summary["read"] == 10
         assert summary["malformed"] == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(
+                b'{"id": "p2", "text": "Need rescue at 14 Clay Rd #Harvey",'
+                b' "created_at": "0001-01-01T00:30:00Z"}\n',
+                id="created_at_year_1",
+            ),
+            pytest.param(
+                b'{"id": "p2", "text": "Need rescue at 14 Clay Rd \\ud800 #Harvey",'
+                b' "created_at": "2017-08-27T14:03:00Z"}\n',
+                id="text_lone_surrogate",
+            ),
+            pytest.param(
+                b'{"id": "p2\\ud800", "text": "Need rescue at 14 Clay Rd #Harvey",'
+                b' "created_at": "2017-08-27T14:03:00Z"}\n',
+                id="id_lone_surrogate",
+            ),
+        ],
+    )
+    def test_positive_without_an_output_form_costs_only_its_line(
+        self, data_dir, tmp_path, capsys, bad
+    ):
+        source = tmp_path / "in.ndjson"
+        source.write_bytes(
+            b'{"id": "p1", "text": "Need rescue at 12 Clay Rd #Harvey",'
+            b' "created_at": "2017-08-27T14:03:00Z"}\n' + bad
+        )
+        out_geojson, out_map = tmp_path / "out.geojson", tmp_path / "map.html"
+        code = self.run_cli(
+            "pipeline", "--input", str(source), "--gazetteer", str(data_dir / "gazetteer.tsv"),
+            "--out-geojson", str(out_geojson), "--out-map", str(out_map),
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["malformed"] == 1
+        assert summary["classified_positive"] == 1
+        doc = json.loads(out_geojson.read_bytes().decode("utf-8"))
+        assert len(doc["features"]) + len(doc["ungeocoded"]) == 1
+        assert "12 Clay Rd" in out_map.read_bytes().decode("utf-8")
 
     def test_missing_input_file_exits_2(self, data_dir, capsys):
         code = self.run_cli(
