@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
@@ -50,6 +51,17 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config: {p}: invalid JSON ({exc.msg})") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config: {p}: top level must be an object")
+    for key in (*_CONFIG_PATH_KEYS, "geocoder_backend"):
+        if not isinstance(config.get(key), (str, type(None))):
+            raise ConfigError(f"config: {key} must be a string")
+    for key in ("inputs", "keywords"):
+        value = config.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"config: {key} must be a list of strings")
+    if not isinstance(config.get("spanish", False), bool):
+        raise ConfigError("config: spanish must be true or false")
+    if not isinstance(config.get("http", {}), dict):
+        raise ConfigError("config: http must be an object")
     # Paths in the config are relative to the config file, not the cwd.
     base = p.parent
 
@@ -59,7 +71,7 @@ def _load_config(path: Optional[str]) -> dict:
     for key in _CONFIG_PATH_KEYS:
         if isinstance(config.get(key), str):
             config[key] = anchor(config[key])
-    if isinstance(config.get("inputs"), list):
+    if "inputs" in config:
         config["inputs"] = [anchor(v) if v != "-" else v for v in config["inputs"]]
     return config
 
@@ -86,7 +98,10 @@ def _build_stream_config(config: dict) -> StreamConfig:
         else:
             if not isinstance(box, (list, tuple)) or len(box) != 4:
                 raise ConfigError("config: bbox must be [west, south, east, north]")
-            kwargs["bbox"] = BoundingBox(*[float(v) for v in box])
+            try:
+                kwargs["bbox"] = BoundingBox(*[float(v) for v in box])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config: bbox: {exc}") from None
     try:
         return StreamConfig(**kwargs)
     except ValueError as exc:
@@ -111,11 +126,12 @@ def _build_geocoder(args, config: dict) -> Geocoder:
             raise ConfigError(f"geocoder: {exc}") from None
     if choice == "http":
         url = http_config.get("url")
-        if not url:
+        if not url or not isinstance(url, str):
             raise ConfigError("geocoder: http backend needs config {\"http\": {\"url\": ...}}")
-        return Geocoder(
-            HttpBackend(url, min_interval=float(http_config.get("min_interval", 0.0)))
-        )
+        min_interval = http_config.get("min_interval", 0.0)
+        if not isinstance(min_interval, (int, float)) or not 0 <= min_interval < math.inf:
+            raise ConfigError("config: http.min_interval must be a number of seconds")
+        return Geocoder(HttpBackend(url, min_interval=float(min_interval)))
     raise ConfigError("geocoder: select a backend via --geocoder/--gazetteer or config")
 
 

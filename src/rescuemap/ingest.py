@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 from zoneinfo import ZoneInfo
 
 US_CENTRAL = ZoneInfo("America/Chicago")
@@ -114,10 +115,13 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
             parsed = datetime.fromtimestamp(value, tz=timezone.utc)
         else:
             text = value.strip()
+            # No string parses in both formats: ISO starts with a digit, the
+            # Twitter format with a weekday name. ISO is tried first because
+            # most records use it and a failed strptime is slow.
             try:
-                parsed = datetime.strptime(text, _TWITTER_TIME_FORMAT)
-            except ValueError:
                 parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            except ValueError:
+                parsed = datetime.strptime(text, _TWITTER_TIME_FORMAT)
             if parsed.tzinfo is None:
                 parsed = parsed.replace(tzinfo=timezone.utc)
             parsed = parsed.astimezone(timezone.utc)

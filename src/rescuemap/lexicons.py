@@ -86,12 +86,18 @@ def _compile_phrases(phrases: Iterable[str]) -> re.Pattern:
 
     A match may carry a leading '#', and the words of a phrase may be joined
     by any run of whitespace or none ("please help" also matches
-    "#PleaseHelp"). An empty list never matches.
+    "#PleaseHelp"). An empty list never matches. The leading lookahead on
+    '#' and each phrase's first character lets the engine skip most start
+    positions without trying the alternation.
     """
-    bodies = [r"\s*".join(re.escape(w) for w in p.split()) for p in phrases if p.strip()]
-    if not bodies:
+    words = [p.split() for p in phrases if p.strip()]
+    if not words:
         return re.compile("(?!)")
-    return re.compile(r"#?\b(?:" + "|".join(bodies) + r")\b", re.IGNORECASE)
+    bodies = [r"\s*".join(re.escape(w) for w in ws) for ws in words]
+    first = "".join(sorted({re.escape(ws[0][0]) for ws in words}))
+    return re.compile(
+        r"(?=[#" + first + r"])#?\b(?:" + "|".join(bodies) + r")\b", re.IGNORECASE
+    )
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,8 @@ def _classified_positives(
             continue
         summary.stream_passed += 1
         matches = detect_address(tweet.text)
+        if not matches:  # the logic rule requires an address; skip the lexicon
+            continue
         features = extract_features(tweet.text, lex, address_matches=matches)
         if classify(features) is Verdict.RESCUE_REQUEST:
             summary.classified_positive += 1

@@ -274,10 +274,30 @@ def _comment_only_help_lexicon():
         return lexicon_from_dir(directory)
 
 
+def _class_specials_lexicon():
+    """Phrases starting with characters special inside [...] or with odd case folds."""
+    base = default_lexicon()
+    return dataclasses.replace(
+        base,
+        help_keywords=(
+            "-help me", "]trapped", "^sos", "\\rescue", "ſtuck", "\u212aelvin", "İstanbul"
+        ),
+        disaster_names=("^harvey", "\u212aaty"),
+        region_disaster_pairs=(("]houston", "\\flood"), ("İzmir", "ſurge"), ("-gulf", "^storm")),
+        situation_words=("\\water", "-k", "ſ"),
+        negative_lexicons={
+            **base.negative_lexicons,
+            "offer_help": ("]boats", "İ can help"),
+            "ads": ("^sale", "\u212aoupon", "-50% off"),
+        },
+    )
+
+
 LEXICONS = {
     "default": default_lexicon(),
     "spanish": default_lexicon(spanish=True),
     "empty_help": _comment_only_help_lexicon(),
+    "class_specials": _class_specials_lexicon(),
 }
 
 
@@ -292,14 +312,20 @@ def _phrases(lex) -> list[str]:
 
 
 _SPANISH = LEXICONS["spanish"]
+_SPECIALS = LEXICONS["class_specials"]
 _CASES = (str.lower, str.upper, str.title, str.swapcase, lambda s: s)
 _JOINERS = ("", " ", "  ", "\t", "\n ")
-_SEPARATORS = ("", " ", "   ", "\t", "\n", "#", " #", "-", ".", ", ", "_", "x", "1")
+_SEPARATORS = (
+    "", " ", "   ", "\t", "\n", "#", " #", "-", ".", ", ", "_", "x", "1",
+    "]", "^", "\\", "ſ", "\u212a", "İ", "k", "s", "i",
+)
 # Half the tokens are pair members, so region/disaster pairs co-occur often.
 _tokens = st.tuples(
     st.one_of(
-        st.sampled_from(sorted({p for pair in _SPANISH.region_disaster_pairs for p in pair})),
-        st.sampled_from(sorted(set(_phrases(_SPANISH)))),
+        st.sampled_from(sorted({
+            p for lex in (_SPANISH, _SPECIALS) for pair in lex.region_disaster_pairs for p in pair
+        })),
+        st.sampled_from(sorted(set(_phrases(_SPANISH) + _phrases(_SPECIALS)))),
     ),
     st.sampled_from(_JOINERS),
     st.sampled_from(_CASES),

@@ -4,7 +4,7 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rescuemap import (
     BoundingBox,
@@ -18,6 +18,7 @@ from rescuemap import (
     read_stream,
     to_local_time,
 )
+from rescuemap.ingest import US_CENTRAL
 
 UTC = timezone.utc
 
@@ -293,3 +294,87 @@ def test_every_byte_line_is_parsed_malformed_duplicate_or_blank(lines):
     blank = sum(1 for raw in lines if not raw.strip())
     assert stats.parsed == len(tweets)
     assert stats.parsed + stats.malformed + stats.duplicates + blank == len(lines)
+
+
+# --- created_at: ISO first against the strptime-first parser -----------------
+
+_EARLIEST_LOCAL_UTC = datetime.min.replace(tzinfo=US_CENTRAL).astimezone(UTC)
+
+
+def _strptime_first_created_at(value: str) -> datetime:
+    """Reference: the string branch of the parser that tried strptime first."""
+    text = value.strip()
+    try:
+        try:
+            parsed = datetime.strptime(text, "%a %b %d %H:%M:%S %z %Y")
+        except ValueError:
+            parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if parsed.tzinfo is None:
+            parsed = parsed.replace(tzinfo=UTC)
+        parsed = parsed.astimezone(UTC)
+    except (ValueError, OverflowError, OSError):
+        raise TweetParseError(f"unparseable created_at: {value!r}") from None
+    if parsed < _EARLIEST_LOCAL_UTC:
+        raise TweetParseError(f"created_at has no US/Central time: {value!r}")
+    return parsed
+
+
+def _cased(names):
+    return st.tuples(st.sampled_from(names), st.sampled_from((str, str.lower, str.upper))).map(
+        lambda t: t[1](t[0])
+    )
+
+
+def _number(low: int, high: int, width: int):
+    """A number in [low, high], mostly zero-padded to ``width``, else not padded."""
+    return st.tuples(st.integers(low, high), st.sampled_from((True, True, True, False))).map(
+        lambda t: f"{t[0]:0{width}d}" if t[1] else str(t[0])
+    )
+
+
+_YEARS = st.one_of(st.sampled_from(("0001", "9999", "1", "2017")), _number(1, 9999, 4))
+_CLOCKS = st.builds(
+    lambda h, m, s, frac: f"{h}:{m}:{s}{frac}",
+    _number(0, 23, 2), _number(0, 59, 2), _number(0, 59, 2),
+    st.sampled_from(("", "", ".5", ".123", ".123456", ".1234567", ",5")),
+)
+_TWITTER_TIMES = st.builds(
+    lambda weekday, month, day, clock, offset, year: (
+        f"{weekday} {month} {day} {clock} {offset} {year}"
+    ),
+    _cased(("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")),
+    _cased(("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")),
+    _number(1, 31, 2),
+    _CLOCKS,
+    st.sampled_from(("+0000", "-0500", "+0530", "+05:30", "Z", "-2359", "+2400")),
+    _YEARS,
+)
+_ISO_TIMES = st.builds(
+    lambda year, month, day, sep, clock, suffix: f"{year}-{month}-{day}{sep}{clock}{suffix}",
+    _YEARS,
+    _number(1, 12, 2),
+    _number(1, 31, 2),
+    st.sampled_from(("T", " ", "t")),
+    _CLOCKS,
+    st.sampled_from(("", "Z", "z", "+00:00", "-05:00", "+0530", "+05", "-23:59", "+24:00")),
+)
+_CREATED_AT = st.one_of(
+    _TWITTER_TIMES,
+    _ISO_TIMES,
+    st.text(alphabet="0123456789-:.+ TZSunAug", max_size=32),
+).flatmap(lambda v: st.sampled_from((v, f" {v}", f"{v}\n")))
+
+
+@settings(max_examples=1000)
+@given(_CREATED_AT)
+def test_iso_first_created_at_agrees_with_strptime_first(value):
+    record = {"id": "1", "text": "x", "created_at": value}
+    try:
+        expected = _strptime_first_created_at(value)
+    except TweetParseError:
+        with pytest.raises(TweetParseError):
+            parse_tweet(record)
+        return
+    got = parse_tweet(record).created_at_utc
+    assert got == expected
+    assert got.utcoffset() == expected.utcoffset()

@@ -16,6 +16,10 @@ from rescuemap import (
     Geocoder,
     HttpBackend,
     StreamConfig,
+    Verdict,
+    classify,
+    extract_features,
+    load_labelled,
     to_geojson,
     to_map_document,
 )
@@ -153,6 +157,45 @@ class TestRunPipeline:
         concurrent_requests, concurrent_summary = run(False)
         assert to_geojson(sequential_requests) == to_geojson(concurrent_requests)
         assert sequential_summary.as_dict() == concurrent_summary.as_dict()
+
+    def test_positives_are_exactly_the_classified_texts(self, data_dir, lex):
+        texts = [row.tweet.text for row in load_labelled(data_dir / "labelled_corpus.csv")]
+        # Lexicon-positive but address-less: never rescue requests.
+        texts += [
+            "please help we are trapped #Harvey",
+            "HELP! water rising, stuck on the roof, Hurricane Harvey",
+            "#PleaseHelp 3 kids trapped near Meyerland #HoustonFlood",
+        ]
+        # Coordinates inside the default bounding box let every text pass the stream filter.
+        lines = [
+            json.dumps({
+                "id": f"t{i}", "text": text, "created_at": "2017-08-27T14:03:00Z",
+                "coordinates": [-95.36, 29.76],
+            })
+            for i, text in enumerate(texts)
+        ]
+        expected = [
+            f"t{i}" for i, text in enumerate(texts)
+            if classify(extract_features(text, lex)) is Verdict.RESCUE_REQUEST
+        ]
+        assert 0 < len(expected) < len(texts)
+
+        def run(sequential: bool):
+            return run_pipeline(
+                lines,
+                stream_cfg=StreamConfig(),
+                lex=lex,
+                geocoder=Geocoder(Gazetteer.load(data_dir / "gazetteer.tsv")),
+                sequential=sequential,
+            )
+
+        sequential_requests, summary = run(True)
+        concurrent_requests, concurrent_summary = run(False)
+        assert [r.tweet.id for r in sequential_requests] == expected
+        assert [r.tweet.id for r in concurrent_requests] == expected
+        assert concurrent_summary == summary
+        assert summary.read == summary.stream_passed == len(texts)
+        assert summary.classified_positive == len(expected)
 
     def test_producer_errors_propagate_in_concurrent_mode(self, lex, sample_geocoder):
         class Boom:
@@ -435,6 +478,36 @@ class TestCliPipeline:
         )
         assert code == 1
         assert "http" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param({"keywords": "Harvey"}, id="keywords_string"),
+            pytest.param({"keywords": ["Harvey", 5]}, id="keywords_non_string"),
+            pytest.param({"bbox": ["x", 0, 0, 1]}, id="bbox_non_numeric"),
+            pytest.param({"bbox": [1, 0, 0, 1]}, id="bbox_west_not_below_east"),
+            pytest.param({"http": {"url": SERVICE_URL, "min_interval": "fast"}}, id="min_interval"),
+            pytest.param(
+                {"http": {"url": SERVICE_URL, "min_interval": float("inf")}},
+                id="min_interval_infinite",
+            ),
+            pytest.param({"http": "fast"}, id="http_not_an_object"),
+            pytest.param({"http": {"url": 5}}, id="http_url_not_a_string"),
+            pytest.param({"inputs": "harvey_sample.ndjson"}, id="inputs_string"),
+            pytest.param({"inputs": [5]}, id="inputs_non_string"),
+            pytest.param({"manifest": 5}, id="manifest_not_a_string"),
+            pytest.param({"spanish": "no"}, id="spanish_not_a_boolean"),
+        ],
+    )
+    def test_bad_config_value_exits_1_with_one_line(self, data_dir, tmp_path, capsys, fields):
+        config_path = tmp_path / "config.json"
+        config = {"inputs": [str(data_dir / "harvey_sample.ndjson")], **fields}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert self.run_cli("pipeline", "--config", str(config_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(("rescuemap: config: ", "rescuemap: geocoder: http"))
+        assert captured.err.count("\n") == 1
 
     def test_bad_usage_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
