@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Iterable, Optional
@@ -20,7 +19,7 @@ from .evaluate import (
 )
 from .features import classify, extract_features
 from .geocode import Gazetteer, GazetteerError, Geocoder, HttpBackend
-from .ingest import BoundingBox, IngestStats, StreamConfig, read_stream
+from .ingest import BoundingBox, StreamConfig, read_stream
 from .lexicons import LexiconConfig, LexiconError, default_lexicon, lexicon_from_dir
 from .output import to_geojson, to_map_document
 from .pipeline import run_pipeline
@@ -128,10 +127,11 @@ def _build_geocoder(args, config: dict) -> Geocoder:
         url = http_config.get("url")
         if not url or not isinstance(url, str):
             raise ConfigError("geocoder: http backend needs config {\"http\": {\"url\": ...}}")
-        min_interval = http_config.get("min_interval", 0.0)
-        if not isinstance(min_interval, (int, float)) or not 0 <= min_interval < math.inf:
-            raise ConfigError("config: http.min_interval must be a number of seconds")
-        return Geocoder(HttpBackend(url, min_interval=float(min_interval)))
+        try:
+            backend = HttpBackend(url, min_interval=http_config.get("min_interval", 0.0))
+        except ValueError as exc:
+            raise ConfigError(f"config: http.{exc}") from None
+        return Geocoder(backend)
     raise ConfigError("geocoder: select a backend via --geocoder/--gazetteer or config")
 
 
@@ -214,8 +214,7 @@ def _raw_texts(args, config):
 
 
 def _parsed_texts(args, config):
-    stats = IngestStats()
-    for tweet in read_stream(_input_lines(args, config), stats):
+    for tweet in read_stream(_input_lines(args, config)):
         yield tweet.id, tweet.text
 
 

@@ -8,6 +8,7 @@ single backend request.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -152,6 +153,12 @@ class HttpBackend:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if (
+            isinstance(min_interval, bool)
+            or not isinstance(min_interval, (int, float))
+            or not 0 <= min_interval < math.inf
+        ):
+            raise ValueError(f"min_interval must be a finite number >= 0, got {min_interval!r}")
         self._url_template = url_template
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR, "")
         self._min_interval = min_interval

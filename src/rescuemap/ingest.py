@@ -52,7 +52,6 @@ class Tweet:
     created_at_utc: Optional[datetime] = None
     hashtags: tuple[str, ...] = ()
     coordinates: Optional[tuple[float, float]] = None
-    user_location: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,8 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
 
     Accepts either the raw line (UTF-8 when given as bytes) or an
     already-decoded mapping. Twitter-v1 style field names (``id_str``,
-    ``full_text``, ``entities.hashtags``, ``user.location``) are understood
-    alongside the plain schema.
+    ``full_text``, ``entities.hashtags``) are understood alongside the plain
+    schema; ``user_location`` and ``user.location`` are accepted and ignored.
     """
     if isinstance(record, (str, bytes)):
         try:
@@ -210,19 +209,12 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
     if obj.get("coordinates") is not None:
         coords = _parse_coordinates(obj["coordinates"], line_no)
 
-    location = obj.get("user_location")
-    if location is None and isinstance(obj.get("user"), Mapping):
-        location = obj["user"].get("location")
-    if location is not None and not isinstance(location, str):
-        location = None
-
     return Tweet(
         id=str(raw_id),
         text=text,
         created_at_utc=created,
         hashtags=tuple(tags),
         coordinates=coords,
-        user_location=location,
     )
 
 

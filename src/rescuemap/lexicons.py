@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -42,16 +42,6 @@ def _read_lines(text: str) -> list[str]:
             continue
         entries.append(line)
     return entries
-
-
-def load_phrase_file(path: str | Path) -> tuple[str, ...]:
-    """Read a one-entry-per-line phrase file."""
-    return tuple(_read_lines(Path(path).read_text(encoding="utf-8")))
-
-
-def load_pairs_file(path: str | Path) -> tuple[tuple[str, str], ...]:
-    """Read a tab-separated (region phrase, disaster word) file."""
-    return _parse_pairs(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def _parse_pairs(text: str, source: str) -> tuple[tuple[str, str], ...]:
@@ -119,8 +109,8 @@ class LexiconPatterns:
 class LexiconConfig:
     """The phrase lists driving every text feature detector.
 
-    ``spanish_enabled`` folds the Spanish overlay into ``help_keywords`` and
-    ``situation_words``; detectors never consult the flag directly.
+    The Spanish overlay, when loaded, is already folded into
+    ``help_keywords`` and ``situation_words``.
     """
 
     help_keywords: tuple[str, ...]
@@ -128,7 +118,6 @@ class LexiconConfig:
     region_disaster_pairs: tuple[tuple[str, str], ...]
     situation_words: tuple[str, ...]
     negative_lexicons: Mapping[str, tuple[str, ...]]
-    spanish_enabled: bool = False
 
     def __post_init__(self) -> None:
         missing = [k for k in NEGATIVE_FEATURES if k not in self.negative_lexicons]
@@ -153,66 +142,51 @@ class LexiconConfig:
         )
 
 
-def default_lexicon(spanish: bool = False) -> LexiconConfig:
-    """The lexicon shipped with the package."""
-    help_keywords = _read_lines(_packaged("help_keywords"))
-    situation = _read_lines(_packaged("situation_words"))
+def _load(directory: Path | None, spanish: bool) -> LexiconConfig:
+    """Each list from ``directory`` if it holds the file, else the packaged one.
+
+    With ``spanish``, the Spanish lists are appended to the help and
+    situation lists.
+    """
+
+    def read(name: str) -> tuple[str, str]:
+        if directory is not None:
+            path = directory / _DATA_FILES[name]
+            if path.is_file():
+                return path.read_text(encoding="utf-8"), str(path)
+        return _packaged(name), _DATA_FILES[name]
+
+    def phrases(name: str) -> tuple[str, ...]:
+        return tuple(_read_lines(read(name)[0]))
+
+    help_keywords = phrases("help_keywords")
+    situation = phrases("situation_words")
     if spanish:
-        help_keywords += _read_lines(_packaged("spanish_help"))
-        situation += _read_lines(_packaged("spanish_situation"))
+        help_keywords += phrases("spanish_help")
+        situation += phrases("spanish_situation")
     return LexiconConfig(
-        help_keywords=tuple(help_keywords),
-        disaster_names=tuple(_read_lines(_packaged("disaster_names"))),
-        region_disaster_pairs=_parse_pairs(
-            _packaged("region_disaster_pairs"), _DATA_FILES["region_disaster_pairs"]
-        ),
-        situation_words=tuple(situation),
-        negative_lexicons={k: tuple(_read_lines(_packaged(k))) for k in NEGATIVE_FEATURES},
-        spanish_enabled=spanish,
+        help_keywords=help_keywords,
+        disaster_names=phrases("disaster_names"),
+        region_disaster_pairs=_parse_pairs(*read("region_disaster_pairs")),
+        situation_words=situation,
+        negative_lexicons={k: phrases(k) for k in NEGATIVE_FEATURES},
     )
+
+
+def default_lexicon(spanish: bool = False) -> LexiconConfig:
+    """The lexicon shipped with the package; ``spanish`` appends the Spanish overlay."""
+    return _load(None, spanish)
 
 
 def lexicon_from_dir(directory: str | Path, spanish: bool = False) -> LexiconConfig:
     """Build a lexicon from a directory of override files.
 
-    Any file named like the packaged ones (``help_keywords.txt`` etc.)
-    replaces the shipped list; everything else keeps its default.
+    Any file named like a packaged one (``help_keywords.txt``,
+    ``spanish_help_keywords.txt`` etc.) replaces that shipped list; every
+    other list keeps its default. ``spanish`` appends the Spanish lists,
+    overridden or shipped, to the help and situation lists.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise LexiconError(f"lexicon directory not found: {directory}")
-    base = default_lexicon(spanish=spanish)
-
-    def maybe(name: str) -> tuple[str, ...] | None:
-        p = directory / _DATA_FILES[name]
-        return load_phrase_file(p) if p.is_file() else None
-
-    negatives = dict(base.negative_lexicons)
-    for feature in NEGATIVE_FEATURES:
-        override = maybe(feature)
-        if override is not None:
-            negatives[feature] = override
-
-    pairs_path = directory / _DATA_FILES["region_disaster_pairs"]
-    help_override = maybe("help_keywords")
-    situation_override = maybe("situation_words")
-    if spanish:
-        spanish_help = maybe("spanish_help")
-        spanish_situation = maybe("spanish_situation")
-        if help_override is not None and spanish_help is not None:
-            help_override += spanish_help
-        if situation_override is not None and spanish_situation is not None:
-            situation_override += spanish_situation
-    names_override = maybe("disaster_names")
-    return replace(
-        base,
-        help_keywords=help_override if help_override is not None else base.help_keywords,
-        disaster_names=names_override if names_override is not None else base.disaster_names,
-        region_disaster_pairs=(
-            load_pairs_file(pairs_path) if pairs_path.is_file() else base.region_disaster_pairs
-        ),
-        situation_words=(
-            situation_override if situation_override is not None else base.situation_words
-        ),
-        negative_lexicons=negatives,
-    )
+    return _load(directory, spanish)

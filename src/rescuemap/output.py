@@ -14,7 +14,6 @@ from datetime import datetime
 from typing import Sequence
 
 from .address import FullAddress
-from .features import FeatureVector
 from .geocode import GeocodeResult, GeocodeStatus
 from .ingest import HARVEY_BBOX_TUPLE, Tweet
 
@@ -24,7 +23,6 @@ class RescueRequest:
     """A classified-positive tweet joined with its completed address and geocode."""
 
     tweet: Tweet
-    features: FeatureVector
     address: FullAddress
     geocode: GeocodeResult
     local_time: datetime
@@ -42,7 +40,7 @@ def _ungeocoded_entry(request: RescueRequest) -> dict:
     }
 
 
-def to_geojson(requests: Sequence[RescueRequest], *, indent: int | None = 2) -> str:
+def to_geojson(requests: Sequence[RescueRequest]) -> str:
     """Serialize requests as a GeoJSON FeatureCollection (longitude first).
 
     Requests whose geocode failed appear in the top-level ``ungeocoded``
@@ -79,19 +77,7 @@ def to_geojson(requests: Sequence[RescueRequest], *, indent: int | None = 2) -> 
         "features": features,
         "ungeocoded": ungeocoded,
     }
-    return json.dumps(collection, indent=indent, sort_keys=True, ensure_ascii=False)
-
-
-def _marker_bounds(requests: Sequence[RescueRequest]) -> tuple[float, float, float, float]:
-    lons = []
-    lats = []
-    for request in requests:
-        if request.geocode.status is GeocodeStatus.OK and request.geocode.point is not None:
-            lons.append(request.geocode.point.longitude)
-            lats.append(request.geocode.point.latitude)
-    if not lons:
-        return HARVEY_BBOX_TUPLE
-    return (min(lons), min(lats), max(lons), max(lats))
+    return json.dumps(collection, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def _safe_json(payload: object) -> str:
@@ -146,11 +132,7 @@ if (PAYLOAD.ungeocoded.length === 0) {{
 """
 
 
-def to_map_document(
-    requests: Sequence[RescueRequest],
-    *,
-    default_viewport: tuple[float, float, float, float] = HARVEY_BBOX_TUPLE,
-) -> str:
+def to_map_document(requests: Sequence[RescueRequest]) -> str:
     """Render a single-file interactive map with one marker per geocoded request.
 
     Marker pop-ups show the tweet text, the completed address, and the
@@ -183,9 +165,13 @@ def to_map_document(
             # escaped summary-free fields for machine consumers.
             entry["text"] = html.escape(entry["text"])
             ungeocoded.append(entry)
-    viewport = _marker_bounds(requests) if markers else default_viewport
+    viewport = list(HARVEY_BBOX_TUPLE)
+    if markers:
+        lons = [m["lon"] for m in markers]
+        lats = [m["lat"] for m in markers]
+        viewport = [min(lons), min(lats), max(lons), max(lats)]
     payload = {
-        "viewport": list(viewport),
+        "viewport": viewport,
         "markers": markers,
         "ungeocoded": ungeocoded,
     }

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .address import FullAddress, complete_address, extract_full_address
-from .features import FeatureVector, Verdict, classify, detect_address, extract_features
+from .features import Verdict, classify, detect_address, extract_features
 from .geocode import GeocodeResult, Geocoder, GeocodeStatus
 from .ingest import (
     IngestStats,
@@ -55,13 +55,10 @@ def _classified_positives(
     stream_cfg: StreamConfig,
     lex: LexiconConfig,
     summary: RunSummary,
-) -> Iterator[tuple[Tweet, FeatureVector, list]]:
-    """Yield (tweet, features, address matches) for every positive record."""
+) -> Iterator[tuple[Tweet, list]]:
+    """Yield (tweet, address matches) for every positive record."""
     stats = IngestStats()
     for tweet in read_stream(lines, stats):
-        summary.read = stats.parsed
-        summary.malformed = stats.malformed
-        summary.duplicates = stats.duplicates
         if not passes_stream_filter(tweet, stream_cfg):
             summary.stream_rejected += 1
             continue
@@ -72,7 +69,7 @@ def _classified_positives(
         features = extract_features(tweet.text, lex, address_matches=matches)
         if classify(features) is Verdict.RESCUE_REQUEST:
             summary.classified_positive += 1
-            yield tweet, features, matches
+            yield tweet, matches
     summary.read = stats.parsed
     summary.malformed = stats.malformed
     summary.duplicates = stats.duplicates
@@ -85,12 +82,9 @@ def _full_address(tweet: Tweet, matches: list) -> FullAddress:
     return complete_address(address, tweet.hashtags)
 
 
-def _rescue_request(
-    tweet: Tweet, features: FeatureVector, address: FullAddress, result: GeocodeResult
-) -> RescueRequest:
+def _rescue_request(tweet: Tweet, address: FullAddress, result: GeocodeResult) -> RescueRequest:
     return RescueRequest(
         tweet=tweet,
-        features=features,
         address=address,
         geocode=result,
         local_time=to_local_time(tweet.created_at_utc),
@@ -98,7 +92,7 @@ def _rescue_request(
 
 
 def _geocode_pooled(
-    positives: Iterable[tuple[Tweet, FeatureVector, list]],
+    positives: Iterable[tuple[Tweet, list]],
     geocoder: Geocoder,
     queue_size: int,
 ) -> list[RescueRequest]:
@@ -125,7 +119,7 @@ def _geocode_pooled(
     for worker in workers:
         worker.start()
     requests: list = []
-    waiting: dict[int, tuple[Tweet, FeatureVector, FullAddress]] = {}
+    waiting: dict[int, tuple[Tweet, FullAddress]] = {}
 
     def collect_one() -> None:
         slot, result = done.get()
@@ -134,17 +128,17 @@ def _geocode_pooled(
         requests[slot] = _rescue_request(*waiting.pop(slot), result)
 
     try:
-        for tweet, features, matches in positives:
+        for tweet, matches in positives:
             address = _full_address(tweet, matches)
             result = geocoder.cached(address.completed)
             if result is not None:
-                requests.append(_rescue_request(tweet, features, address, result))
+                requests.append(_rescue_request(tweet, address, result))
                 continue
             if len(waiting) >= queue_size:
                 collect_one()
             slot = len(requests)
             requests.append(None)
-            waiting[slot] = (tweet, features, address)
+            waiting[slot] = (tweet, address)
             todo.put((slot, address.completed))
         while waiting:
             collect_one()
@@ -186,10 +180,10 @@ def run_pipeline(
     positives = _classified_positives(lines, stream_cfg, lex, summary)
     if sequential:
         requests = []
-        for tweet, features, matches in positives:
+        for tweet, matches in positives:
             address = _full_address(tweet, matches)
             result = geocoder.geocode(address.completed)
-            requests.append(_rescue_request(tweet, features, address, result))
+            requests.append(_rescue_request(tweet, address, result))
     else:
         requests = _geocode_pooled(positives, geocoder, queue_size)
 

@@ -352,6 +352,11 @@ class TestHttpBackend:
         # n cold queries must span at least (n - 1) * interval of clock time.
         assert clock.now >= (n - 1) * 0.5
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1, "1", True])
+    def test_bad_minimum_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="min_interval"):
+            self.backend([(200, OK_BODY)], min_interval=bad)
+
     def test_no_pacing_when_interval_is_zero(self):
         clock = FakeClock()
         backend, _ = self.backend([(200, OK_BODY)], clock=clock, sleep=clock.sleep)

@@ -42,7 +42,6 @@ class TestParseTweet:
     def test_missing_coordinates_stay_absent(self):
         tweet = parse_tweet(line(id="1", text="x", created_at="2017-08-27T12:00:00Z"))
         assert tweet.coordinates is None
-        assert tweet.user_location is None
 
     def test_hashtags_extracted_from_text(self):
         # Hand-tokenized: '#'-prefixed tokens are HoustonFlood and Harvey.
@@ -79,7 +78,6 @@ class TestParseTweet:
         tweet = parse_tweet(record)
         assert tweet.id == "905"
         assert tweet.coordinates == (-95.4, 29.7)
-        assert tweet.user_location == "Houston, TX"
 
     @pytest.mark.parametrize(
         "bad",

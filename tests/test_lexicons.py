@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import importlib.resources
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rescuemap import (
+    LexiconConfig,
     LexiconError,
     Verdict,
     classify,
@@ -13,25 +19,97 @@ from rescuemap import (
     lexicon_from_dir,
     load_street_suffixes,
 )
-from rescuemap.lexicons import load_pairs_file, load_phrase_file
+from rescuemap.lexicons import NEGATIVE_FEATURES
+
+# The override file of each phrase list: the name of the packaged data file.
+PHRASE_FILES = {
+    "help_keywords": "help_keywords.txt",
+    "disaster_names": "disaster_names.txt",
+    "situation_words": "situation_words.txt",
+    "status_update": "negative_status_update.txt",
+    "offer_help": "negative_offer_help.txt",
+    "news_report": "negative_news_report.txt",
+    "political": "negative_political.txt",
+    "ads": "negative_ads.txt",
+    "spanish_help": "spanish_help_keywords.txt",
+    "spanish_situation": "spanish_situation_words.txt",
+}
+PAIRS_FILE = "region_disaster_pairs.tsv"
+SPANISH_OVERLAYS = [
+    ("help_keywords", "spanish_help_keywords.txt"),
+    ("situation_words", "spanish_situation_words.txt"),
+]
+
+
+def packaged_text(filename: str) -> str:
+    return importlib.resources.files("rescuemap.data").joinpath(filename).read_text("utf-8")
+
+
+def entries(text: str) -> tuple[str, ...]:
+    stripped = (line.strip() for line in text.splitlines())
+    return tuple(line for line in stripped if line and not line.startswith("#"))
+
+
+def pairs(text: str) -> tuple[tuple[str, str], ...]:
+    return tuple(tuple(c.strip() for c in row.split("\t")) for row in entries(text))
+
+
+def reference_lexicon(directory: Path | None, spanish: bool) -> LexiconConfig:
+    """Each list from its override file if present, else packaged; Spanish appended."""
+
+    def text(filename: str) -> str:
+        if directory is not None and (directory / filename).is_file():
+            return (directory / filename).read_text("utf-8")
+        return packaged_text(filename)
+
+    lists = {name: entries(text(filename)) for name, filename in PHRASE_FILES.items()}
+    help_keywords, situation = lists["help_keywords"], lists["situation_words"]
+    if spanish:
+        help_keywords += lists["spanish_help"]
+        situation += lists["spanish_situation"]
+    return LexiconConfig(
+        help_keywords=help_keywords,
+        disaster_names=lists["disaster_names"],
+        region_disaster_pairs=pairs(text(PAIRS_FILE)),
+        situation_words=situation,
+        negative_lexicons={k: lists[k] for k in NEGATIVE_FEATURES},
+    )
+
+
+def earlier_default_lexicon(spanish: bool) -> LexiconConfig:
+    """default_lexicon as it was built before every list went through one loader."""
+    help_keywords = entries(packaged_text("help_keywords.txt"))
+    situation = entries(packaged_text("situation_words.txt"))
+    if spanish:
+        help_keywords += entries(packaged_text("spanish_help_keywords.txt"))
+        situation += entries(packaged_text("spanish_situation_words.txt"))
+    return LexiconConfig(
+        help_keywords=help_keywords,
+        disaster_names=entries(packaged_text("disaster_names.txt")),
+        region_disaster_pairs=pairs(packaged_text(PAIRS_FILE)),
+        situation_words=situation,
+        negative_lexicons={
+            k: entries(packaged_text(f"negative_{k}.txt")) for k in NEGATIVE_FEATURES
+        },
+    )
 
 
 class TestFileFormats:
     def test_comments_and_blanks_ignored(self, tmp_path):
-        path = tmp_path / "words.txt"
+        path = tmp_path / "help_keywords.txt"
         path.write_text("# a comment\n\nfirst phrase\nsecond\n  \n", encoding="utf-8")
-        assert load_phrase_file(path) == ("first phrase", "second")
+        assert lexicon_from_dir(tmp_path).help_keywords == ("first phrase", "second")
 
     def test_pairs_are_tab_separated(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
+        path = tmp_path / "region_disaster_pairs.tsv"
         path.write_text("# region<TAB>word\nBay City\tFlood\n", encoding="utf-8")
-        assert load_pairs_file(path) == (("Bay City", "Flood"),)
+        assert lexicon_from_dir(tmp_path).region_disaster_pairs == (("Bay City", "Flood"),)
 
     def test_malformed_pair_row_raises(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
+        path = tmp_path / "region_disaster_pairs.tsv"
         path.write_text("Houston Flood\n", encoding="utf-8")
-        with pytest.raises(LexiconError):
-            load_pairs_file(path)
+        with pytest.raises(LexiconError, match="region_disaster_pairs.tsv:1"):
+            lexicon_from_dir(tmp_path)
 
     def test_street_suffixes_are_plentiful(self):
         suffixes = load_street_suffixes()
@@ -64,7 +142,6 @@ class TestSpanishOverlay:
     SPANISH_TEXT = "Ayuda por favor, estamos atrapados en la azotea, 7412 Canal St"
 
     def test_disabled_by_default(self, lex):
-        assert not lex.spanish_enabled
         assert not detect_ask_help(self.SPANISH_TEXT, lex)
         assert classify(extract_features(self.SPANISH_TEXT, lex)) is Verdict.NOT_RESCUE_REQUEST
 
@@ -93,3 +170,48 @@ class TestOverrideDirectory:
         overridden = lexicon_from_dir(tmp_path)
         features = extract_features("best crypto deals at 1 Main St", overridden)
         assert features.has_ads
+
+    @pytest.mark.parametrize("field, spanish_file", SPANISH_OVERLAYS)
+    def test_override_keeps_shipped_spanish_overlay(self, tmp_path, field, spanish_file):
+        (tmp_path / f"{field}.txt").write_text("send a helicopter\n", encoding="utf-8")
+        overridden = lexicon_from_dir(tmp_path, spanish=True)
+        expected = ("send a helicopter",) + entries(packaged_text(spanish_file))
+        assert getattr(overridden, field) == expected
+
+    @pytest.mark.parametrize("field, spanish_file", SPANISH_OVERLAYS)
+    def test_spanish_override_alone_is_read(self, tmp_path, lex, field, spanish_file):
+        (tmp_path / spanish_file).write_text("socorro urgente\n", encoding="utf-8")
+        overridden = lexicon_from_dir(tmp_path, spanish=True)
+        assert getattr(overridden, field) == getattr(lex, field) + ("socorro urgente",)
+        assert lexicon_from_dir(tmp_path) == lex
+
+
+class TestLoader:
+    @pytest.mark.parametrize("spanish", [False, True])
+    def test_default_lexicon_matches_earlier_construction(self, spanish):
+        assert default_lexicon(spanish=spanish) == earlier_default_lexicon(spanish)
+
+    _phrase = st.text(alphabet="abcxyz é", min_size=1, max_size=12).map(str.strip).filter(bool)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        overrides=st.dictionaries(
+            st.sampled_from(sorted(PHRASE_FILES)), st.lists(_phrase, max_size=4)
+        ),
+        override_pairs=st.none() | st.lists(st.tuples(_phrase, _phrase), max_size=3),
+        spanish=st.booleans(),
+    )
+    def test_from_dir_takes_each_file_from_the_override_else_the_package(
+        self, overrides, override_pairs, spanish
+    ):
+        with tempfile.TemporaryDirectory() as name:
+            directory = Path(name)
+            for field, phrases in overrides.items():
+                body = "# override\n" + "".join(f"{p}\n\n" for p in phrases)
+                (directory / PHRASE_FILES[field]).write_text(body, encoding="utf-8")
+            if override_pairs is not None:
+                body = "".join(f"{region}\t{word}\n" for region, word in override_pairs)
+                (directory / PAIRS_FILE).write_text(body, encoding="utf-8")
+            assert lexicon_from_dir(directory, spanish=spanish) == reference_lexicon(
+                directory, spanish
+            )

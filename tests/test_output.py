@@ -10,16 +10,12 @@ from rescuemap import (
     Precision,
     Tweet,
     complete_address,
-    default_lexicon,
-    extract_features,
     extract_full_address,
     to_geojson,
     to_local_time,
     to_map_document,
 )
 from rescuemap.output import RescueRequest
-
-LEX = default_lexicon()
 
 
 def make_request(
@@ -42,7 +38,6 @@ def make_request(
     )
     return RescueRequest(
         tweet=tweet,
-        features=extract_features(text, LEX),
         address=address,
         geocode=geocode,
         local_time=to_local_time(tweet.created_at_utc),
@@ -133,6 +128,7 @@ class TestMapDocument:
         doc = to_map_document([failed])
         assert "not_found" in doc
         assert "t9" in doc
+        assert '"viewport": [-99.0, 27.6, -90.8, 33.5]' in doc
 
     def test_viewport_is_marker_bounding_box(self):
         near = make_request(point=GeoPoint(-95.5, 29.6))
