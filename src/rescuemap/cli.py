@@ -48,6 +48,8 @@ def _load_config(path: Optional[str]) -> dict:
         config = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {p}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config: {p}: not valid UTF-8") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config: {p}: top level must be an object")
     for key in (*_CONFIG_PATH_KEYS, "geocoder_backend"):
@@ -145,7 +147,11 @@ def _input_lines(args, config: dict) -> Iterable[bytes]:
         if not manifest_path.is_file():
             raise ConfigError(f"input: manifest not found: {manifest_path}")
         base = manifest_path.parent
-        for line in manifest_path.read_text(encoding="utf-8").splitlines():
+        try:
+            listing = manifest_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"input: manifest {manifest_path}: not valid UTF-8") from None
+        for line in listing.splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 paths.append(str((base / line) if not Path(line).is_absolute() else line))

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .features import classify, extract_features, Verdict
-from .ingest import Tweet, extract_hashtags
+from .ingest import Tweet, merge_hashtags
 from .lexicons import LexiconConfig
 
 
@@ -66,30 +67,29 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
     Quoted fields may contain embedded newlines.
     """
     path = Path(path)
+    try:
+        content = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{path}: not valid UTF-8") from None
     rows: list[LabelledTweet] = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"id", "text", "label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise CorpusFormatError(f"{path}: header must contain columns {sorted(required)}")
-        for i, row in enumerate(reader, start=2):
-            raw_label = (row["label"] or "").strip()
-            if raw_label not in ("0", "1"):
-                raise CorpusFormatError(
-                    f"{path}: row {i}: label must be 0 or 1, got {raw_label!r}"
-                )
-            text = row["text"] or ""
-            tags = list(extract_hashtags(text))
-            for tag in (row.get("hashtags") or "").split():
-                cleaned = tag.lstrip("#").lower()
-                if cleaned and cleaned not in tags:
-                    tags.append(cleaned)
-            rows.append(
-                LabelledTweet(
-                    tweet=Tweet(id=str(row["id"]), text=text, hashtags=tuple(tags)),
-                    label=raw_label == "1",
-                )
+    reader = csv.DictReader(io.StringIO(content, newline=""))
+    required = {"id", "text", "label"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise CorpusFormatError(f"{path}: header must contain columns {sorted(required)}")
+    for i, row in enumerate(reader, start=2):
+        raw_label = (row["label"] or "").strip()
+        if raw_label not in ("0", "1"):
+            raise CorpusFormatError(
+                f"{path}: row {i}: label must be 0 or 1, got {raw_label!r}"
             )
+        text = row["text"] or ""
+        hashtags = merge_hashtags(text, (row.get("hashtags") or "").split())
+        rows.append(
+            LabelledTweet(
+                tweet=Tweet(id=str(row["id"]), text=text, hashtags=hashtags),
+                label=raw_label == "1",
+            )
+        )
     return rows
 
 

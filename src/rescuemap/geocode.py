@@ -92,7 +92,11 @@ class Gazetteer:
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
         table: dict[str, GeoPoint] = {}
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise GazetteerError(f"{path}: not valid UTF-8") from None
+        for i, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -104,6 +104,21 @@ def extract_hashtags(text: str) -> tuple[str, ...]:
     return tuple(m.group(1).lower() for m in _HASHTAG_RE.finditer(text))
 
 
+def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
+    """The text's hashtags, then each further string tag not already present.
+
+    Extra tags are lowercased with leading '#' stripped; empty tags and
+    non-strings are skipped.
+    """
+    tags = list(extract_hashtags(text))
+    for tag in extra:
+        if isinstance(tag, str):
+            cleaned = tag.lstrip("#").lower()
+            if cleaned and cleaned not in tags:
+                tags.append(cleaned)
+    return tuple(tags)
+
+
 def _parse_created_at(value: object, line_no: int | None) -> datetime:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TweetParseError(f"unsupported created_at type: {type(value).__name__}", line_no)
@@ -192,18 +207,12 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
         raise TweetParseError("missing created_at", line_no)
     created = _parse_created_at(obj["created_at"], line_no)
 
-    tags = list(extract_hashtags(text))
     provided = obj.get("hashtags")
     if provided is None and isinstance(obj.get("entities"), Mapping):
         entities = obj["entities"].get("hashtags")
         if isinstance(entities, list):
             provided = [e.get("text") for e in entities if isinstance(e, Mapping)]
-    if isinstance(provided, list):
-        for tag in provided:
-            if isinstance(tag, str):
-                cleaned = tag.lstrip("#").lower()
-                if cleaned and cleaned not in tags:
-                    tags.append(cleaned)
+    hashtags = merge_hashtags(text, provided if isinstance(provided, list) else ())
 
     coords = None
     if obj.get("coordinates") is not None:
@@ -213,7 +222,7 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
         id=str(raw_id),
         text=text,
         created_at_utc=created,
-        hashtags=tuple(tags),
+        hashtags=hashtags,
         coordinates=coords,
     )
 

@@ -153,7 +153,10 @@ def _load(directory: Path | None, spanish: bool) -> LexiconConfig:
         if directory is not None:
             path = directory / _DATA_FILES[name]
             if path.is_file():
-                return path.read_text(encoding="utf-8"), str(path)
+                try:
+                    return path.read_text(encoding="utf-8"), str(path)
+                except UnicodeDecodeError:
+                    raise LexiconError(f"{path}: not valid UTF-8") from None
         return _packaged(name), _DATA_FILES[name]
 
     def phrases(name: str) -> tuple[str, ...]:

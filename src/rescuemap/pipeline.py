@@ -3,20 +3,20 @@
 The pipeline streams: records are processed one at a time and only
 classified-positive requests are retained. Geocoding is the wait: in
 concurrent mode (the CLI's default) the calling thread parses, classifies and
-answers geocode cache hits, while a fixed pool of GEOCODE_WORKERS threads
-sends the cache misses, so that many backend requests overlap. Results are
-joined in input order and are byte-identical to sequential mode.
+answers geocode cache hits, and submits each cache miss to a
+``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so
+that many backend requests overlap. Both modes run the same loop; results
+are joined in input order and are byte-identical to sequential mode.
 """
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .address import FullAddress, complete_address, extract_full_address
 from .features import Verdict, classify, detect_address, extract_features
-from .geocode import GeocodeResult, Geocoder, GeocodeStatus
+from .geocode import Geocoder, GeocodeStatus
 from .ingest import (
     IngestStats,
     StreamConfig,
@@ -75,87 +75,6 @@ def _classified_positives(
     summary.duplicates = stats.duplicates
 
 
-def _full_address(tweet: Tweet, matches: list) -> FullAddress:
-    address = extract_full_address(tweet.text, matches=matches)
-    if address is None:  # cannot happen for positives; classify requires an address
-        raise RuntimeError(f"positive tweet {tweet.id} lost its address match")
-    return complete_address(address, tweet.hashtags)
-
-
-def _rescue_request(tweet: Tweet, address: FullAddress, result: GeocodeResult) -> RescueRequest:
-    return RescueRequest(
-        tweet=tweet,
-        address=address,
-        geocode=result,
-        local_time=to_local_time(tweet.created_at_utc),
-    )
-
-
-def _geocode_pooled(
-    positives: Iterable[tuple[Tweet, list]],
-    geocoder: Geocoder,
-    queue_size: int,
-) -> list[RescueRequest]:
-    """Geocode cache hits inline and misses on GEOCODE_WORKERS threads, in input order.
-
-    At most ``queue_size`` positives wait on a lookup; the calling thread
-    collects finished lookups before it reads further input.
-    """
-    todo: queue.SimpleQueue = queue.SimpleQueue()  # (slot, query), or None to stop
-    done: queue.SimpleQueue = queue.SimpleQueue()  # (slot, result or exception)
-
-    def work() -> None:
-        while (job := todo.get()) is not None:
-            slot, query = job
-            try:
-                done.put((slot, geocoder.geocode(query)))
-            except BaseException as exc:  # re-raised by the calling thread
-                done.put((slot, exc))
-
-    workers = [
-        threading.Thread(target=work, name=f"rescuemap-geocode-{i}", daemon=True)
-        for i in range(GEOCODE_WORKERS)
-    ]
-    for worker in workers:
-        worker.start()
-    requests: list = []
-    waiting: dict[int, tuple[Tweet, FullAddress]] = {}
-
-    def collect_one() -> None:
-        slot, result = done.get()
-        if isinstance(result, BaseException):
-            raise result
-        requests[slot] = _rescue_request(*waiting.pop(slot), result)
-
-    try:
-        for tweet, matches in positives:
-            address = _full_address(tweet, matches)
-            result = geocoder.cached(address.completed)
-            if result is not None:
-                requests.append(_rescue_request(tweet, address, result))
-                continue
-            if len(waiting) >= queue_size:
-                collect_one()
-            slot = len(requests)
-            requests.append(None)
-            waiting[slot] = (tweet, address)
-            todo.put((slot, address.completed))
-        while waiting:
-            collect_one()
-    finally:
-        # On an error, lookups not yet started are dropped; running ones finish.
-        try:
-            while True:
-                todo.get_nowait()
-        except queue.Empty:
-            pass
-        for _ in workers:
-            todo.put(None)
-        for worker in workers:
-            worker.join()
-    return requests
-
-
 def run_pipeline(
     lines: Iterable[str | bytes],
     *,
@@ -168,28 +87,58 @@ def run_pipeline(
     """Run the full pipeline over NDJSON lines (str or UTF-8 bytes).
 
     Returns the rescue requests in input order plus the per-stage counts.
-    ``sequential=True`` geocodes each positive inline, one lookup at a time.
-    ``sequential=False`` answers cache hits inline and sends misses to
-    GEOCODE_WORKERS threads, so up to that many backend requests overlap;
-    ``queue_size`` (at least 1) bounds the positives waiting on a lookup.
-    Output is byte-identical either way.
+    ``sequential=True`` geocodes each positive inline, one lookup at a time,
+    and starts no thread. ``sequential=False`` answers cache hits inline and
+    submits each miss to a pool of GEOCODE_WORKERS threads, so up to that
+    many backend requests overlap; ``queue_size`` (at least 1) bounds the
+    lookups waiting to be collected, and the oldest is collected first when
+    the bound is reached. On an error or interrupt, lookups not yet started
+    are dropped, running ones finish, and the error is re-raised. Output is
+    byte-identical either way.
     """
     if queue_size < 1:
         raise ValueError(f"queue_size must be at least 1, got {queue_size}")
-    summary = RunSummary()
-    positives = _classified_positives(lines, stream_cfg, lex, summary)
-    if sequential:
-        requests = []
-        for tweet, matches in positives:
-            address = _full_address(tweet, matches)
-            result = geocoder.geocode(address.completed)
-            requests.append(_rescue_request(tweet, address, result))
-    else:
-        requests = _geocode_pooled(positives, geocoder, queue_size)
+    # Imported here: concurrent.futures pulls in logging, and `import
+    # rescuemap` stays lean without it.
+    from concurrent.futures import ThreadPoolExecutor
 
-    for request in requests:
-        if request.geocode.status is GeocodeStatus.OK:
-            summary.geocoded_ok += 1
-        else:
-            summary.geocode_failed += 1
+    summary = RunSummary()
+    found: list[tuple[Tweet, FullAddress]] = []
+    results: list = []  # a GeocodeResult, or the Future of a lookup not yet collected
+    waiting: deque[int] = deque()  # indices of uncollected Futures, oldest first
+    with ThreadPoolExecutor(GEOCODE_WORKERS, thread_name_prefix="rescuemap-geocode") as pool:
+        try:
+            for tweet, matches in _classified_positives(lines, stream_cfg, lex, summary):
+                address = extract_full_address(tweet.text, matches=matches)
+                if address is None:  # cannot happen; classify requires an address
+                    raise RuntimeError(f"positive tweet {tweet.id} lost its address match")
+                address = complete_address(address, tweet.hashtags)
+                found.append((tweet, address))
+                query = address.completed
+                if sequential:
+                    result = geocoder.geocode(query)
+                elif (result := geocoder.cached(query)) is None:
+                    if len(waiting) >= queue_size:
+                        oldest = waiting.popleft()
+                        results[oldest] = results[oldest].result()
+                    waiting.append(len(results))
+                    result = pool.submit(geocoder.geocode, query)
+                results.append(result)
+            for index in waiting:
+                results[index] = results[index].result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+    requests = [
+        RescueRequest(
+            tweet=tweet,
+            address=address,
+            geocode=result,
+            local_time=to_local_time(tweet.created_at_utc),
+        )
+        for (tweet, address), result in zip(found, results)
+    ]
+    summary.geocoded_ok = sum(r.geocode.status is GeocodeStatus.OK for r in requests)
+    summary.geocode_failed = len(requests) - summary.geocoded_ok
     return requests, summary

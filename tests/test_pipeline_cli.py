@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 import urllib.parse
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from rescuemap import (
 from rescuemap.cli import main
 from rescuemap.pipeline import GEOCODE_WORKERS, run_pipeline
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SERVICE_URL = "https://geocoder.invalid/json?address={query}&key={key}"
 ZERO_RESULTS = json.dumps({"status": "ZERO_RESULTS", "results": []})
 
@@ -326,6 +330,33 @@ class TestRunPipeline:
             )
         assert geocode_threads() == []
 
+    def test_sequential_mode_geocodes_on_the_calling_thread_only(self, lex):
+        seen: list[tuple[threading.Thread, list[threading.Thread]]] = []
+
+        class RecordingBackend:
+            def resolve(self, query: str) -> GeocodeResult:
+                seen.append((threading.current_thread(), geocode_threads()))
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        lines = [rescue_line(f"r{i}", 100 + i) for i in range(2 * GEOCODE_WORKERS)]
+        requests, _ = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=Geocoder(RecordingBackend()), sequential=True,
+        )
+        assert len(requests) == len(seen) == len(lines)
+        assert seen == [(threading.current_thread(), [])] * len(lines)
+        assert geocode_threads() == []
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # run_pipeline imports it on first call; `import rescuemap` must not.
+        probe = "import sys, rescuemap; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_malformed_and_duplicate_lines_reach_the_summary(
         self, sample_corpus_lines, sample_geocoder, lex
     ):
@@ -592,3 +623,38 @@ class TestCliEval:
 
     def test_bad_counts_exits_1(self, capsys):
         assert main(["eval", "--counts", "1,2,3"]) == 1
+
+
+NOT_UTF8 = b"caf\xe9\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["lexicon_override", "config", "gazetteer", "manifest", "labelled_csv"],
+)
+def test_non_utf8_file_exits_1_with_one_line(case, data_dir, tmp_path, capsys):
+    sample = str(data_dir / "harvey_sample.ndjson")
+    gazetteer = str(data_dir / "gazetteer_sample.tsv")
+    if case == "lexicon_override":
+        bad = tmp_path / "help_keywords.txt"
+        argv = ["classify", "--raw", "--lexicons", str(tmp_path), "--input", sample]
+    elif case == "config":
+        bad = tmp_path / "config.json"
+        argv = ["pipeline", "--config", str(bad)]
+    elif case == "gazetteer":
+        bad = tmp_path / "gazetteer.tsv"
+        argv = ["pipeline", "--input", sample, "--gazetteer", str(bad)]
+    elif case == "manifest":
+        bad = tmp_path / "manifest.txt"
+        argv = ["pipeline", "--manifest", str(bad), "--gazetteer", gazetteer]
+    else:
+        bad = tmp_path / "labelled.csv"
+        argv = ["eval", "--input", str(bad)]
+    bad.write_bytes(NOT_UTF8)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rescuemap: ")
+    assert captured.err.count("\n") == 1
+    assert str(bad) in captured.err
+    assert "UTF-8" in captured.err
