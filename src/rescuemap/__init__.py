@@ -6,7 +6,16 @@ extraction with Houston/Texas completion, cached geocoding (offline gazetteer
 or HTTP backend), and GeoJSON / interactive-map emission. An evaluation
 harness reproduces confusion-matrix metrics over a labelled corpus.
 """
-from .address import CompletionRule, FullAddress, complete_address, contains_texas, extract_full_address
+from .address import (
+    AddressForm,
+    AddressMatch,
+    CompletionRule,
+    FullAddress,
+    complete_address,
+    contains_texas,
+    detect_address,
+    extract_full_address,
+)
 from .evaluate import (
     ConfusionMatrix,
     CorpusFormatError,
@@ -17,12 +26,9 @@ from .evaluate import (
     load_labelled,
 )
 from .features import (
-    AddressForm,
-    AddressMatch,
     FeatureVector,
     Verdict,
     classify,
-    detect_address,
     detect_ask_help,
     detect_disaster_context,
     detect_negative_features,

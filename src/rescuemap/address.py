@@ -1,11 +1,13 @@
-"""Full street-address extraction and Houston/Texas completion heuristics.
+"""Street-address detection, full-address extraction and Houston/Texas completion.
 
-Starting from the first detected street-address match, the parser greedily
-takes the optional components of a US address: unit, city (possibly
-hashtagged), state, and zip code. Components are separated by "connector"
-runs of spaces, tabs, newlines, carriage returns, form feeds, commas, and
-periods. Under-specified addresses are completed so the final search string
-always names Texas.
+A street address is a house number followed by either 1-3 street-name words
+and a street suffix ("4055 South Braeswood Blvd") or a designator and a
+number or letter ("1108 Highway 7"). Starting from the first such match, the
+parser greedily takes the optional components of a US address: unit, city
+(possibly hashtagged), state, and zip code. Components are separated by
+"connector" runs of spaces, tabs, newlines, carriage returns, form feeds,
+commas, and periods. Under-specified addresses are completed so the final
+search string always names Texas.
 """
 from __future__ import annotations
 
@@ -14,7 +16,21 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .features import AddressMatch, _normalize_ws, detect_address
+from .lexicons import load_street_suffixes
+
+
+class AddressForm(Enum):
+    NAME_SUFFIX = "name_suffix"            # e.g. "4055 South Braeswood Blvd"
+    SUFFIX_DESIGNATOR = "suffix_designator"  # e.g. "1108 Highway 7", "123 Ave. G"
+
+
+@dataclass(frozen=True)
+class AddressMatch:
+    span: tuple[int, int]
+    matched_text: str
+    form: AddressForm
+    house_number: str
+    street: str
 
 
 class CompletionRule(Enum):
@@ -42,6 +58,63 @@ class FullAddress:
     completed: str = ""
     completion_rule: Optional[CompletionRule] = None
 
+
+# --- street address detection -------------------------------------------------
+
+# A street-name word: optional '#', letters, optional hyphenated parts,
+# optional trailing period ("South", "#Braeswood", "S.", "Mid-Town").
+_WORD = r"#?[A-Za-z]+(?:-[A-Za-z]+)*\.?"
+
+_SUFFIXES = load_street_suffixes()
+_SUFFIX_ALT = "|".join(sorted((re.escape(s) for s in _SUFFIXES), key=len, reverse=True))
+
+_DESIGNATORS = (
+    "AVENUE", "AVE", "AV", "AVEN", "AVENU", "AVN", "AVNUE",
+    "HIGHWAY", "HWY", "HIWAY", "HIWY", "HWAY",
+    "ROAD", "RD", "ROADS", "RDS",
+    "ROUTE", "RTE",
+    "STREET", "ST", "STRT", "STR", "STREETS", "STS",
+)
+_DESIGNATOR_ALT = "|".join(sorted(_DESIGNATORS, key=len, reverse=True))
+
+# <house number> then either <1-3 street-name words> <street suffix>[.]
+# or <designator>[.] <digits | single letter>. The number and the whitespace
+# after it can match only one way, so at each start the name branch, tried
+# first, wins over the designator branch.
+_ADDRESS_RE = re.compile(
+    rf"\b(?P<num>\d{{1,6}})\s+(?:"
+    rf"(?P<name>(?:{_WORD}\s+){{1,3}}(?:{_SUFFIX_ALT})\.?)"
+    rf"|(?P<designator>(?:{_DESIGNATOR_ALT})\.?\s+(?:\d+|[A-Za-z]))"
+    r")(?![A-Za-z0-9])",
+    re.IGNORECASE,
+)
+# A match's lastgroup is the branch that matched: it closes after `num`.
+_FORM_BY_GROUP = {"name": AddressForm.NAME_SUFFIX, "designator": AddressForm.SUFFIX_DESIGNATOR}
+
+
+def _normalize_ws(text: str) -> str:
+    return " ".join(text.split())
+
+
+def detect_address(text: str) -> list[AddressMatch]:
+    """All non-overlapping leftmost street-address matches, sorted by start.
+
+    At equal start offsets the name+suffix form wins over the
+    designator form.
+    """
+    return [
+        AddressMatch(
+            span=m.span(),
+            matched_text=m.group(),
+            form=_FORM_BY_GROUP[m.lastgroup],
+            house_number=m.group("num"),
+            street=_normalize_ws(m.group(m.lastgroup)),
+        )
+        for m in _ADDRESS_RE.finditer(text)
+    ]
+
+
+# --- full-address extraction --------------------------------------------------
 
 _STATE_NAMES_BY_ABBREV = {
     "AL": "Alabama", "AK": "Alaska", "AZ": "Arizona", "AR": "Arkansas",
@@ -77,6 +150,7 @@ _ZIP_RE = re.compile(r"\d{5}(?:-\d{4})?(?![0-9A-Za-z])")
 
 _UNIT_KEY_RE = re.compile(r"(?:apartment|suite|unit|apt|ste)\b\.?", re.IGNORECASE)
 _UNIT_DESIGNATOR_RE = re.compile(r"#?\s?([A-Za-z0-9][A-Za-z0-9-]{0,5})(?![A-Za-z0-9])")
+_UNIT_REST_RE = re.compile(r"[ \t]*" + _UNIT_DESIGNATOR_RE.pattern)
 
 _CITY_WORD = r"(?:#[A-Za-z]+|[A-Z][A-Za-z]*)"
 _CITY_RE = re.compile(rf"{_CITY_WORD}(?: {_CITY_WORD})?(?![A-Za-z0-9])")
@@ -94,12 +168,15 @@ def _connector(text: str, pos: int) -> Optional[re.Match]:
     return m if m and m.end() > pos else None
 
 
-def _match_unit(text: str, pos: int) -> Optional[tuple[str, int]]:
+# Each component matcher takes the text, the offset after a connector run and
+# that run's text, and returns (component, end offset) or None.
+
+def _match_unit(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
     key = _UNIT_KEY_RE.match(text, pos)
     if key is not None:
-        rest = re.match(r"[ \t]*" + _UNIT_DESIGNATOR_RE.pattern, text[key.end():])
+        rest = _UNIT_REST_RE.match(text, key.end())
         if rest is not None:
-            return _normalize_ws(text[pos : key.end() + rest.end()]), key.end() + rest.end()
+            return _normalize_ws(text[pos : rest.end()]), rest.end()
         return None
     # Bare '#' unit: keep it distinguishable from a hashtagged city by
     # requiring a digit or a single letter ("#4B", "#B", not "#Houston").
@@ -169,6 +246,15 @@ def _match_city(text: str, pos: int, prev_connector: str) -> Optional[tuple[str,
     return city, end
 
 
+def _match_zip(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
+    m = _ZIP_RE.match(text, pos)
+    return (m.group(0), m.end()) if m else None
+
+
+# The optional components, in the order they may follow the street address.
+_COMPONENTS = (_match_unit, _match_city, _match_state, _match_zip)
+
+
 def extract_full_address(
     text: str, *, matches: Optional[list[AddressMatch]] = None
 ) -> Optional[FullAddress]:
@@ -184,43 +270,17 @@ def extract_full_address(
         return None
     first = matches[0]
     cursor = first.span[1]
-
-    head = _normalize_ws(first.matched_text)
-    pieces: list[tuple[str, str]] = []  # (component text, source connector)
-    unit = city = state = zip_code = None
-
-    def advance(kind: str) -> Optional[str]:
-        nonlocal cursor
+    completed = _normalize_ws(first.matched_text)
+    values: list[Optional[str]] = []
+    for match_component in _COMPONENTS:
         conn = _connector(text, cursor)
-        if conn is None:
-            return None
-        start = conn.end()
-        connector_text = conn.group(0)
-        if kind == "unit":
-            found = _match_unit(text, start)
-        elif kind == "city":
-            found = _match_city(text, start, connector_text)
-        elif kind == "state":
-            found = _match_state(text, start, connector_text)
-        else:
-            m = _ZIP_RE.match(text, start)
-            found = (m.group(0), m.end()) if m else None
-        if found is None:
-            return None
-        value, end = found
-        pieces.append((value, connector_text))
-        cursor = end
-        return value
-
-    unit = advance("unit")
-    city = advance("city")
-    state = advance("state")
-    zip_code = advance("zip")
-
-    completed = head
-    for value, connector_text in pieces:
-        joiner = ", " if "," in connector_text else " "
-        completed += joiner + value
+        found = None if conn is None else match_component(text, conn.end(), conn.group(0))
+        value = None
+        if found is not None:
+            value, cursor = found
+            completed += (", " if "," in conn.group(0) else " ") + value
+        values.append(value)
+    unit, city, state, zip_code = values
 
     return FullAddress(
         house_number=first.house_number,

@@ -99,9 +99,11 @@ def _build_stream_config(config: dict) -> StreamConfig:
         else:
             if not isinstance(box, (list, tuple)) or len(box) != 4:
                 raise ConfigError("config: bbox must be [west, south, east, north]")
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in box):
+                raise ConfigError("config: bbox values must be numbers")
             try:
                 kwargs["bbox"] = BoundingBox(*[float(v) for v in box])
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, ValueError) as exc:  # OverflowError: an int too big for a float
                 raise ConfigError(f"config: bbox: {exc}") from None
     try:
         return StreamConfig(**kwargs)
@@ -231,7 +233,11 @@ def _cmd_eval(args) -> int:
             tp, fp, fn, tn = (int(v) for v in args.counts.split(","))
         except ValueError:
             raise ConfigError("eval: --counts expects 'tp,fp,fn,tn'") from None
-        matrix = ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+        try:
+            matrix = ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+            metrics = compute_metrics(matrix)
+        except ValueError as exc:
+            raise ConfigError(f"eval: --counts: {exc}") from None
     else:
         if not args.input:
             raise ConfigError("eval: give a labelled corpus with --input or counts with --counts")
@@ -241,7 +247,7 @@ def _cmd_eval(args) -> int:
         lex = _build_lexicon(args, config)
         corpus = load_labelled(corpus_path)
         matrix = evaluate(corpus, lex)
-    metrics = compute_metrics(matrix)
+        metrics = compute_metrics(matrix)
     report = {
         "confusion_matrix": {"tp": matrix.tp, "fp": matrix.fp, "fn": matrix.fn, "tn": matrix.tn},
         "total": matrix.total,

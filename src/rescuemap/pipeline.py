@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .address import FullAddress, complete_address, extract_full_address
-from .features import Verdict, classify, detect_address, extract_features
+from .address import FullAddress, complete_address, detect_address, extract_full_address
+from .features import Verdict, classify, extract_features
 from .geocode import Geocoder, GeocodeStatus
 from .ingest import (
     IngestStats,

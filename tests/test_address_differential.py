@@ -1,0 +1,209 @@
+"""Differential tests: the one-pattern detector and the component loop against
+the two-pattern detector and the per-kind walk they replaced, kept here as the
+reference implementations."""
+from __future__ import annotations
+
+import re
+from typing import Optional
+
+from hypothesis import example, given, settings, strategies as st
+
+from rescuemap import AddressForm, AddressMatch, FullAddress, detect_address, extract_full_address
+from rescuemap import address
+from rescuemap.lexicons import load_street_suffixes
+
+# --- reference: two patterns, the leftmost match wins, form 1 on ties ----------
+
+_REF_WORD = r"#?[A-Za-z]+(?:-[A-Za-z]+)*\.?"
+_REF_SUFFIXES = sorted(load_street_suffixes())
+_REF_SUFFIX_ALT = "|".join(sorted((re.escape(s) for s in _REF_SUFFIXES), key=len, reverse=True))
+_REF_FORM1_RE = re.compile(
+    rf"\b(?P<num>\d{{1,6}})\s+(?P<street>(?:{_REF_WORD}\s+){{1,3}}(?:{_REF_SUFFIX_ALT})\.?)(?![A-Za-z0-9])",
+    re.IGNORECASE,
+)
+_REF_DESIGNATORS = (
+    "AVENUE", "AVE", "AV", "AVEN", "AVENU", "AVN", "AVNUE",
+    "HIGHWAY", "HWY", "HIWAY", "HIWY", "HWAY",
+    "ROAD", "RD", "ROADS", "RDS",
+    "ROUTE", "RTE",
+    "STREET", "ST", "STRT", "STR", "STREETS", "STS",
+)
+_REF_DESIGNATOR_ALT = "|".join(sorted(_REF_DESIGNATORS, key=len, reverse=True))
+_REF_FORM2_RE = re.compile(
+    rf"\b(?P<num>\d{{1,6}})\s+(?P<street>(?:{_REF_DESIGNATOR_ALT})\.?\s+(?:\d+|[A-Za-z]))(?![A-Za-z0-9])",
+    re.IGNORECASE,
+)
+
+
+def reference_detect_address(text: str) -> list[AddressMatch]:
+    matches: list[AddressMatch] = []
+    pos = 0
+    length = len(text)
+    while pos < length:
+        m1 = _REF_FORM1_RE.search(text, pos)
+        m2 = _REF_FORM2_RE.search(text, pos)
+        if m1 is None and m2 is None:
+            break
+        if m2 is None or (m1 is not None and m1.start() <= m2.start()):
+            m, form = m1, AddressForm.NAME_SUFFIX
+        else:
+            m, form = m2, AddressForm.SUFFIX_DESIGNATOR
+        matches.append(
+            AddressMatch(
+                span=(m.start(), m.end()),
+                matched_text=m.group(0),
+                form=form,
+                house_number=m.group("num"),
+                street=" ".join(m.group("street").split()),
+            )
+        )
+        pos = m.end()
+    return matches
+
+
+# --- reference: one advance(kind) call per component ---------------------------
+
+def _reference_match_unit(text: str, pos: int) -> Optional[tuple[str, int]]:
+    key = address._UNIT_KEY_RE.match(text, pos)
+    if key is not None:
+        rest = re.match(r"[ \t]*" + address._UNIT_DESIGNATOR_RE.pattern, text[key.end():])
+        if rest is not None:
+            return address._normalize_ws(text[pos : key.end() + rest.end()]), key.end() + rest.end()
+        return None
+    bare = address._UNIT_DESIGNATOR_RE.match(text, pos)
+    if bare is not None and text[pos] == "#":
+        designator = bare.group(1)
+        if any(ch.isdigit() for ch in designator) or len(designator) == 1:
+            return address._normalize_ws(bare.group(0)), bare.end()
+    return None
+
+
+def reference_extract_full_address(text: str) -> Optional[FullAddress]:
+    matches = reference_detect_address(text)
+    if not matches:
+        return None
+    first = matches[0]
+    cursor = first.span[1]
+    head = address._normalize_ws(first.matched_text)
+    pieces: list[tuple[str, str]] = []
+
+    def advance(kind: str) -> Optional[str]:
+        nonlocal cursor
+        conn = address._connector(text, cursor)
+        if conn is None:
+            return None
+        start = conn.end()
+        connector_text = conn.group(0)
+        if kind == "unit":
+            found = _reference_match_unit(text, start)
+        elif kind == "city":
+            found = address._match_city(text, start, connector_text)
+        elif kind == "state":
+            found = address._match_state(text, start, connector_text)
+        else:
+            m = address._ZIP_RE.match(text, start)
+            found = (m.group(0), m.end()) if m else None
+        if found is None:
+            return None
+        value, end = found
+        pieces.append((value, connector_text))
+        cursor = end
+        return value
+
+    unit = advance("unit")
+    city = advance("city")
+    state = advance("state")
+    zip_code = advance("zip")
+    completed = head
+    for value, connector_text in pieces:
+        completed += (", " if "," in connector_text else " ") + value
+    return FullAddress(
+        house_number=first.house_number,
+        street=first.street,
+        unit=unit,
+        city=city,
+        state=state,
+        zip=zip_code,
+        completed=completed,
+    )
+
+
+# --- generated text ---------------------------------------------------------------
+
+_CASES = (str.lower, str.upper, str.title, str.swapcase, lambda s: s)
+_GRAMMAR_WORDS = _REF_SUFFIXES + list(_REF_DESIGNATORS)
+
+
+def _cased(words: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.tuples(words, st.sampled_from(_CASES)).map(lambda t: t[1](t[0]))
+
+
+_designators = _cased(st.sampled_from(_REF_DESIGNATORS))
+_street_words = _cased(st.one_of(
+    st.sampled_from(_GRAMMAR_WORDS),
+    # prefixes and extensions of suffixes: "Av", "Aven", "Avenues", "Stx", "Rd1"
+    st.builds(lambda w, k: w[:k], st.sampled_from(_GRAMMAR_WORDS), st.integers(1, 4)),
+    st.builds(
+        lambda w, tail: w + tail,
+        st.sampled_from(_GRAMMAR_WORDS),
+        st.sampled_from(["s", "x", "UE", "1", "-A", ".", "#"]),
+    ),
+    st.from_regex(r"[A-Za-z]|[0-9]{1,3}", fullmatch=True),
+    st.sampled_from(["Main", "South", "#Braeswood", "Mid-Town", "S.", "Apt"]),
+))
+_digits = st.integers(1, 7).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
+_spaces = st.sampled_from([" ", " ", " ", "  ", "\n", "\t", " \n"])
+_gaps = st.one_of(_spaces, st.sampled_from(["", ".", "-", "#", ". ", ", "]))
+# A house number and 1-4 street words, often led by a designator and a letter
+# ("4 Ave G Ct"), so that both branches of the grammar, and near-misses of
+# each, start at one offset.
+_lead = st.one_of(
+    _street_words,
+    _designators,
+    st.builds(lambda d, space, letter: d + space + letter, _designators, _spaces, st.sampled_from("GbZ")),
+)
+_candidates = st.builds(
+    lambda num, space, lead, gap, words: num + space + lead + gap + "".join(w + g for w, g in words),
+    _digits,
+    _spaces,
+    _lead,
+    _gaps,
+    st.lists(st.tuples(_street_words, _gaps), max_size=3),
+)
+_tokens = st.one_of(_candidates, _digits, _street_words, st.sampled_from(["#", ".", "-", "\n"]))
+_texts = st.lists(st.tuples(_tokens, _gaps), max_size=6).map(
+    lambda parts: "".join(token + gap for token, gap in parts)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_texts)
+@example(text="4 Ave G Ct")
+@example(text="123456 Main St, 1234567 Elm Rd")
+@example(text="12 Hwy 6x and 9 Main Stx")
+def test_detect_address_matches_two_pattern_reference(text):
+    assert detect_address(text) == reference_detect_address(text)
+
+
+_CONNECTORS = (" ", ", ", ",", ".", ". ", "\n", " ,\t", "")
+_COMPONENTS = (
+    "Apt 4B", "apt. 12", "Suite \tA", "Apt\t 4B", "unit", "Ste 1-2", "#4B", "#B", "# 7", "#Houston",
+    "Houston", "#Houston", "Sugar Land", "Katy TX", "houston", "New York", "Of",
+    "TX", "Texas", "tx", "New  Mexico", "OK", "IN", "Ok", "#TX",
+    "77025", "77025-1234", "7702", "770251", "77025x",
+    "please", "Help", "now",
+)
+_ADDRESSES = ("4055 South Braeswood Blvd", "123 Ave. G", "900 Elm St", "12 Clay Rd", "no address")
+_chains = st.builds(
+    lambda head, parts: head + "".join(conn + part for conn, part in parts),
+    st.sampled_from(_ADDRESSES),
+    st.lists(st.tuples(st.sampled_from(_CONNECTORS), st.sampled_from(_COMPONENTS)), max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_chains, _texts))
+@example(text="4055 South Braeswood Blvd Apt 4B, Houston, TX 77025")
+@example(text="900 Elm St, Katy 77494")
+def test_extract_full_address_matches_advance_walk_reference(text):
+    assert extract_full_address(text) == reference_extract_full_address(text)

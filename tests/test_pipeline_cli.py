@@ -517,6 +517,10 @@ class TestCliPipeline:
             pytest.param({"keywords": ["Harvey", 5]}, id="keywords_non_string"),
             pytest.param({"bbox": ["x", 0, 0, 1]}, id="bbox_non_numeric"),
             pytest.param({"bbox": [1, 0, 0, 1]}, id="bbox_west_not_below_east"),
+            pytest.param({"bbox": ["-99", True, "-90.8", "33.5"]}, id="bbox_strings_and_bool"),
+            pytest.param({"bbox": [False, False, True, True]}, id="bbox_bools"),
+            pytest.param({"bbox": [-99, 27.6, -90.8, "33.5"]}, id="bbox_numeric_string"),
+            pytest.param({"bbox": [-99, 27.6, 10**400, 33.5]}, id="bbox_int_too_large"),
             pytest.param({"http": {"url": SERVICE_URL, "min_interval": "fast"}}, id="min_interval"),
             pytest.param(
                 {"http": {"url": SERVICE_URL, "min_interval": float("inf")}},
@@ -621,8 +625,13 @@ class TestCliEval:
     def test_missing_corpus_exits_2(self, capsys):
         assert main(["eval", "--input", "/nonexistent.csv"]) == 2
 
-    def test_bad_counts_exits_1(self, capsys):
-        assert main(["eval", "--counts", "1,2,3"]) == 1
+    @pytest.mark.parametrize("counts", ["1,2,3", "-1,0,0,0", "0,0,0,0"])
+    def test_bad_counts_exits_1(self, capsys, counts):
+        assert main(["eval", f"--counts={counts}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rescuemap: eval: ")
+        assert captured.err.count("\n") == 1
 
 
 NOT_UTF8 = b"caf\xe9\n"
