@@ -65,8 +65,33 @@ class FullAddress:
 # optional trailing period ("South", "#Braeswood", "S.", "Mid-Town").
 _WORD = r"#?[A-Za-z]+(?:-[A-Za-z]+)*\.?"
 
-_SUFFIXES = load_street_suffixes()
-_SUFFIX_ALT = "|".join(sorted((re.escape(s) for s in _SUFFIXES), key=len, reverse=True))
+
+def _trie_alternation(words: frozenset[str]) -> str:
+    """A regex matching exactly one of ``words``, factored as a character trie.
+
+    "AV", "AVE" and "AVENUE" become ``AV(?:E(?:NUE)?)?``-shaped nesting, so
+    the engine tests each character once instead of trying every word in
+    turn. A node where a word ends makes its continuations optional.
+    """
+    trie: dict = {}
+    # Sorted insertion keeps every node's branches sorted, so the pattern is
+    # the same in every process whatever the set's iteration order.
+    for word in sorted(words):
+        node = trie
+        for ch in word:
+            node = node.setdefault(ch, {})
+        node[""] = None
+
+    def render(node: dict) -> str:
+        branches = [re.escape(ch) + render(child) for ch, child in node.items() if ch]
+        if "" in node:
+            return f"(?:{'|'.join(branches)})?" if branches else ""
+        return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+
+    return render(trie)
+
+
+_SUFFIX_ALT = _trie_alternation(load_street_suffixes())
 
 _DESIGNATORS = (
     "AVENUE", "AVE", "AV", "AVEN", "AVENU", "AVN", "AVNUE",

@@ -246,6 +246,8 @@ def _cmd_eval(args) -> int:
             raise FileNotFoundError(f"labelled corpus not found: {corpus_path}")
         lex = _build_lexicon(args, config)
         corpus = load_labelled(corpus_path)
+        if not corpus:
+            raise ConfigError(f"eval: {corpus_path}: no labelled rows")
         matrix = evaluate(corpus, lex)
         metrics = compute_metrics(matrix)
     report = {

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Sequence
@@ -28,56 +29,119 @@ class RescueRequest:
     local_time: datetime
 
 
+def _completion_rule(request: RescueRequest) -> str | None:
+    rule = request.address.completion_rule
+    return rule.value if rule else None
+
+
 def _ungeocoded_entry(request: RescueRequest) -> dict:
     return {
         "id": request.tweet.id,
         "text": request.tweet.text,
         "completed_address": request.address.completed,
-        "completion_rule": request.address.completion_rule.value
-        if request.address.completion_rule
-        else None,
+        "completion_rule": _completion_rule(request),
         "status": request.geocode.status.value,
     }
+
+
+# The GeoJSON schema is fixed, so each entry is written from a template that
+# reproduces json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False):
+# keys in sorted order, two-space indent, "," between items, ": " after keys.
+_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          %s,
+          %s
+        ],
+        "type": "Point"
+      },
+      "properties": {
+        "completed_address": %s,
+        "completion_rule": %s,
+        "id": %s,
+        "local_time": %s,
+        "text": %s
+      },
+      "type": "Feature"
+    }"""
+_UNGEOCODED = """\
+    {
+      "completed_address": %s,
+      "completion_rule": %s,
+      "id": %s,
+      "status": %s,
+      "text": %s
+    }"""
+_COLLECTION = """\
+{
+  "features": %s,
+  "type": "FeatureCollection",
+  "ungeocoded": %s
+}"""
+
+# The C string escaper json.dumps(..., ensure_ascii=False) uses.
+_string = json.encoder.encode_basestring
+
+
+def _number(value: object) -> str:
+    # json writes a finite float with float.__repr__; an int, a bool or a
+    # non-finite float takes json's own path.
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _nullable_string(value: str | None) -> str:
+    return "null" if value is None else _string(value)
+
+
+def _array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def to_geojson(requests: Sequence[RescueRequest]) -> str:
     """Serialize requests as a GeoJSON FeatureCollection (longitude first).
 
     Requests whose geocode failed appear in the top-level ``ungeocoded``
-    array rather than as features. Output is deterministic for identical
-    inputs (sorted keys, fixed float repr).
+    array rather than as features. The output is byte-identical to
+    ``json.dumps(collection, indent=2, sort_keys=True, ensure_ascii=False)``
+    of the same collection: each entry comes from a template whose keys are
+    already sorted and laid out as ``json`` lays them out, strings go
+    through ``json``'s own escaper, numbers are written as ``json`` writes
+    them, and an empty list stays ``[]``.
     """
     features = []
     ungeocoded = []
     for request in requests:
-        if request.geocode.status is GeocodeStatus.OK and request.geocode.point is not None:
-            point = request.geocode.point
+        tweet = request.tweet
+        address = request.address
+        geocode = request.geocode
+        if geocode.status is GeocodeStatus.OK and geocode.point is not None:
             features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "Point",
-                        "coordinates": [point.longitude, point.latitude],
-                    },
-                    "properties": {
-                        "id": request.tweet.id,
-                        "text": request.tweet.text,
-                        "completed_address": request.address.completed,
-                        "local_time": request.local_time.isoformat(),
-                        "completion_rule": request.address.completion_rule.value
-                        if request.address.completion_rule
-                        else None,
-                    },
-                }
+                _FEATURE
+                % (
+                    _number(geocode.point.longitude),
+                    _number(geocode.point.latitude),
+                    _string(address.completed),
+                    _nullable_string(_completion_rule(request)),
+                    _string(tweet.id),
+                    _string(request.local_time.isoformat()),
+                    _string(tweet.text),
+                )
             )
         else:
-            ungeocoded.append(_ungeocoded_entry(request))
-    collection = {
-        "type": "FeatureCollection",
-        "features": features,
-        "ungeocoded": ungeocoded,
-    }
-    return json.dumps(collection, indent=2, sort_keys=True, ensure_ascii=False)
+            ungeocoded.append(
+                _UNGEOCODED
+                % (
+                    _string(address.completed),
+                    _nullable_string(_completion_rule(request)),
+                    _string(tweet.id),
+                    _string(geocode.status.value),
+                    _string(tweet.text),
+                )
+            )
+    return _COLLECTION % (_array(features), _array(ungeocoded))
 
 
 def _safe_json(payload: object) -> str:

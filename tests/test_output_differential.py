@@ -1,0 +1,133 @@
+"""Differential test: the fixed-schema GeoJSON writer against the json.dumps
+call it replaced, kept here as the reference implementation."""
+from __future__ import annotations
+
+import json
+from datetime import datetime, timedelta, timezone
+
+from hypothesis import example, given, strategies as st
+
+from rescuemap import (
+    CompletionRule,
+    FullAddress,
+    GeocodeResult,
+    GeocodeStatus,
+    GeoPoint,
+    Tweet,
+    to_geojson,
+    to_local_time,
+)
+from rescuemap.output import RescueRequest
+
+# --- reference: build the collection as dicts, then json.dumps -------------------
+
+
+def reference_to_geojson(requests: list[RescueRequest]) -> str:
+    def rule(request: RescueRequest):
+        return request.address.completion_rule.value if request.address.completion_rule else None
+
+    features = []
+    ungeocoded = []
+    for request in requests:
+        if request.geocode.status is GeocodeStatus.OK and request.geocode.point is not None:
+            point = request.geocode.point
+            features.append(
+                {
+                    "type": "Feature",
+                    "geometry": {
+                        "type": "Point",
+                        "coordinates": [point.longitude, point.latitude],
+                    },
+                    "properties": {
+                        "id": request.tweet.id,
+                        "text": request.tweet.text,
+                        "completed_address": request.address.completed,
+                        "local_time": request.local_time.isoformat(),
+                        "completion_rule": rule(request),
+                    },
+                }
+            )
+        else:
+            ungeocoded.append(
+                {
+                    "id": request.tweet.id,
+                    "text": request.tweet.text,
+                    "completed_address": request.address.completed,
+                    "completion_rule": rule(request),
+                    "status": request.geocode.status.value,
+                }
+            )
+    collection = {"type": "FeatureCollection", "features": features, "ungeocoded": ungeocoded}
+    return json.dumps(collection, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+# --- strategies --------------------------------------------------------------------
+
+# Characters json escapes or could mishandle: controls, quotes, backslashes,
+# the JavaScript line separators, astral and non-ASCII letters, '%'.
+_SPECIAL_CHARS = st.sampled_from(
+    ["\x00", "\x08", "\x1f", "\x7f", "\n", "\t", '"', "\\", "/", "%", "\u2028", "\u2029",
+     "\U0001F30A", "\U00010400", "\xe9", "\xdf", "\u0416", "\u4e2d"]
+)
+_TEXT = st.text(st.one_of(_SPECIAL_CHARS, st.characters()), max_size=20)
+
+
+def _coordinate(limit: int) -> st.SearchStrategy:
+    return st.one_of(
+        st.sampled_from([-limit, limit, 0, -float(limit), float(limit), 0.0, -0.0,
+                         1e-07, -1e-07, 5e-324]),
+        st.integers(-limit, limit),
+        st.floats(-limit, limit),
+    )
+
+
+_POINT = st.builds(GeoPoint, _coordinate(180), _coordinate(90))
+_LOCAL_TIME = st.datetimes(
+    min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+    timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=-5))]),
+)
+
+
+@st.composite
+def _request(draw) -> RescueRequest:
+    status = draw(st.sampled_from(GeocodeStatus))
+    completed = draw(_TEXT)
+    return RescueRequest(
+        tweet=Tweet(id=draw(_TEXT), text=draw(_TEXT)),
+        address=FullAddress(
+            house_number="1",
+            street="Main St",
+            completed=completed,
+            completion_rule=draw(st.sampled_from([None, *CompletionRule])),
+        ),
+        geocode=GeocodeResult(
+            query=completed,
+            point=draw(_POINT) if status is GeocodeStatus.OK else None,
+            status=status,
+        ),
+        local_time=draw(_LOCAL_TIME),
+    )
+
+
+_OK = RescueRequest(
+    tweet=Tweet(id="t1", text='say "help"\\ \u2028 \U0001F30A'),
+    address=FullAddress(house_number="5", street="Elm St", completed="5 Elm St, Texas",
+                        completion_rule=CompletionRule.TEXAS_DEFAULT),
+    geocode=GeocodeResult(query="5 Elm St, Texas", point=GeoPoint(5, 6), status=GeocodeStatus.OK),
+    local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
+)
+_FAILED = RescueRequest(
+    tweet=Tweet(id="t2", text="\x00\x1f"),
+    address=FullAddress(house_number="7", street="Oak Rd", completed="7 Oak Rd"),
+    geocode=GeocodeResult(query="7 Oak Rd", point=None, status=GeocodeStatus.RATE_LIMITED),
+    local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
+)
+
+
+@given(st.lists(_request(), max_size=6))
+@example([])
+@example([_OK])
+@example([_FAILED])
+@example([_OK, _FAILED])
+def test_to_geojson_matches_json_dumps(requests):
+    assert to_geojson(requests) == reference_to_geojson(requests)

@@ -633,6 +633,15 @@ class TestCliEval:
         assert captured.err.startswith("rescuemap: eval: ")
         assert captured.err.count("\n") == 1
 
+    def test_header_only_corpus_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "labelled.csv"
+        corpus.write_text("id,text,label\n", encoding="utf-8")
+        assert main(["eval", "--input", str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rescuemap: eval: ")
+        assert captured.err.count("\n") == 1
+
 
 NOT_UTF8 = b"caf\xe9\n"
 
