@@ -285,7 +285,7 @@ def _build_parser() -> _Parser:
     p_pipe.add_argument(
         "--sequential",
         action="store_true",
-        help="one geocoding request at a time instead of 8 in flight (same output)",
+        help="one geocoding request at a time instead of 16 in flight (same output)",
     )
     p_pipe.set_defaults(func=_cmd_pipeline)
 

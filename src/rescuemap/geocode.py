@@ -209,12 +209,24 @@ class HttpBackend:
                 results[0]["geometry"].get("location_type", ""), Precision.UNKNOWN
             )
             point = GeoPoint(float(location["lng"]), float(location["lat"]), precision)
-        except (ValueError, KeyError, IndexError, TypeError):
+        # AttributeError: a body that is JSON but not an object; OverflowError: a
+        # coordinate integer too large for a float; RecursionError: deep nesting.
+        except (
+            AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError
+        ):
             return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
         return GeocodeResult(query=query, point=point, status=GeocodeStatus.OK)
 
 
 _CACHED_STATUSES = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
+
+
+def coalesced(result: GeocodeResult, query: str) -> GeocodeResult:
+    """What a lookup of ``query`` returns when it waited on another lookup's ``result``.
+
+    ``ok`` and ``not_found`` count as cache hits; an error is passed on uncached.
+    """
+    return replace(result, query=query, from_cache=result.status in _CACHED_STATUSES)
 
 
 class _Inflight:
@@ -262,11 +274,7 @@ class Geocoder:
                     break
             entry.event.wait()
             if entry.result is not None:
-                return replace(
-                    entry.result,
-                    query=query,
-                    from_cache=entry.result.status in _CACHED_STATUSES,
-                )
+                return coalesced(entry.result, query)
 
         result = None
         try:

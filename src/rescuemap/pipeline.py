@@ -1,12 +1,21 @@
 """End-to-end driver: ingest -> stream filter -> classify -> extract -> geocode.
 
-The pipeline streams: records are processed one at a time and only
-classified-positive requests are retained. Geocoding is the wait: in
-concurrent mode (the CLI's default) the calling thread parses, classifies and
-answers geocode cache hits, and submits each cache miss to a
-``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so
-that many backend requests overlap. Both modes run the same loop; results
-are joined in input order and are byte-identical to sequential mode.
+A run makes two passes. The classify pass streams the input one record at a
+time, keeps only the classified-positive requests, and extracts and completes
+each one's address. The geocode pass then resolves those addresses in input
+order. In concurrent mode (the CLI's default) it answers cache hits on the
+calling thread and submits each cache miss to a
+``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so that
+many backend requests overlap; a miss whose address already has a lookup in
+flight shares that lookup instead of sending another. With classification
+done, the calling thread only collects results, so a worker whose request
+returns gets the GIL back at once. Output is byte-identical to sequential
+mode, which geocodes on the calling thread and starts no thread.
+
+The trade-off: no lookup starts before the input ends. A file replay, this
+tool's traffic, gets faster. A slow live source (``--input -``) starts
+geocoding only at end of input, and then waits about
+misses x latency / GEOCODE_WORKERS more.
 """
 from __future__ import annotations
 
@@ -16,7 +25,7 @@ from typing import Iterable, Iterator
 
 from .address import FullAddress, complete_address, detect_address, extract_full_address
 from .features import Verdict, classify, extract_features
-from .geocode import Geocoder, GeocodeStatus
+from .geocode import Geocoder, GeocodeResult, GeocodeStatus, coalesced, normalize_query
 from .ingest import (
     IngestStats,
     StreamConfig,
@@ -28,9 +37,10 @@ from .ingest import (
 from .lexicons import LexiconConfig
 from .output import RescueRequest
 
-# Backend lookups in flight at once in concurrent mode. Measured against a
-# 2 ms fake service: 16 workers were no faster, 4 reached about half the rate.
-GEOCODE_WORKERS = 8
+# Backend lookups in flight at once in concurrent mode. Measured on the
+# benchmark's geocode_latency workload (2 ms fake service, nproc 2): medians
+# of 3.15k records/s with 16 workers against 2.57k with 8 (7 runs each).
+GEOCODE_WORKERS = 16
 
 
 @dataclass
@@ -75,6 +85,56 @@ def _classified_positives(
     summary.duplicates = stats.duplicates
 
 
+def _geocode_pooled(queries: list[str], geocoder: Geocoder, queue_size: int) -> list[GeocodeResult]:
+    """Geocode ``queries`` in order, sending cache misses to GEOCODE_WORKERS threads.
+
+    A miss whose normalized key has a lookup still running shares that
+    lookup's Future and gets what ``Geocoder.geocode`` gives a waiter; once
+    that lookup is done, a repeat is looked up again, so errors are retried.
+    At most ``queue_size`` submitted lookups wait to be collected; at the
+    bound the oldest is collected first.
+    """
+    # Imported here: concurrent.futures pulls in logging, and `import
+    # rescuemap` stays lean without it.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    results: list = []  # a GeocodeResult, or the Future of a lookup not yet collected
+    waiting: deque[tuple[int, str]] = deque()  # (index, key) of submitted lookups, oldest first
+    running: dict[str, Future] = {}  # key -> its submitted lookup, until collected
+    shared: list[int] = []  # indices holding another index's Future
+
+    def collect_oldest() -> None:
+        index, key = waiting.popleft()
+        future = results[index]
+        results[index] = future.result()
+        if running.get(key) is future:
+            del running[key]
+
+    with ThreadPoolExecutor(GEOCODE_WORKERS, thread_name_prefix="rescuemap-geocode") as pool:
+        try:
+            for query in queries:
+                result = geocoder.cached(query)
+                if result is None:
+                    key = normalize_query(query)
+                    result = running.get(key)
+                    if result is not None and not result.done():
+                        shared.append(len(results))
+                    else:
+                        if len(waiting) >= queue_size:
+                            collect_oldest()
+                        result = running[key] = pool.submit(geocoder.geocode, query)
+                        waiting.append((len(results), key))
+                results.append(result)
+            while waiting:
+                collect_oldest()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    for index in shared:  # every submitted lookup is collected, so these are done
+        results[index] = coalesced(results[index].result(), queries[index])
+    return results
+
+
 def run_pipeline(
     lines: Iterable[str | bytes],
     *,
@@ -87,48 +147,32 @@ def run_pipeline(
     """Run the full pipeline over NDJSON lines (str or UTF-8 bytes).
 
     Returns the rescue requests in input order plus the per-stage counts.
-    ``sequential=True`` geocodes each positive inline, one lookup at a time,
-    and starts no thread. ``sequential=False`` answers cache hits inline and
-    submits each miss to a pool of GEOCODE_WORKERS threads, so up to that
-    many backend requests overlap; ``queue_size`` (at least 1) bounds the
-    lookups waiting to be collected, and the oldest is collected first when
-    the bound is reached. On an error or interrupt, lookups not yet started
-    are dropped, running ones finish, and the error is re-raised. Output is
-    byte-identical either way.
+    Both modes classify the whole input first, then geocode the positives.
+    ``sequential=True`` geocodes each positive on the calling thread, one
+    lookup at a time, and starts no thread. ``sequential=False`` answers
+    cache hits inline and submits each miss to a pool of GEOCODE_WORKERS
+    threads, so up to that many backend requests overlap; a repeat of an
+    address whose lookup is still running shares it. ``queue_size`` (at
+    least 1) bounds the lookups waiting to be collected, and the oldest is
+    collected first when the bound is reached. On an error or interrupt,
+    lookups not yet started are dropped, running ones finish, and the error
+    is re-raised. Output is byte-identical either way.
     """
     if queue_size < 1:
         raise ValueError(f"queue_size must be at least 1, got {queue_size}")
-    # Imported here: concurrent.futures pulls in logging, and `import
-    # rescuemap` stays lean without it.
-    from concurrent.futures import ThreadPoolExecutor
-
     summary = RunSummary()
     found: list[tuple[Tweet, FullAddress]] = []
-    results: list = []  # a GeocodeResult, or the Future of a lookup not yet collected
-    waiting: deque[int] = deque()  # indices of uncollected Futures, oldest first
-    with ThreadPoolExecutor(GEOCODE_WORKERS, thread_name_prefix="rescuemap-geocode") as pool:
-        try:
-            for tweet, matches in _classified_positives(lines, stream_cfg, lex, summary):
-                address = extract_full_address(tweet.text, matches=matches)
-                if address is None:  # cannot happen; classify requires an address
-                    raise RuntimeError(f"positive tweet {tweet.id} lost its address match")
-                address = complete_address(address, tweet.hashtags)
-                found.append((tweet, address))
-                query = address.completed
-                if sequential:
-                    result = geocoder.geocode(query)
-                elif (result := geocoder.cached(query)) is None:
-                    if len(waiting) >= queue_size:
-                        oldest = waiting.popleft()
-                        results[oldest] = results[oldest].result()
-                    waiting.append(len(results))
-                    result = pool.submit(geocoder.geocode, query)
-                results.append(result)
-            for index in waiting:
-                results[index] = results[index].result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    for tweet, matches in _classified_positives(lines, stream_cfg, lex, summary):
+        address = extract_full_address(tweet.text, matches=matches)
+        if address is None:  # cannot happen; classify requires an address
+            raise RuntimeError(f"positive tweet {tweet.id} lost its address match")
+        found.append((tweet, complete_address(address, tweet.hashtags)))
+
+    queries = [address.completed for _, address in found]
+    if sequential:
+        results = [geocoder.geocode(query) for query in queries]
+    else:
+        results = _geocode_pooled(queries, geocoder, queue_size)
 
     requests = [
         RescueRequest(

@@ -327,6 +327,30 @@ class TestHttpBackend:
         backend, _ = self.backend([(200, "<html>oops</html>")])
         assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[]",
+            "1",
+            '"x"',
+            "null",
+            json.dumps({"status": "OK", "results": {"geometry": {}}}),
+            json.dumps({"status": "OK", "results": ["x"]}),
+            json.dumps({"status": "OK", "results": [{"geometry": {"location": [1, 2]}}]}),
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": 1e400}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": %s}}}]}'
+            % ("9" * 400),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=[
+            "array", "number", "string", "null", "results_object", "result_string",
+            "location_array", "coordinate_1e400", "coordinate_400_digits", "deep_nesting",
+        ],
+    )
+    def test_body_of_the_wrong_shape_is_backend_error(self, body):
+        backend, _ = self.backend([(200, body)])
+        assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR
+
     def test_http_429_is_rate_limited(self):
         backend, _ = self.backend([(429, "")])
         assert backend.resolve("1 Main St").status is GeocodeStatus.RATE_LIMITED

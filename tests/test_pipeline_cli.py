@@ -23,6 +23,7 @@ from rescuemap import (
     classify,
     extract_features,
     load_labelled,
+    normalize_query,
     to_geojson,
     to_map_document,
 )
@@ -250,6 +251,15 @@ class TestRunPipeline:
         assert to_map_document(pooled_requests) == to_map_document(sequential_requests)
         assert pooled_summary.as_dict() == sequential_summary.as_dict()
         assert pooled_calls <= sequential_calls
+        # Geocoder's rule: ok/not_found count as cached after the first lookup
+        # of a key, shared or not; an error, shared or retried, never does.
+        seen: set[str] = set()
+        for r in pooled_requests:
+            assert r.geocode.query == r.address.completed
+            key = normalize_query(r.address.completed)
+            cacheable = r.geocode.status in (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
+            assert r.geocode.from_cache == (cacheable and key in seen)
+            seen.add(key)
 
     def test_geocode_pool_overlaps_backend_requests(self, lex):
         # Each lookup waits until GEOCODE_WORKERS lookups are in flight; a
@@ -291,7 +301,89 @@ class TestRunPipeline:
         assert len(starts) == len(lines)
         assert min(b - a for a, b in zip(starts, starts[1:])) >= 0.005 - 1e-9
 
-    def test_source_error_after_queued_lookups_stops_the_pool(self, lex):
+    def test_pool_geocodes_only_after_the_source_is_exhausted(self, lex):
+        events: list[str] = []
+
+        class RecordingBackend:
+            def resolve(self, query: str) -> GeocodeResult:
+                events.append("lookup")
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        def source():
+            for i in range(3 * GEOCODE_WORKERS):
+                yield rescue_line(f"r{i}", 100 + i)
+            events.append("end of input")
+
+        requests, _ = run_pipeline(
+            source(), stream_cfg=StreamConfig(), lex=lex,
+            geocoder=Geocoder(RecordingBackend()), sequential=False,
+        )
+        assert len(requests) == 3 * GEOCODE_WORKERS
+        assert events == ["end of input"] + ["lookup"] * len(requests)
+
+    def test_pool_shares_a_running_lookup_of_a_repeated_address(self, lex):
+        class SlowBackend:
+            calls = 0
+
+            def resolve(self, query: str) -> GeocodeResult:
+                SlowBackend.calls += 1
+                time.sleep(0.02)
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        class CountingGeocoder(Geocoder):
+            calls = 0
+
+            def geocode(self, query: str) -> GeocodeResult:
+                CountingGeocoder.calls += 1
+                return super().geocode(query)
+
+        lines = [rescue_line(f"r{i}", 100) for i in range(20)]
+        requests, _ = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=CountingGeocoder(SlowBackend()), sequential=False,
+        )
+        assert SlowBackend.calls == 1
+        assert CountingGeocoder.calls == 1  # the 19 repeats joined the running lookup
+        assert [r.geocode.from_cache for r in requests] == [False] + [True] * 19
+
+    def test_pool_retries_an_error_once_its_lookup_is_done(self, lex):
+        class FailsFirst:
+            calls: list[str] = []
+
+            def resolve(self, query: str) -> GeocodeResult:
+                FailsFirst.calls.append(query)
+                if len(FailsFirst.calls) == 1:
+                    return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        # With queue_size=1, submitting 200's lookup first collects 100's.
+        lines = [rescue_line("r0", 100), rescue_line("r1", 200), rescue_line("r2", 100)]
+        requests, _ = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=Geocoder(FailsFirst()), sequential=False, queue_size=1,
+        )
+        assert [r.geocode.status for r in requests] == [
+            GeocodeStatus.BACKEND_ERROR, GeocodeStatus.NOT_FOUND, GeocodeStatus.NOT_FOUND
+        ]
+        assert [q.split()[0] for q in FailsFirst.calls] == ["100", "200", "100"]
+
+    def test_sequential_mode_retries_a_failing_repeated_address(self, lex):
+        class FailingBackend:
+            calls = 0
+
+            def resolve(self, query: str) -> GeocodeResult:
+                FailingBackend.calls += 1
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+
+        lines = [rescue_line(f"r{i}", 100) for i in range(20)]
+        _, summary = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=Geocoder(FailingBackend()), sequential=True,
+        )
+        assert summary.geocode_failed == 20
+        assert FailingBackend.calls == 20
+
+    def test_source_error_ends_the_run_before_any_lookup(self, lex):
         service_calls = []
 
         def fetch(url: str, timeout: float) -> tuple[int, str]:
@@ -310,7 +402,7 @@ class TestRunPipeline:
                 source(), stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder, sequential=False
             )
         assert geocode_threads() == []
-        assert len(service_calls) < 200  # lookups that had not started were dropped
+        assert service_calls == []  # geocoding starts only once the source is exhausted
 
     def test_backend_interrupt_in_a_worker_reaches_the_caller(self, lex):
         class Interrupt(BaseException):
@@ -348,7 +440,7 @@ class TestRunPipeline:
         assert geocode_threads() == []
 
     def test_import_leaves_concurrent_futures_unloaded(self):
-        # run_pipeline imports it on first call; `import rescuemap` must not.
+        # run_pipeline imports it on its first pool-mode call; `import rescuemap` must not.
         probe = "import sys, rescuemap; print('concurrent.futures' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run(
