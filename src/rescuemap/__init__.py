@@ -33,6 +33,7 @@ from .features import (
     detect_disaster_context,
     detect_negative_features,
     extract_features,
+    is_rescue_request,
 )
 from .geocode import (
     Gazetteer,
@@ -108,6 +109,7 @@ __all__ = [
     "extract_features",
     "extract_full_address",
     "extract_hashtags",
+    "is_rescue_request",
     "lexicon_from_dir",
     "load_labelled",
     "load_street_suffixes",

@@ -4,6 +4,13 @@ A tweet is classified a rescue request when it carries a street address AND
 either a help request or disaster context, AND none of the five negative
 features (status update, help offer, news report, political commentary,
 advertisement) fire.
+
+:func:`extract_features` and :func:`classify` compute all eight features,
+which ``rescuemap classify`` and ``rescuemap eval`` report. The pipeline
+needs only the verdict, so it calls :func:`is_rescue_request`, which decides
+the rule for a text that carries an address with one search of the lexicon's
+positive union, the region pairs only when that fails, and one search of its
+negative union: two searches on most texts instead of up to fourteen.
 """
 from __future__ import annotations
 
@@ -98,3 +105,19 @@ def classify(fv: FeatureVector) -> Verdict:
         )
     )
     return Verdict.RESCUE_REQUEST if positive else Verdict.NOT_RESCUE_REQUEST
+
+
+def is_rescue_request(text: str, lex: LexiconConfig) -> bool:
+    """The logic rule's verdict for a text already known to carry an address.
+
+    Equal to ``classify(extract_features(text, lex)) is
+    Verdict.RESCUE_REQUEST`` whenever :func:`detect_address` finds a match,
+    but it searches the ``positive`` and ``negative`` unions of
+    :class:`LexiconPatterns` and stops at the first search that settles the
+    verdict.
+    """
+    patterns = lex.patterns
+    return (
+        patterns.positive.search(text) is not None
+        or any(region.search(text) and words.search(text) for region, words in patterns.pairs)
+    ) and patterns.negative.search(text) is None

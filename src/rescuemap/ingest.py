@@ -11,6 +11,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 from zoneinfo import ZoneInfo
 
@@ -88,6 +89,11 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if not self.track_keywords and self.bbox is None:
             raise ValueError("stream config needs keywords or a bounding box")
+
+    @cached_property
+    def folded_keywords(self) -> tuple[tuple[str, str], ...]:
+        """(casefolded keyword, the same without leading '#') per keyword, on first use."""
+        return tuple((folded, folded.lstrip("#")) for folded in map(str.casefold, self.track_keywords))
 
 
 @dataclass
@@ -263,11 +269,9 @@ def passes_stream_filter(tweet: Tweet, cfg: StreamConfig) -> bool:
     Bounding-box containment is boundary-inclusive and requires coordinates.
     """
     text = tweet.text.casefold()
-    for keyword in cfg.track_keywords:
-        folded = keyword.casefold()
+    for folded, bare in cfg.folded_keywords:
         if folded and folded in text:
             return True
-        bare = folded.lstrip("#")
         if bare and any(bare in tag for tag in tweet.hashtags):
             return True
     if cfg.bbox is not None and tweet.coordinates is not None:

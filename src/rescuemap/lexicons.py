@@ -96,6 +96,10 @@ class LexiconPatterns:
 
     ``pairs`` holds one (region, any of its disaster words) pattern pair per
     distinct region; ``negatives`` follows ``NEGATIVE_FEATURES`` order.
+    ``positive`` unites the help, disaster-name and situation lists and
+    ``negative`` the five negative lists. A union matches somewhere exactly
+    when one of its lists does, so one search of it stands for a search of
+    each of its lists.
     """
 
     help: re.Pattern
@@ -103,6 +107,8 @@ class LexiconPatterns:
     pairs: tuple[tuple[re.Pattern, re.Pattern], ...]
     situation: re.Pattern
     negatives: tuple[re.Pattern, ...]
+    positive: re.Pattern
+    negative: re.Pattern
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,7 @@ class LexiconConfig:
         regions: dict[str, list[str]] = {}
         for region, word in self.region_disaster_pairs:
             regions.setdefault(region, []).append(word)
+        negative_lists = [self.negative_lexicons[k] for k in NEGATIVE_FEATURES]
         return LexiconPatterns(
             help=_compile_phrases(self.help_keywords),
             names=_compile_phrases(self.disaster_names),
@@ -138,7 +145,11 @@ class LexiconConfig:
                 for region, words in regions.items()
             ),
             situation=_compile_phrases(self.situation_words),
-            negatives=tuple(_compile_phrases(self.negative_lexicons[k]) for k in NEGATIVE_FEATURES),
+            negatives=tuple(_compile_phrases(phrases) for phrases in negative_lists),
+            positive=_compile_phrases(
+                (*self.help_keywords, *self.disaster_names, *self.situation_words)
+            ),
+            negative=_compile_phrases(p for phrases in negative_lists for p in phrases),
         )
 
 

@@ -24,7 +24,9 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .address import FullAddress, complete_address, detect_address, extract_full_address
-from .features import Verdict, classify, extract_features
+from .features import is_rescue_request
+# Not called here: benchmark/run.py --trace 1 wraps them by name on this module.
+from .features import classify, extract_features  # noqa: F401
 from .geocode import Geocoder, GeocodeResult, GeocodeStatus, coalesced, normalize_query
 from .ingest import (
     IngestStats,
@@ -76,8 +78,7 @@ def _classified_positives(
         matches = detect_address(tweet.text)
         if not matches:  # the logic rule requires an address; skip the lexicon
             continue
-        features = extract_features(tweet.text, lex, address_matches=matches)
-        if classify(features) is Verdict.RESCUE_REQUEST:
+        if is_rescue_request(tweet.text, lex):
             summary.classified_positive += 1
             yield tweet, matches
     summary.read = stats.parsed
@@ -164,7 +165,7 @@ def run_pipeline(
     found: list[tuple[Tweet, FullAddress]] = []
     for tweet, matches in _classified_positives(lines, stream_cfg, lex, summary):
         address = extract_full_address(tweet.text, matches=matches)
-        if address is None:  # cannot happen; classify requires an address
+        if address is None:  # cannot happen; only tweets with an address match are classified
             raise RuntimeError(f"positive tweet {tweet.id} lost its address match")
         found.append((tweet, complete_address(address, tweet.hashtags)))
 
