@@ -228,6 +228,8 @@ def _parsed_texts(args, config):
 
 def _cmd_eval(args) -> int:
     config = _load_config(args.config)
+    if args.input and (args.counts or len(args.input) > 1):  # never ignore an input
+        raise ConfigError("eval: give one labelled corpus with --input, or --counts, not more")
     if args.counts:
         try:
             tp, fp, fn, tn = (int(v) for v in args.counts.split(","))

@@ -139,10 +139,10 @@ def _default_fetch(url: str, timeout: float) -> tuple[int, str]:
 class HttpBackend:
     """Client for an HTTPS geocoding endpoint with a minimum request spacing.
 
-    ``url_template`` must contain ``{query}`` and may contain ``{key}``; the
-    key is read from the environment (never from the command line). The
-    response is expected in the common maps-API shape: a ``status`` string
-    plus a ``results`` list whose first entry carries
+    ``url_template`` must contain ``{query}``, may contain ``{key}`` and no
+    other field; the key is read from the environment (never from the
+    command line). The response is expected in the common maps-API shape: a
+    ``status`` string plus a ``results`` list whose first entry carries
     ``geometry.location.{lat,lng}`` and ``geometry.location_type``.
     """
 
@@ -163,6 +163,15 @@ class HttpBackend:
             or not 0 <= min_interval < math.inf
         ):
             raise ValueError(f"min_interval must be a finite number >= 0, got {min_interval!r}")
+        import string  # only here: `import rescuemap` stays lean without it
+        try:
+            fields = {name for _, name, _, _ in string.Formatter().parse(url_template)} - {None}
+            if fields <= {"query", "key"}:  # a bad conversion or format spec fails here
+                url_template.format(query="", key="")
+        except ValueError as exc:
+            raise ValueError(f"url does not parse as a template: {exc}") from None
+        if not {"query"} <= fields <= {"query", "key"}:
+            raise ValueError(f"url may name only {{query}} (required) and {{key}}: {url_template}")
         self._url_template = url_template
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR, "")
         self._min_interval = min_interval
@@ -256,7 +265,7 @@ class Geocoder:
         key = normalize_query(query)
         with self._lock:
             hit = self._cache.get(key)
-        return None if hit is None else replace(hit, query=query, from_cache=True)
+        return None if hit is None else coalesced(hit, query)
 
     def geocode(self, query: str) -> GeocodeResult:
         if not query:
@@ -266,7 +275,7 @@ class Geocoder:
             with self._lock:
                 cached = self._cache.get(key)
                 if cached is not None:
-                    return replace(cached, query=query, from_cache=True)
+                    return coalesced(cached, query)
                 entry = self._inflight.get(key)
                 if entry is None:
                     entry = _Inflight()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .address import FullAddress, complete_address, detect_address, extract_full_address
 from .features import is_rescue_request
@@ -44,6 +44,12 @@ from .output import RescueRequest
 # of 3.15k records/s with 16 workers against 2.57k with 8 (7 runs each).
 GEOCODE_WORKERS = 16
 
+# Submitted lookups waiting to be collected, at most. Pool-mode geocode_latency
+# replay (824 distinct addresses, 2 ms service, nproc 2, medians of 20 runs):
+# 202.3 ms at 16, 183.7 at 32, 181.9 at 256, 183.7 with no bound. A large
+# backlog leaves slack when one slow lookup holds up collection.
+GEOCODE_BACKLOG = 256
+
 
 @dataclass
 class RunSummary:
@@ -62,37 +68,13 @@ class RunSummary:
         return asdict(self)
 
 
-def _classified_positives(
-    lines: Iterable[str | bytes],
-    stream_cfg: StreamConfig,
-    lex: LexiconConfig,
-    summary: RunSummary,
-) -> Iterator[tuple[Tweet, list]]:
-    """Yield (tweet, address matches) for every positive record."""
-    stats = IngestStats()
-    for tweet in read_stream(lines, stats):
-        if not passes_stream_filter(tweet, stream_cfg):
-            summary.stream_rejected += 1
-            continue
-        summary.stream_passed += 1
-        matches = detect_address(tweet.text)
-        if not matches:  # the logic rule requires an address; skip the lexicon
-            continue
-        if is_rescue_request(tweet.text, lex):
-            summary.classified_positive += 1
-            yield tweet, matches
-    summary.read = stats.parsed
-    summary.malformed = stats.malformed
-    summary.duplicates = stats.duplicates
-
-
-def _geocode_pooled(queries: list[str], geocoder: Geocoder, queue_size: int) -> list[GeocodeResult]:
+def _geocode_pooled(queries: list[str], geocoder: Geocoder) -> list[GeocodeResult]:
     """Geocode ``queries`` in order, sending cache misses to GEOCODE_WORKERS threads.
 
     A miss whose normalized key has a lookup still running shares that
     lookup's Future and gets what ``Geocoder.geocode`` gives a waiter; once
     that lookup is done, a repeat is looked up again, so errors are retried.
-    At most ``queue_size`` submitted lookups wait to be collected; at the
+    At most GEOCODE_BACKLOG submitted lookups wait to be collected; at the
     bound the oldest is collected first.
     """
     # Imported here: concurrent.futures pulls in logging, and `import
@@ -121,7 +103,7 @@ def _geocode_pooled(queries: list[str], geocoder: Geocoder, queue_size: int) -> 
                     if result is not None and not result.done():
                         shared.append(len(results))
                     else:
-                        if len(waiting) >= queue_size:
+                        if len(waiting) >= GEOCODE_BACKLOG:
                             collect_oldest()
                         result = running[key] = pool.submit(geocoder.geocode, query)
                         waiting.append((len(results), key))
@@ -143,7 +125,6 @@ def run_pipeline(
     lex: LexiconConfig,
     geocoder: Geocoder,
     sequential: bool = True,
-    queue_size: int = 256,
 ) -> tuple[list[RescueRequest], RunSummary]:
     """Run the full pipeline over NDJSON lines (str or UTF-8 bytes).
 
@@ -153,27 +134,33 @@ def run_pipeline(
     lookup at a time, and starts no thread. ``sequential=False`` answers
     cache hits inline and submits each miss to a pool of GEOCODE_WORKERS
     threads, so up to that many backend requests overlap; a repeat of an
-    address whose lookup is still running shares it. ``queue_size`` (at
-    least 1) bounds the lookups waiting to be collected, and the oldest is
-    collected first when the bound is reached. On an error or interrupt,
-    lookups not yet started are dropped, running ones finish, and the error
-    is re-raised. Output is byte-identical either way.
+    address whose lookup is still running shares it. On an error or
+    interrupt, lookups not yet started are dropped, running ones finish, and
+    the error is re-raised. Output is byte-identical either way.
     """
-    if queue_size < 1:
-        raise ValueError(f"queue_size must be at least 1, got {queue_size}")
     summary = RunSummary()
+    stats = IngestStats()
     found: list[tuple[Tweet, FullAddress]] = []
-    for tweet, matches in _classified_positives(lines, stream_cfg, lex, summary):
-        address = extract_full_address(tweet.text, matches=matches)
-        if address is None:  # cannot happen; only tweets with an address match are classified
-            raise RuntimeError(f"positive tweet {tweet.id} lost its address match")
-        found.append((tweet, complete_address(address, tweet.hashtags)))
+    for tweet in read_stream(lines, stats):
+        if not passes_stream_filter(tweet, stream_cfg):
+            summary.stream_rejected += 1
+            continue
+        summary.stream_passed += 1
+        matches = detect_address(tweet.text)
+        # The rule needs an address: skip the lexicon without one; extraction then finds it.
+        if matches and is_rescue_request(tweet.text, lex):
+            address = extract_full_address(tweet.text, matches=matches)
+            found.append((tweet, complete_address(address, tweet.hashtags)))
+    summary.read = stats.parsed
+    summary.malformed = stats.malformed
+    summary.duplicates = stats.duplicates
+    summary.classified_positive = len(found)
 
     queries = [address.completed for _, address in found]
     if sequential:
         results = [geocoder.geocode(query) for query in queries]
     else:
-        results = _geocode_pooled(queries, geocoder, queue_size)
+        results = _geocode_pooled(queries, geocoder)
 
     requests = [
         RescueRequest(

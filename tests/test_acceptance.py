@@ -164,7 +164,6 @@ def _pipeline_geojson(data_dir, sequential: bool) -> bytes:
         lex=LEX,
         geocoder=geocoder,
         sequential=sequential,
-        queue_size=16,
     )
     return to_geojson(requests).encode("utf-8")
 

@@ -401,3 +401,39 @@ class TestHttpBackend:
         backend = HttpBackend("https://geo.example/api?q={query}&key={key}", fetch=fetch)
         backend.resolve("1 Main St")
         assert "key=from-env" in calls[0]
+
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ("https://geo.example/api?address={adress}&key={key}", "may name only"),
+            ("https://geo.example/api?address={query}&key={key", "does not parse"),
+            ("https://geo.example/api?address={query}}", "does not parse"),
+            ("https://geo.example/api?address={0}&key={key}", "may name only"),
+            ("https://geo.example/api?address={}", "may name only"),
+            ("https://geo.example/api?address={query.lower}", "may name only"),
+            ("https://geo.example/api?address={query!x}", "does not parse"),
+            ("https://geo.example/api?address={query:d}", "does not parse"),
+            ("https://geo.example/api?key={key}", "may name only"),
+        ],
+        ids=[
+            "misspelled_field", "unbalanced_open", "unbalanced_close", "positional_index",
+            "positional_empty", "attribute", "bad_conversion", "bad_format_spec", "no_query",
+        ],
+    )
+    def test_bad_url_template_rejected_at_construction(self, template, message):
+        with pytest.raises(ValueError, match="^url ") as exc_info:
+            HttpBackend(template, api_key="secret", fetch=lambda url, timeout: (200, OK_BODY))
+        assert exc_info.match(message)
+
+    def test_literal_braces_in_url_template(self):
+        calls = []
+
+        def fetch(url, timeout):
+            calls.append(url)
+            return (200, OK_BODY)
+
+        backend = HttpBackend(
+            "https://geo.example/{{v1}}/api?address={query}&key={key}", api_key="secret", fetch=fetch
+        )
+        assert backend.resolve("1 Main St").status is GeocodeStatus.OK
+        assert calls == ["https://geo.example/{v1}/api?address=1%20Main%20St&key=secret"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -27,6 +28,7 @@ from rescuemap import (
     to_geojson,
     to_map_document,
 )
+from rescuemap import pipeline
 from rescuemap.cli import main
 from rescuemap.pipeline import GEOCODE_WORKERS, run_pipeline
 
@@ -156,7 +158,6 @@ class TestRunPipeline:
                 lex=lex,
                 geocoder=geocoder,
                 sequential=sequential,
-                queue_size=8,
             )
         sequential_requests, sequential_summary = run(True)
         concurrent_requests, concurrent_summary = run(False)
@@ -216,9 +217,10 @@ class TestRunPipeline:
                 sequential=False,
             )
 
-    @pytest.mark.parametrize("queue_size", [1, 2, 8])
-    def test_geocode_pool_matches_sequential_under_random_latency(self, lex, queue_size):
-        rng = random.Random(queue_size)
+    @pytest.mark.parametrize("backlog", [1, 2, 8])
+    def test_geocode_pool_matches_sequential_under_random_latency(self, lex, monkeypatch, backlog):
+        monkeypatch.setattr(pipeline, "GEOCODE_BACKLOG", backlog)
+        rng = random.Random(backlog)
         lines = []
         for i in range(150):
             if i % 6 == 0:
@@ -230,11 +232,10 @@ class TestRunPipeline:
                 lines.append(rescue_line(f"r{i}", rng.randint(1, 40)))
 
         def run(sequential: bool):
-            service = FlakyService(seed=queue_size)
+            service = FlakyService(seed=backlog)
             geocoder = Geocoder(HttpBackend(SERVICE_URL, api_key="test", fetch=service.fetch))
             requests, summary = run_pipeline(
-                lines, stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder,
-                sequential=sequential, queue_size=queue_size,
+                lines, stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder, sequential=sequential
             )
             return requests, summary, service.calls
 
@@ -346,7 +347,7 @@ class TestRunPipeline:
         assert CountingGeocoder.calls == 1  # the 19 repeats joined the running lookup
         assert [r.geocode.from_cache for r in requests] == [False] + [True] * 19
 
-    def test_pool_retries_an_error_once_its_lookup_is_done(self, lex):
+    def test_pool_retries_an_error_once_its_lookup_is_done(self, lex, monkeypatch):
         class FailsFirst:
             calls: list[str] = []
 
@@ -356,16 +357,55 @@ class TestRunPipeline:
                     return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
                 return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
 
-        # With queue_size=1, submitting 200's lookup first collects 100's.
+        # With a backlog of 1, submitting 200's lookup first collects 100's.
+        monkeypatch.setattr(pipeline, "GEOCODE_BACKLOG", 1)
         lines = [rescue_line("r0", 100), rescue_line("r1", 200), rescue_line("r2", 100)]
         requests, _ = run_pipeline(
             lines, stream_cfg=StreamConfig(), lex=lex,
-            geocoder=Geocoder(FailsFirst()), sequential=False, queue_size=1,
+            geocoder=Geocoder(FailsFirst()), sequential=False,
         )
         assert [r.geocode.status for r in requests] == [
             GeocodeStatus.BACKEND_ERROR, GeocodeStatus.NOT_FOUND, GeocodeStatus.NOT_FOUND
         ]
         assert [q.split()[0] for q in FailsFirst.calls] == ["100", "200", "100"]
+
+    def test_pool_retries_an_error_that_is_done_but_not_yet_collected(self, lex):
+        done = threading.Event()
+
+        class FailsFirst:
+            calls = 0
+
+            def resolve(self, query: str) -> GeocodeResult:
+                FailsFirst.calls += 1
+                if FailsFirst.calls == 1:
+                    return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        class RepeatAfterFirstLookup(Geocoder):
+            looked_up = 0
+
+            def cached(self, query: str):
+                RepeatAfterFirstLookup.looked_up += 1
+                if RepeatAfterFirstLookup.looked_up == 2:
+                    # Let the first lookup finish; the backlog of 256 keeps it uncollected.
+                    assert done.wait(5.0)
+                    time.sleep(0.05)
+                return super().cached(query)
+
+            def geocode(self, query: str) -> GeocodeResult:
+                result = super().geocode(query)
+                done.set()
+                return result
+
+        lines = [rescue_line("r0", 100), rescue_line("r1", 100)]
+        requests, _ = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=RepeatAfterFirstLookup(FailsFirst()), sequential=False,
+        )
+        assert [r.geocode.status for r in requests] == [
+            GeocodeStatus.BACKEND_ERROR, GeocodeStatus.NOT_FOUND
+        ]
+        assert FailsFirst.calls == 2
 
     def test_sequential_mode_retries_a_failing_repeated_address(self, lex):
         class FailingBackend:
@@ -620,6 +660,14 @@ class TestCliPipeline:
             ),
             pytest.param({"http": "fast"}, id="http_not_an_object"),
             pytest.param({"http": {"url": 5}}, id="http_url_not_a_string"),
+            pytest.param(
+                {"http": {"url": "https://geo.invalid/json?address={adress}&key={key}"}},
+                id="http_url_unknown_field",
+            ),
+            pytest.param(
+                {"http": {"url": "https://geo.invalid/json?address={query}&key={key"}},
+                id="http_url_unbalanced_brace",
+            ),
             pytest.param({"inputs": "harvey_sample.ndjson"}, id="inputs_string"),
             pytest.param({"inputs": [5]}, id="inputs_non_string"),
             pytest.param({"manifest": 5}, id="manifest_not_a_string"),
@@ -635,6 +683,23 @@ class TestCliPipeline:
         assert captured.out == ""
         assert captured.err.startswith(("rescuemap: config: ", "rescuemap: geocoder: http"))
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--sequential"]], ids=["concurrent", "sequential"])
+    def test_stdin_input_matches_shipped_outputs(
+        self, data_dir, tmp_path, capsys, monkeypatch, mode
+    ):
+        replay = (data_dir / "replay_corpus.ndjson").read_bytes()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(replay)))
+        out_geojson, out_map = tmp_path / "out.geojson", tmp_path / "map.html"
+        code = self.run_cli(
+            "pipeline", "--config", str(data_dir / "pipeline_config.json"), "--input", "-",
+            "--out-geojson", str(out_geojson), "--out-map", str(out_map), *mode,
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["read"] == len(replay.splitlines())
+        shipped = data_dir.parent / "out"
+        assert out_geojson.read_bytes() == (shipped / "rescue_requests.geojson").read_bytes()
+        assert out_map.read_bytes() == (shipped / "rescue_map.html").read_bytes()
 
     def test_bad_usage_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -684,6 +749,15 @@ class TestCliClassify:
         assert plain["verdict"] == "NotRescueRequest"
         assert spanish["verdict"] == "RescueRequest"
 
+    def test_raw_stdin_matches_the_same_file_by_path(self, data_dir, capsys, monkeypatch):
+        source = data_dir / "harvey_sample.ndjson"
+        assert main(["classify", "--raw", "--input", str(source)]) == 0
+        by_path = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(source.read_bytes())))
+        assert main(["classify", "--raw", "--input", "-"]) == 0
+        assert capsys.readouterr().out == by_path
+        assert len(by_path.splitlines()) == 10
+
     def test_lexicon_override_directory(self, tmp_path, capsys):
         overrides = tmp_path / "lexicons"
         overrides.mkdir()
@@ -720,6 +794,20 @@ class TestCliEval:
     @pytest.mark.parametrize("counts", ["1,2,3", "-1,0,0,0", "0,0,0,0"])
     def test_bad_counts_exits_1(self, capsys, counts):
         assert main(["eval", f"--counts={counts}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rescuemap: eval: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(["--input", "/nonexistent/second.csv"], id="second_input"),
+            pytest.param(["--counts", "1,2,3,4"], id="input_and_counts"),
+        ],
+    )
+    def test_ignored_input_exits_1(self, data_dir, capsys, extra):
+        assert main(["eval", "--input", str(data_dir / "labelled_corpus.csv"), *extra]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rescuemap: eval: ")
