@@ -181,6 +181,12 @@ def _cmd_pipeline(args) -> int:
     stream_cfg = _build_stream_config(config)
     geocoder = _build_geocoder(args, config)
     lines = _input_lines(args, config)
+    out_geojson = args.out_geojson or config.get("out_geojson")
+    out_map = args.out_map or config.get("out_map")
+    # Checked before the replay, so a typo costs no geocoding requests.
+    for out in (out_geojson, out_map):
+        if out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"output directory not found: {Path(out).parent}")
 
     requests, summary = run_pipeline(
         lines,
@@ -190,8 +196,6 @@ def _cmd_pipeline(args) -> int:
         sequential=args.sequential,
     )
 
-    out_geojson = args.out_geojson or config.get("out_geojson")
-    out_map = args.out_map or config.get("out_map")
     if out_geojson:
         Path(out_geojson).write_text(to_geojson(requests), encoding="utf-8")
     if out_map:

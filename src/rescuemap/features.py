@@ -45,16 +45,16 @@ class FeatureVector:
 
 def detect_ask_help(text: str, lex: LexiconConfig) -> bool:
     """True when any help-request phrase occurs in the text."""
-    return lex.patterns.help.search(text) is not None
+    return lex.list_patterns.help.search(text) is not None
 
 
 def detect_disaster_context(text: str, lex: LexiconConfig) -> bool:
     """True for a disaster name, a full region/disaster pair, or a situation word."""
-    patterns = lex.patterns
+    lists = lex.list_patterns
     return (
-        patterns.names.search(text) is not None
-        or any(region.search(text) and words.search(text) for region, words in patterns.pairs)
-        or patterns.situation.search(text) is not None
+        lists.names.search(text) is not None
+        or any(region.search(text) and words.search(text) for region, words in lex.pair_patterns)
+        or lists.situation.search(text) is not None
     )
 
 
@@ -62,7 +62,7 @@ def detect_negative_features(
     text: str, lex: LexiconConfig
 ) -> tuple[bool, bool, bool, bool, bool]:
     """(status_update, offer_help, news_report, political, ads) flags."""
-    return tuple(rx.search(text) is not None for rx in lex.patterns.negatives)  # type: ignore[return-value]
+    return tuple(rx.search(text) is not None for rx in lex.list_patterns.negatives)  # type: ignore[return-value]
 
 
 def extract_features(
@@ -113,11 +113,11 @@ def is_rescue_request(text: str, lex: LexiconConfig) -> bool:
     Equal to ``classify(extract_features(text, lex)) is
     Verdict.RESCUE_REQUEST`` whenever :func:`detect_address` finds a match,
     but it searches the ``positive`` and ``negative`` unions of
-    :class:`LexiconPatterns` and stops at the first search that settles the
+    :class:`UnionPatterns` and stops at the first search that settles the
     verdict.
     """
-    patterns = lex.patterns
+    unions = lex.union_patterns
     return (
-        patterns.positive.search(text) is not None
-        or any(region.search(text) and words.search(text) for region, words in patterns.pairs)
-    ) and patterns.negative.search(text) is None
+        unions.positive.search(text) is not None
+        or any(region.search(text) and words.search(text) for region, words in lex.pair_patterns)
+    ) and unions.negative.search(text) is None

@@ -260,13 +260,6 @@ class Geocoder:
         self._inflight: dict[str, _Inflight] = {}
         self._lock = threading.Lock()
 
-    def cached(self, query: str) -> Optional[GeocodeResult]:
-        """The result :meth:`geocode` would return from the cache, or None on a miss."""
-        key = normalize_query(query)
-        with self._lock:
-            hit = self._cache.get(key)
-        return None if hit is None else coalesced(hit, query)
-
     def geocode(self, query: str) -> GeocodeResult:
         if not query:
             raise ValueError("empty geocode query")

@@ -43,7 +43,7 @@ class Tweet:
     """One ingested social-media record.
 
     ``hashtags`` always includes every ``#`` token found in ``text``
-    (lowercased, ``#`` stripped). ``coordinates`` is (longitude, latitude).
+    (casefolded, ``#`` stripped). ``coordinates`` is (longitude, latitude).
     ``created_at_utc`` is required for records coming from :func:`parse_tweet`;
     it may be None for labelled evaluation rows that carry no timestamp.
     """
@@ -106,20 +106,20 @@ class IngestStats:
 
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
-    """Every '#'-prefixed token in the text, lowercased, '#' stripped."""
-    return tuple(m.group(1).lower() for m in _HASHTAG_RE.finditer(text))
+    """Every '#'-prefixed token in the text, casefolded, '#' stripped."""
+    return tuple(m.group(1).casefold() for m in _HASHTAG_RE.finditer(text))
 
 
 def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
     """The text's hashtags, then each further string tag not already present.
 
-    Extra tags are lowercased with leading '#' stripped; empty tags and
+    Extra tags are casefolded with leading '#' stripped; empty tags and
     non-strings are skipped.
     """
     tags = list(extract_hashtags(text))
     for tag in extra:
         if isinstance(tag, str):
-            cleaned = tag.lstrip("#").lower()
+            cleaned = tag.lstrip("#").casefold()
             if cleaned and cleaned not in tags:
                 tags.append(cleaned)
     return tuple(tags)

@@ -91,22 +91,28 @@ def _compile_phrases(phrases: Iterable[str]) -> re.Pattern:
 
 
 @dataclass(frozen=True)
-class LexiconPatterns:
-    """The compiled phrase lists of one :class:`LexiconConfig`.
+class ListPatterns:
+    """One compiled regex per phrase list of a :class:`LexiconConfig`.
 
-    ``pairs`` holds one (region, any of its disaster words) pattern pair per
-    distinct region; ``negatives`` follows ``NEGATIVE_FEATURES`` order.
+    ``negatives`` follows ``NEGATIVE_FEATURES`` order.
+    """
+
+    help: re.Pattern
+    names: re.Pattern
+    situation: re.Pattern
+    negatives: tuple[re.Pattern, ...]
+
+
+@dataclass(frozen=True)
+class UnionPatterns:
+    """The phrase lists of a :class:`LexiconConfig` united into two regexes.
+
     ``positive`` unites the help, disaster-name and situation lists and
     ``negative`` the five negative lists. A union matches somewhere exactly
     when one of its lists does, so one search of it stands for a search of
     each of its lists.
     """
 
-    help: re.Pattern
-    names: re.Pattern
-    pairs: tuple[tuple[re.Pattern, re.Pattern], ...]
-    situation: re.Pattern
-    negatives: tuple[re.Pattern, ...]
     positive: re.Pattern
     negative: re.Pattern
 
@@ -130,26 +136,40 @@ class LexiconConfig:
         if missing:
             raise LexiconError(f"negative_lexicons missing entries for: {missing}")
 
+    # Each group compiles on first use, so a caller pays only for what it
+    # searches: extract_features the lists and pairs, the pipeline the unions
+    # and pairs.
     @cached_property
-    def patterns(self) -> LexiconPatterns:
-        """Every phrase list compiled once, on first use."""
+    def list_patterns(self) -> ListPatterns:
+        return ListPatterns(
+            help=_compile_phrases(self.help_keywords),
+            names=_compile_phrases(self.disaster_names),
+            situation=_compile_phrases(self.situation_words),
+            negatives=tuple(
+                _compile_phrases(self.negative_lexicons[k]) for k in NEGATIVE_FEATURES
+            ),
+        )
+
+    @cached_property
+    def pair_patterns(self) -> tuple[tuple[re.Pattern, re.Pattern], ...]:
+        """One (region, any of its disaster words) pattern pair per distinct region."""
         regions: dict[str, list[str]] = {}
         for region, word in self.region_disaster_pairs:
             regions.setdefault(region, []).append(word)
-        negative_lists = [self.negative_lexicons[k] for k in NEGATIVE_FEATURES]
-        return LexiconPatterns(
-            help=_compile_phrases(self.help_keywords),
-            names=_compile_phrases(self.disaster_names),
-            pairs=tuple(
-                (_compile_phrases((region,)), _compile_phrases(words))
-                for region, words in regions.items()
-            ),
-            situation=_compile_phrases(self.situation_words),
-            negatives=tuple(_compile_phrases(phrases) for phrases in negative_lists),
+        return tuple(
+            (_compile_phrases((region,)), _compile_phrases(words))
+            for region, words in regions.items()
+        )
+
+    @cached_property
+    def union_patterns(self) -> UnionPatterns:
+        return UnionPatterns(
             positive=_compile_phrases(
                 (*self.help_keywords, *self.disaster_names, *self.situation_words)
             ),
-            negative=_compile_phrases(p for phrases in negative_lists for p in phrases),
+            negative=_compile_phrases(
+                p for k in NEGATIVE_FEATURES for p in self.negative_lexicons[k]
+            ),
         )
 
 

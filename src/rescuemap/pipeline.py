@@ -2,15 +2,15 @@
 
 A run makes two passes. The classify pass streams the input one record at a
 time, keeps only the classified-positive requests, and extracts and completes
-each one's address. The geocode pass then resolves those addresses in input
-order. In concurrent mode (the CLI's default) it answers cache hits on the
-calling thread and submits each cache miss to a
+each one's address. The geocode pass then resolves those addresses. In
+concurrent mode (the CLI's default) it groups the queries by normalized
+address and submits one task per address to a
 ``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so that
-many backend requests overlap; a miss whose address already has a lookup in
-flight shares that lookup instead of sending another. With classification
-done, the calling thread only collects results, so a worker whose request
-returns gets the GIL back at once. Output is byte-identical to sequential
-mode, which geocodes on the calling thread and starts no thread.
+many backend requests overlap. A task geocodes its address's queries in input
+order, which is what sequential mode does for that address, so the two modes
+return the same results. With classification done, the calling thread only
+collects results, so a worker whose request returns gets the GIL back at
+once. Sequential mode geocodes on the calling thread and starts no thread.
 
 The trade-off: no lookup starts before the input ends. A file replay, this
 tool's traffic, gets faster. A slow live source (``--input -``) starts
@@ -27,7 +27,7 @@ from .address import FullAddress, complete_address, detect_address, extract_full
 from .features import is_rescue_request
 # Not called here: benchmark/run.py --trace 1 wraps them by name on this module.
 from .features import classify, extract_features  # noqa: F401
-from .geocode import Geocoder, GeocodeResult, GeocodeStatus, coalesced, normalize_query
+from .geocode import Geocoder, GeocodeResult, GeocodeStatus, normalize_query
 from .ingest import (
     IngestStats,
     StreamConfig,
@@ -44,10 +44,11 @@ from .output import RescueRequest
 # of 3.15k records/s with 16 workers against 2.57k with 8 (7 runs each).
 GEOCODE_WORKERS = 16
 
-# Submitted lookups waiting to be collected, at most. Pool-mode geocode_latency
-# replay (824 distinct addresses, 2 ms service, nproc 2, medians of 20 runs):
+# Submitted address tasks waiting to be collected, at most. Pool-mode
+# geocode_latency replay (824 distinct addresses, 2 ms service, nproc 2,
+# medians of 20 runs, measured when a task was one lookup):
 # 202.3 ms at 16, 183.7 at 32, 181.9 at 256, 183.7 with no bound. A large
-# backlog leaves slack when one slow lookup holds up collection.
+# backlog leaves slack when one slow task holds up collection.
 GEOCODE_BACKLOG = 256
 
 
@@ -69,52 +70,44 @@ class RunSummary:
 
 
 def _geocode_pooled(queries: list[str], geocoder: Geocoder) -> list[GeocodeResult]:
-    """Geocode ``queries`` in order, sending cache misses to GEOCODE_WORKERS threads.
+    """Geocode ``queries`` in order with one GEOCODE_WORKERS pool task per address.
 
-    A miss whose normalized key has a lookup still running shares that
-    lookup's Future and gets what ``Geocoder.geocode`` gives a waiter; once
-    that lookup is done, a repeat is looked up again, so errors are retried.
-    At most GEOCODE_BACKLOG submitted lookups wait to be collected; at the
-    bound the oldest is collected first.
+    The queries are grouped by normalized key. Each group's task geocodes its
+    queries in input order, as sequential mode does: a repeat after ``ok`` or
+    ``not_found`` is a cache hit, and a repeat after an error is looked up
+    again. No two tasks hold the same key. At most GEOCODE_BACKLOG submitted
+    tasks wait to be collected; at the bound the oldest is collected first.
     """
     # Imported here: concurrent.futures pulls in logging, and `import
     # rescuemap` stays lean without it.
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-    results: list = []  # a GeocodeResult, or the Future of a lookup not yet collected
-    waiting: deque[tuple[int, str]] = deque()  # (index, key) of submitted lookups, oldest first
-    running: dict[str, Future] = {}  # key -> its submitted lookup, until collected
-    shared: list[int] = []  # indices holding another index's Future
+    groups: dict[str, list[int]] = {}  # key -> indices of its queries, in input order
+    for index, query in enumerate(queries):
+        groups.setdefault(normalize_query(query), []).append(index)
+
+    def lookup(indices: list[int]) -> list[GeocodeResult]:
+        return [geocoder.geocode(queries[i]) for i in indices]
+
+    results: list = [None] * len(queries)
+    waiting: deque = deque()  # (indices, Future of their results) per submitted task, oldest first
 
     def collect_oldest() -> None:
-        index, key = waiting.popleft()
-        future = results[index]
-        results[index] = future.result()
-        if running.get(key) is future:
-            del running[key]
+        indices, future = waiting.popleft()
+        for index, result in zip(indices, future.result()):
+            results[index] = result
 
     with ThreadPoolExecutor(GEOCODE_WORKERS, thread_name_prefix="rescuemap-geocode") as pool:
         try:
-            for query in queries:
-                result = geocoder.cached(query)
-                if result is None:
-                    key = normalize_query(query)
-                    result = running.get(key)
-                    if result is not None and not result.done():
-                        shared.append(len(results))
-                    else:
-                        if len(waiting) >= GEOCODE_BACKLOG:
-                            collect_oldest()
-                        result = running[key] = pool.submit(geocoder.geocode, query)
-                        waiting.append((len(results), key))
-                results.append(result)
+            for indices in groups.values():
+                if len(waiting) >= GEOCODE_BACKLOG:
+                    collect_oldest()
+                waiting.append((indices, pool.submit(lookup, indices)))
             while waiting:
                 collect_oldest()
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    for index in shared:  # every submitted lookup is collected, so these are done
-        results[index] = coalesced(results[index].result(), queries[index])
     return results
 
 
@@ -131,12 +124,12 @@ def run_pipeline(
     Returns the rescue requests in input order plus the per-stage counts.
     Both modes classify the whole input first, then geocode the positives.
     ``sequential=True`` geocodes each positive on the calling thread, one
-    lookup at a time, and starts no thread. ``sequential=False`` answers
-    cache hits inline and submits each miss to a pool of GEOCODE_WORKERS
-    threads, so up to that many backend requests overlap; a repeat of an
-    address whose lookup is still running shares it. On an error or
-    interrupt, lookups not yet started are dropped, running ones finish, and
-    the error is re-raised. Output is byte-identical either way.
+    lookup at a time, and starts no thread. ``sequential=False`` submits one
+    task per distinct address to a pool of GEOCODE_WORKERS threads, so up to
+    that many backend requests overlap; each task geocodes its address's
+    positives in input order. On an error or interrupt, tasks not yet
+    started are dropped, started ones finish, and the error is re-raised.
+    Output is byte-identical either way.
     """
     summary = RunSummary()
     stats = IngestStats()

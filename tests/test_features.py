@@ -348,7 +348,9 @@ class TestCompiledLexicon:
         assert (features.has_ask_help, features.has_disaster_context) == (ask, context)
 
     def test_patterns_are_built_once_per_lexicon(self, lex):
-        assert lex.patterns is lex.patterns
+        assert lex.list_patterns is lex.list_patterns
+        assert lex.pair_patterns is lex.pair_patterns
+        assert lex.union_patterns is lex.union_patterns
 
     def test_replaced_lexicon_matches_its_own_phrases(self, lex):
         assert detect_ask_help("please help", lex)  # the original's patterns exist now

@@ -67,23 +67,23 @@ def _lists(lex) -> dict[str, tuple[str, ...]]:
 
 
 def test_override_lexicon_has_never_matching_lists():
-    patterns = LEXICONS["override"].patterns
-    assert patterns.situation.pattern == "(?!)"
-    assert patterns.negatives[NEGATIVE_FEATURES.index("ads")].pattern == "(?!)"
+    lists = LEXICONS["override"].list_patterns
+    assert lists.situation.pattern == "(?!)"
+    assert lists.negatives[NEGATIVE_FEATURES.index("ads")].pattern == "(?!)"
 
 
 @pytest.mark.parametrize("name", sorted(LEXICONS))
 def test_unions_match_exactly_when_one_of_their_lists_does(name):
     lex = LEXICONS[name]
-    patterns = lex.patterns
+    lists, unions = lex.list_patterns, lex.union_patterns
     for phrases in _lists(lex).values():
         for phrase in phrases:
             for text in (phrase, "#" + phrase, phrase.upper(), "x" + phrase):
-                assert (patterns.positive.search(text) is not None) == any(
-                    rx.search(text) for rx in (patterns.help, patterns.names, patterns.situation)
+                assert (unions.positive.search(text) is not None) == any(
+                    rx.search(text) for rx in (lists.help, lists.names, lists.situation)
                 )
-                assert (patterns.negative.search(text) is not None) == any(
-                    rx.search(text) for rx in patterns.negatives
+                assert (unions.negative.search(text) is not None) == any(
+                    rx.search(text) for rx in lists.negatives
                 )
 
 

@@ -134,27 +134,6 @@ class TestGeocoderCache:
         geocoder.geocode("x st")
         assert backend.calls == 2
 
-    @pytest.mark.parametrize(
-        "status, cached",
-        [
-            (GeocodeStatus.OK, True),
-            (GeocodeStatus.NOT_FOUND, True),
-            (GeocodeStatus.RATE_LIMITED, False),
-        ],
-    )
-    def test_cached_answers_what_geocode_would_from_the_cache(self, status, cached):
-        backend = CountingBackend(status=status)
-        geocoder = Geocoder(backend)
-        assert geocoder.cached("1 Main St, Houston, TX") is None
-        geocoder.geocode("1 Main St, Houston, TX")
-        hit = geocoder.cached("1  MAIN ST.\tHOUSTON, TX")
-        assert backend.calls == 1
-        if cached:
-            assert hit == geocoder.geocode("1  MAIN ST.\tHOUSTON, TX")
-            assert hit.from_cache and hit.query == "1  MAIN ST.\tHOUSTON, TX"
-        else:
-            assert hit is None
-
     def test_cache_key_is_normalized(self):
         backend = CountingBackend()
         geocoder = Geocoder(backend)

@@ -204,6 +204,15 @@ class TestStreamFilter:
         cfg = StreamConfig(track_keywords=("#HurricaneHarvey",), bbox=None)
         assert passes_stream_filter(tweet_with("storm", hashtags=["hurricaneharvey"]), cfg)
 
+    @pytest.mark.parametrize(
+        "tags", [["Straße"], ["STRASSE"], ["#straße"]], ids=["eszett", "double_s", "hash_eszett"]
+    )
+    def test_keyword_matches_hashtag_folded_like_the_keyword(self, tags):
+        cfg = StreamConfig(track_keywords=("#Straße",), bbox=None)
+        assert passes_stream_filter(parse_tweet(line(
+            id="1", text="storm", created_at="2017-08-27T14:03:00Z", hashtags=tags,
+        )), cfg)
+
     def test_boundary_is_inclusive(self):
         cfg = StreamConfig(track_keywords=("zzz",))
         assert passes_stream_filter(tweet_with("x", coords=(-99.0, 27.6)), cfg)
@@ -261,7 +270,7 @@ class TestToLocalTime:
 @given(st.text(max_size=120))
 def test_every_extracted_hashtag_is_in_the_text(text):
     for tag in extract_hashtags(text):
-        assert ("#" + tag) in text.lower()
+        assert ("#" + tag) in text.casefold()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=0, max_size=40))

@@ -251,9 +251,9 @@ class TestRunPipeline:
         assert to_geojson(pooled_requests) == to_geojson(sequential_requests)
         assert to_map_document(pooled_requests) == to_map_document(sequential_requests)
         assert pooled_summary.as_dict() == sequential_summary.as_dict()
-        assert pooled_calls <= sequential_calls
+        assert pooled_calls == sequential_calls
         # Geocoder's rule: ok/not_found count as cached after the first lookup
-        # of a key, shared or not; an error, shared or retried, never does.
+        # of a key; an error, retried, never does.
         seen: set[str] = set()
         for r in pooled_requests:
             assert r.geocode.query == r.address.completed
@@ -322,7 +322,7 @@ class TestRunPipeline:
         assert len(requests) == 3 * GEOCODE_WORKERS
         assert events == ["end of input"] + ["lookup"] * len(requests)
 
-    def test_pool_shares_a_running_lookup_of_a_repeated_address(self, lex):
+    def test_pool_looks_up_a_repeated_address_once(self, lex):
         class SlowBackend:
             calls = 0
 
@@ -344,68 +344,32 @@ class TestRunPipeline:
             geocoder=CountingGeocoder(SlowBackend()), sequential=False,
         )
         assert SlowBackend.calls == 1
-        assert CountingGeocoder.calls == 1  # the 19 repeats joined the running lookup
+        assert CountingGeocoder.calls == 20  # one task: one lookup, then 19 cache hits
         assert [r.geocode.from_cache for r in requests] == [False] + [True] * 19
 
-    def test_pool_retries_an_error_once_its_lookup_is_done(self, lex, monkeypatch):
-        class FailsFirst:
+    @pytest.mark.parametrize("sequential", [True, False], ids=["sequential", "pool"])
+    def test_a_repeat_of_an_error_is_looked_up_again(self, lex, sequential):
+        class FailsFirstPerAddress:
             calls: list[str] = []
 
             def resolve(self, query: str) -> GeocodeResult:
-                FailsFirst.calls.append(query)
-                if len(FailsFirst.calls) == 1:
-                    return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                number = query.split()[0]
+                first = number not in self.calls
+                self.calls.append(number)
+                time.sleep(0.02)  # the repeats of 100 are queued while its first lookup runs
+                status = GeocodeStatus.RATE_LIMITED if first else GeocodeStatus.NOT_FOUND
+                return GeocodeResult(query=query, point=None, status=status)
 
-        # With a backlog of 1, submitting 200's lookup first collects 100's.
-        monkeypatch.setattr(pipeline, "GEOCODE_BACKLOG", 1)
-        lines = [rescue_line("r0", 100), rescue_line("r1", 200), rescue_line("r2", 100)]
+        backend = FailsFirstPerAddress()
+        lines = [rescue_line(f"r{i}", n) for i, n in enumerate([100, 200, 100, 100, 100, 100])]
         requests, _ = run_pipeline(
             lines, stream_cfg=StreamConfig(), lex=lex,
-            geocoder=Geocoder(FailsFirst()), sequential=False,
+            geocoder=Geocoder(backend), sequential=sequential,
         )
-        assert [r.geocode.status for r in requests] == [
-            GeocodeStatus.BACKEND_ERROR, GeocodeStatus.NOT_FOUND, GeocodeStatus.NOT_FOUND
-        ]
-        assert [q.split()[0] for q in FailsFirst.calls] == ["100", "200", "100"]
-
-    def test_pool_retries_an_error_that_is_done_but_not_yet_collected(self, lex):
-        done = threading.Event()
-
-        class FailsFirst:
-            calls = 0
-
-            def resolve(self, query: str) -> GeocodeResult:
-                FailsFirst.calls += 1
-                if FailsFirst.calls == 1:
-                    return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
-
-        class RepeatAfterFirstLookup(Geocoder):
-            looked_up = 0
-
-            def cached(self, query: str):
-                RepeatAfterFirstLookup.looked_up += 1
-                if RepeatAfterFirstLookup.looked_up == 2:
-                    # Let the first lookup finish; the backlog of 256 keeps it uncollected.
-                    assert done.wait(5.0)
-                    time.sleep(0.05)
-                return super().cached(query)
-
-            def geocode(self, query: str) -> GeocodeResult:
-                result = super().geocode(query)
-                done.set()
-                return result
-
-        lines = [rescue_line("r0", 100), rescue_line("r1", 100)]
-        requests, _ = run_pipeline(
-            lines, stream_cfg=StreamConfig(), lex=lex,
-            geocoder=RepeatAfterFirstLookup(FailsFirst()), sequential=False,
-        )
-        assert [r.geocode.status for r in requests] == [
-            GeocodeStatus.BACKEND_ERROR, GeocodeStatus.NOT_FOUND
-        ]
-        assert FailsFirst.calls == 2
+        rl, nf = GeocodeStatus.RATE_LIMITED, GeocodeStatus.NOT_FOUND
+        assert [r.geocode.status for r in requests] == [rl, rl, nf, nf, nf, nf]
+        assert [r.geocode.from_cache for r in requests] == [False, False, False, True, True, True]
+        assert sorted(backend.calls) == ["100", "100", "200"]
 
     def test_sequential_mode_retries_a_failing_repeated_address(self, lex):
         class FailingBackend:
@@ -700,6 +664,23 @@ class TestCliPipeline:
         shipped = data_dir.parent / "out"
         assert out_geojson.read_bytes() == (shipped / "rescue_requests.geojson").read_bytes()
         assert out_map.read_bytes() == (shipped / "rescue_map.html").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--out-geojson", "--out-map"])
+    def test_missing_output_directory_exits_2_before_reading_input(
+        self, data_dir, tmp_path, capsys, monkeypatch, flag
+    ):
+        stdin = io.TextIOWrapper(io.BytesIO((data_dir / "replay_corpus.ndjson").read_bytes()))
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code = self.run_cli(
+            "pipeline", "--config", str(data_dir / "pipeline_config.json"), "--input", "-",
+            flag, str(tmp_path / "no" / "such" / "dir" / "x.out"),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rescuemap: output directory not found: ")
+        assert captured.err.count("\n") == 1
+        assert stdin.buffer.tell() == 0
 
     def test_bad_usage_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
