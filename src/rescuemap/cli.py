@@ -187,6 +187,8 @@ def _cmd_pipeline(args) -> int:
     for out in (out_geojson, out_map):
         if out and not Path(out).parent.is_dir():
             raise FileNotFoundError(f"output directory not found: {Path(out).parent}")
+        if out and Path(out).is_dir():
+            raise IsADirectoryError(f"output path is a directory: {out}")
 
     requests, summary = run_pipeline(
         lines,
@@ -242,7 +244,7 @@ def _cmd_eval(args) -> int:
         try:
             matrix = ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
             metrics = compute_metrics(matrix)
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:  # OverflowError: math.sqrt of a huge count
             raise ConfigError(f"eval: --counts: {exc}") from None
     else:
         if not args.input:
@@ -320,7 +322,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, CorpusFormatError, LexiconError) as exc:
         print(f"rescuemap: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"rescuemap: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

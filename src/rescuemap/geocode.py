@@ -1,9 +1,9 @@
-"""Geocoding: pluggable backends, a coalescing cache, and an offline gazetteer.
+"""Geocoding: pluggable backends, a caching front-end, and an offline gazetteer.
 
 The cache stores ``ok`` and ``not_found`` results for the lifetime of the
 process; transient failures (``backend_error``, ``rate_limited``) are never
-cached. Concurrent lookups for the same normalized key coalesce into a
-single backend request.
+cached. Lookups of one normalized key run one at a time behind a per-key
+lock, so concurrent callers get what calls made in turn would get.
 """
 from __future__ import annotations
 
@@ -66,9 +66,7 @@ class Backend(Protocol):
 
 def normalize_query(query: str) -> str:
     """Case-folded, connector-collapsed form used as cache/gazetteer key."""
-    for ch in ",.\t\n\r\f":
-        query = query.replace(ch, " ")
-    return " ".join(query.split()).casefold()
+    return " ".join(query.replace(",", " ").replace(".", " ").split()).casefold()
 
 
 class GazetteerError(ValueError):
@@ -230,66 +228,42 @@ class HttpBackend:
 _CACHED_STATUSES = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
 
 
-def coalesced(result: GeocodeResult, query: str) -> GeocodeResult:
-    """What a lookup of ``query`` returns when it waited on another lookup's ``result``.
-
-    ``ok`` and ``not_found`` count as cache hits; an error is passed on uncached.
-    """
-    return replace(result, query=query, from_cache=result.status in _CACHED_STATUSES)
-
-
-class _Inflight:
-    __slots__ = ("event", "result")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Optional[GeocodeResult] = None
-
-
 class Geocoder:
     """Caching front-end over a backend.
 
     ``ok``/``not_found`` results are cached for the process lifetime, so a
     backend sees at most one request per distinct normalized query. Errors
-    pass through uncached and will be retried by later calls.
+    pass through uncached and will be retried by later calls. A cache miss
+    holds that key's lock while it calls the backend, so concurrent callers
+    of one key call it one at a time, and each reads the cache again first.
     """
 
     def __init__(self, backend: Backend):
         self._backend = backend
         self._cache: dict[str, GeocodeResult] = {}
-        self._inflight: dict[str, _Inflight] = {}
-        self._lock = threading.Lock()
+        # Only keys in flight or whose last answer was an error have a lock.
+        self._key_locks: dict[str, threading.Lock] = {}
 
     def geocode(self, query: str) -> GeocodeResult:
         if not query:
             raise ValueError("empty geocode query")
         key = normalize_query(query)
-        while True:
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    return coalesced(cached, query)
-                entry = self._inflight.get(key)
-                if entry is None:
-                    entry = _Inflight()
-                    self._inflight[key] = entry
-                    break
-            entry.event.wait()
-            if entry.result is not None:
-                return coalesced(entry.result, query)
-
-        result = None
-        try:
-            result = replace(self._backend.resolve(query), from_cache=False)
-        except Exception:
-            result = GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
-        finally:
-            # Also on KeyboardInterrupt and the like: waiters then find no
-            # result and retry, instead of blocking on this key forever.
-            with self._lock:
-                if result is not None and result.status in _CACHED_STATUSES:
-                    self._cache[key] = result
-                entry.result = result
-                del self._inflight[key]
-            entry.event.set()
-        return result
+        hit = self._cache.get(key)
+        if hit is None:
+            # dict.get, setdefault, pop and item assignment are each atomic. A key
+            # keeps one lock until its result is cached, so only one caller stores it.
+            with self._key_locks.setdefault(key, threading.Lock()):
+                hit = self._cache.get(key)  # a caller this one waited on may have stored it
+                if hit is None:
+                    try:
+                        result = replace(self._backend.resolve(query), from_cache=False)
+                    except Exception:
+                        result = GeocodeResult(
+                            query=query, point=None, status=GeocodeStatus.BACKEND_ERROR
+                        )
+                    if result.status in _CACHED_STATUSES:
+                        self._cache[key] = result
+                        del self._key_locks[key]  # later calls find the cache first
+                    return result
+                self._key_locks.pop(key, None)  # re-added by a caller that missed the store
+        return GeocodeResult(query, hit.point, hit.status, True)

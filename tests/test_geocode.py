@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import collections
 import json
+import sys
 import threading
 import time
+from dataclasses import replace
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rescuemap import (
     Gazetteer,
@@ -91,6 +96,24 @@ class TestNormalizeQuery:
         a = normalize_query("4055 South Braeswood Blvd, Houston, TX")
         b = normalize_query("4055  SOUTH BRAESWOOD BLVD.\nHOUSTON TX")
         assert a == b
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.text()
+        | st.lists(
+            st.sampled_from(["4055", "South", "braeswood", "BLVD.", ",", ".", "TX", "Ünïcode"])
+            | st.text(alphabet=" \t\n\r\f\v\x1c\x85\xa0\u2028\u3000,.", max_size=3),
+        ).map("".join)
+    )
+    def test_matches_replace_each_separator_reference(self, query):
+        assert normalize_query(query) == reference_normalize_query(query)
+
+
+def reference_normalize_query(query: str) -> str:
+    """The key function before it left whitespace to ``str.split``."""
+    for ch in ",.\t\n\r\f":
+        query = query.replace(ch, " ")
+    return " ".join(query.split()).casefold()
 
 
 class CountingBackend:
@@ -235,6 +258,200 @@ class TestGeocoderCache:
             t.join()
         assert not bad
         assert LockedCounting.calls == 20
+
+    def test_concurrent_caller_of_a_failed_lookup_calls_the_backend_again(self):
+        class FailsFirst(CountingBackend):
+            def resolve(self, query):
+                first = self.calls == 0
+                self.status = GeocodeStatus.RATE_LIMITED if first else GeocodeStatus.NOT_FOUND
+                return super().resolve(query)
+
+        backend = FailsFirst()
+        backend.delay = 0.05
+        geocoder = Geocoder(backend)
+        results = []
+        barrier = threading.Barrier(2)
+
+        def worker():
+            barrier.wait()
+            results.append(geocoder.geocode("77 Fannin St, Houston, TX"))
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
+        # What two calls made in turn return: the second is not handed the first's error.
+        assert sorted(r.status.value for r in results) == ["not_found", "rate_limited"]
+        assert backend.calls == 2
+
+    def test_cached_keys_leave_no_lock_behind(self):
+        geocoder = Geocoder(CountingBackend())
+        queries = [f"{100 + i} Sample St, Houston, TX" for i in range(50)]
+        for i in range(1000):
+            geocoder.geocode(queries[i % 50])
+        assert geocoder._key_locks == {}
+
+    def test_concurrent_lookups_call_one_key_at_a_time_and_leave_no_lock(self):
+        class FailsTwice:
+            def __init__(self):
+                self.guard = threading.Lock()
+                self.calls = collections.Counter()
+                self.running = collections.Counter()
+                self.overlapped = []
+
+            def resolve(self, query):
+                with self.guard:
+                    self.calls[query] += 1
+                    self.running[query] += 1
+                    if self.running[query] > 1:
+                        self.overlapped.append(query)
+                    ok = self.calls[query] > 2
+                time.sleep(0)  # let another caller of this key in, if the lock allows it
+                with self.guard:
+                    self.running[query] -= 1
+                if ok:
+                    return GeocodeResult(query, GeoPoint(-95.0, 29.0), GeocodeStatus.OK)
+                return GeocodeResult(query, None, GeocodeStatus.RATE_LIMITED)
+
+        keys = [f"{i} Test St, Houston, TX" for i in range(20)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                backend = FailsTwice()
+                geocoder = Geocoder(backend)
+
+                def worker(seed):
+                    for i in range(200):
+                        geocoder.geocode(keys[(i * seed + i) % 20])
+
+                threads = [threading.Thread(target=worker, args=(s,)) for s in range(16)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert backend.overlapped == []
+                assert backend.calls == {key: 3 for key in keys}
+                assert geocoder._key_locks == {}
+        finally:
+            sys.setswitchinterval(interval)
+
+
+# --- reference: the geocoder with an in-flight table, which concurrent callers
+# of one key waited on and whose result, error or not, they were all handed ---
+
+_REF_CACHED_STATUSES = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
+
+
+def _reference_coalesced(result: GeocodeResult, query: str) -> GeocodeResult:
+    return replace(result, query=query, from_cache=result.status in _REF_CACHED_STATUSES)
+
+
+class _ReferenceInflight:
+    __slots__ = ("event", "result")
+
+    def __init__(self) -> None:
+        self.event = threading.Event()
+        self.result: Optional[GeocodeResult] = None
+
+
+class ReferenceGeocoder:
+    def __init__(self, backend):
+        self._backend = backend
+        self._cache: dict[str, GeocodeResult] = {}
+        self._inflight: dict[str, _ReferenceInflight] = {}
+        self._lock = threading.Lock()
+
+    def geocode(self, query: str) -> GeocodeResult:
+        if not query:
+            raise ValueError("empty geocode query")
+        key = reference_normalize_query(query)
+        while True:
+            with self._lock:
+                cached = self._cache.get(key)
+                if cached is not None:
+                    return _reference_coalesced(cached, query)
+                entry = self._inflight.get(key)
+                if entry is None:
+                    entry = _ReferenceInflight()
+                    self._inflight[key] = entry
+                    break
+            entry.event.wait()
+            if entry.result is not None:
+                return _reference_coalesced(entry.result, query)
+
+        result = None
+        try:
+            result = replace(self._backend.resolve(query), from_cache=False)
+        except Exception:
+            result = GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+        finally:
+            with self._lock:
+                if result is not None and result.status in _REF_CACHED_STATUSES:
+                    self._cache[key] = result
+                entry.result = result
+                del self._inflight[key]
+            entry.event.set()
+        return result
+
+
+SCRIPTED_POINT = GeoPoint(-95.4, 29.7, Precision.STREET)
+
+
+class ScriptedBackend:
+    """Answers its n-th call with ``script[n]`` (``ok`` once the script runs out)."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def resolve(self, query):
+        outcome = self.script[len(self.calls)] if len(self.calls) < len(self.script) else "ok"
+        self.calls.append(query)
+        if outcome == "raise":
+            raise RuntimeError("scripted failure")
+        if outcome == "interrupt":
+            raise KeyboardInterrupt
+        status = GeocodeStatus(outcome)
+        point = SCRIPTED_POINT if status is GeocodeStatus.OK else None
+        return GeocodeResult(query=query, point=point, status=status, from_cache=True)
+
+
+def _outcomes(geocoder, queries):
+    outcomes = []
+    for query in queries:
+        try:
+            outcomes.append(geocoder.geocode(query))
+        except (KeyboardInterrupt, ValueError) as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    queries=st.lists(
+        st.sampled_from(
+            ["1 Main St", "1 MAIN ST.", "1  main st,", "2 Oak Ln, Houston", "2 oak ln houston"]
+            + ["", " ."]
+        ),
+        max_size=30,
+    ),
+    script=st.lists(
+        st.sampled_from(
+            ["ok", "not_found", "backend_error", "rate_limited", "raise", "interrupt"]
+        ),
+        max_size=30,
+    ),
+)
+def test_geocoder_matches_in_flight_table_reference_in_turn(queries, script):
+    backend, reference_backend = ScriptedBackend(script), ScriptedBackend(script)
+    assert _outcomes(Geocoder(backend), queries) == _outcomes(
+        ReferenceGeocoder(reference_backend), queries
+    )
+    assert backend.calls == reference_backend.calls
 
 
 OK_BODY = json.dumps(

@@ -666,19 +666,28 @@ class TestCliPipeline:
         assert out_map.read_bytes() == (shipped / "rescue_map.html").read_bytes()
 
     @pytest.mark.parametrize("flag", ["--out-geojson", "--out-map"])
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            pytest.param(
+                ("no", "such", "dir", "x.out"), "output directory not found", id="missing"
+            ),
+            pytest.param((), "output path is a directory", id="directory"),
+        ],
+    )
     def test_missing_output_directory_exits_2_before_reading_input(
-        self, data_dir, tmp_path, capsys, monkeypatch, flag
+        self, data_dir, tmp_path, capsys, monkeypatch, flag, target, message
     ):
         stdin = io.TextIOWrapper(io.BytesIO((data_dir / "replay_corpus.ndjson").read_bytes()))
         monkeypatch.setattr(sys, "stdin", stdin)
         code = self.run_cli(
             "pipeline", "--config", str(data_dir / "pipeline_config.json"), "--input", "-",
-            flag, str(tmp_path / "no" / "such" / "dir" / "x.out"),
+            flag, str(tmp_path.joinpath(*target)),
         )
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("rescuemap: output directory not found: ")
+        assert captured.err.startswith(f"rescuemap: {message}: ")
         assert captured.err.count("\n") == 1
         assert stdin.buffer.tell() == 0
 
@@ -772,7 +781,13 @@ class TestCliEval:
     def test_missing_corpus_exits_2(self, capsys):
         assert main(["eval", "--input", "/nonexistent.csv"]) == 2
 
-    @pytest.mark.parametrize("counts", ["1,2,3", "-1,0,0,0", "0,0,0,0"])
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            "1,2,3", "-1,0,0,0", "0,0,0,0",
+            pytest.param(f"{10**80},1,1,{10**80}", id="10**80,1,1,10**80"),
+        ],
+    )
     def test_bad_counts_exits_1(self, capsys, counts):
         assert main(["eval", f"--counts={counts}"]) == 1
         captured = capsys.readouterr()
