@@ -10,8 +10,8 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from functools import cached_property
+from datetime import datetime, timedelta, timezone
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 from zoneinfo import ZoneInfo
 
@@ -26,6 +26,22 @@ HARVEY_BBOX_TUPLE = (-99.0, 27.6, -90.8, 33.5)
 
 _HASHTAG_RE = re.compile(r"#(\w+)")  # \w is unicode-aware; '#ayúdanos' stays whole
 _TWITTER_TIME_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+_MONTHS = {
+    name: number
+    for number, name in enumerate(
+        ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"), start=1
+    )
+}
+# The canonical Twitter-v1 form ("Tue Aug 29 11:16:11 +0000 2017"), read
+# without strptime. It takes only what strptime reads the same way: ASCII
+# digits, English names in this case, single spaces, offset minutes 00-59.
+# The weekday is ignored, as strptime ignores it once the date is known.
+# Unlike %a and %b it is locale-free; the CLI never calls setlocale, so
+# strptime, which reads every other form, sees the C locale.
+_TWITTER_TIME_RE = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) ([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r" ([+-][0-9]{2}[0-5][0-9]) ([0-9]{4})" % "|".join(_MONTHS)
+)
 
 
 class TweetParseError(ValueError):
@@ -125,6 +141,13 @@ def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
     return tuple(tags)
 
 
+@lru_cache(maxsize=None)  # at most 2 * 24 * 60 offsets are valid
+def _fixed_offset(offset: str) -> timezone:
+    """The zone of a "+HHMM"/"-HHMM" offset; ValueError from 24 hours on."""
+    minutes = int(offset[1:3]) * 60 + int(offset[3:])
+    return timezone(timedelta(minutes=-minutes if offset[0] == "-" else minutes))
+
+
 def _parse_created_at(value: object, line_no: int | None) -> datetime:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TweetParseError(f"unsupported created_at type: {type(value).__name__}", line_no)
@@ -136,14 +159,24 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
         else:
             text = value.strip()
             # No string parses in both formats: ISO starts with a digit, the
-            # Twitter format with a weekday name. ISO is tried first because
-            # most records use it and a failed strptime is slow.
-            try:
-                parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
-            except ValueError:
-                parsed = datetime.strptime(text, _TWITTER_TIME_FORMAT)
-            if parsed.tzinfo is None:
-                parsed = parsed.replace(tzinfo=timezone.utc)
+            # Twitter format with a weekday name. The canonical Twitter form
+            # is read first, by one regex match; ISO comes next, and strptime
+            # last, for the Twitter forms the regex does not take (a
+            # lowercase month, a one-digit day, "Z" as the offset).
+            match = _TWITTER_TIME_RE.fullmatch(text)
+            if match is not None:
+                month, day, hour, minute, second, offset, year = match.groups()
+                parsed = datetime(
+                    int(year), _MONTHS[month], int(day), int(hour), int(minute), int(second),
+                    tzinfo=_fixed_offset(offset),
+                )
+            else:
+                try:
+                    parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+                except ValueError:
+                    parsed = datetime.strptime(text, _TWITTER_TIME_FORMAT)
+                if parsed.tzinfo is None:
+                    parsed = parsed.replace(tzinfo=timezone.utc)
             parsed = parsed.astimezone(timezone.utc)
     except (ValueError, OverflowError, OSError):
         raise TweetParseError(f"unparseable created_at: {value!r}", line_no) from None
@@ -160,7 +193,7 @@ def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float
         raise TweetParseError(f"coordinates must be a [lon, lat] pair: {value!r}", line_no)
     try:
         lon, lat = float(value[0]), float(value[1])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
         raise TweetParseError(f"non-numeric coordinates: {value!r}", line_no) from None
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
         raise TweetParseError(f"coordinates out of range: ({lon}, {lat})", line_no)
@@ -195,7 +228,8 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
             raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
     else:
         obj = record
-    if not isinstance(obj, Mapping):
+    # json.loads gives a dict; the exact type test skips the ABC check.
+    if type(obj) is not dict and not isinstance(obj, Mapping):
         raise TweetParseError("record is not a JSON object", line_no)
 
     raw_id = obj.get("id_str") or obj.get("id")

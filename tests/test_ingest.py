@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import types
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rescuemap import (
     BoundingBox,
@@ -67,6 +68,12 @@ class TestParseTweet:
         )
         assert tweet.hashtags == ("houstonflood", "harvey")
 
+    def test_mapping_that_is_not_a_dict_is_accepted(self):
+        record = types.MappingProxyType(
+            {"id": "1", "text": "x", "created_at": "Sun Aug 27 12:00:00 +0000 2017"}
+        )
+        assert parse_tweet(record).created_at_utc == datetime(2017, 8, 27, 12, tzinfo=UTC)
+
     def test_twitter_v1_style_fields(self):
         record = {
             "id_str": "905",
@@ -88,6 +95,17 @@ class TestParseTweet:
             line(id="1", text="x"),
             line(id="1", text="x", created_at="yesterday-ish"),
             line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=[200.0, 10.0]),
+            pytest.param(
+                line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=[10**400, 29.7]),
+                id="coordinate_too_large_for_a_float",
+            ),
+            pytest.param(
+                line(
+                    id="1", text="x", created_at="2017-08-27T12:00:00Z",
+                    coordinates={"coordinates": [10**400, 29.7]},
+                ),
+                id="point_coordinate_too_large_for_a_float",
+            ),
             pytest.param('{"id": "1", "text": "x", "created_at": 1e20}', id="created_at_1e20"),
             pytest.param('{"id": "1", "text": "x", "created_at": NaN}', id="created_at_nan"),
             pytest.param(
@@ -381,6 +399,96 @@ def test_iso_first_created_at_agrees_with_strptime_first(value):
     except TweetParseError:
         with pytest.raises(TweetParseError):
             parse_tweet(record)
+        return
+    got = parse_tweet(record).created_at_utc
+    assert got == expected
+    assert got.utcoffset() == expected.utcoffset()
+
+
+# --- created_at: the canonical Twitter-v1 fast path against strptime --------
+
+
+def _strptime_created_at(value: str) -> datetime:
+    """Reference: the Twitter-v1 branch read by strptime alone."""
+    try:
+        parsed = datetime.strptime(value.strip(), "%a %b %d %H:%M:%S %z %Y").astimezone(UTC)
+    except (ValueError, OverflowError):
+        raise TweetParseError(f"unparseable created_at: {value!r}") from None
+    if parsed < _EARLIEST_LOCAL_UTC:
+        raise TweetParseError(f"created_at has no US/Central time: {value!r}")
+    return parsed
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_V1_DAYS = st.one_of(
+    st.sampled_from(("00", "01", "28", "29", "30", "31", "32", "7")), _number(1, 31, 2)
+)
+_V1_CLOCKS = st.builds(
+    lambda h, m, s: f"{h}:{m}:{s}",
+    st.one_of(st.just("24"), _number(0, 23, 2)),
+    _number(0, 59, 2),
+    st.one_of(st.sampled_from(("59", "60", "61")), _number(0, 59, 2)),
+)
+_V1_OFFSETS = st.one_of(
+    st.sampled_from(("+0060", "+9900", "-0000")),
+    st.builds(
+        lambda sign, h, m: f"{sign}{h:02d}{m:02d}",
+        st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59),
+    ),
+)
+_V1_YEARS = st.one_of(
+    st.sampled_from(("0000", "0001", "9999", "1900", "2000", "2016", "2017")),
+    st.integers(0, 9999).map("{:04d}".format),
+)
+_V1_TIMES = st.builds(
+    lambda weekday, month, day, clock, offset, year, sep, digits: sep.join(
+        (weekday, month, day, clock, offset, year)
+    ).translate(digits),
+    _cased(("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")),
+    _cased(("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")),
+    _V1_DAYS,
+    _V1_CLOCKS,
+    _V1_OFFSETS,
+    _V1_YEARS,
+    st.sampled_from((" ", " ", " ", "  ")),
+    st.sampled_from(({}, {}, {}, _ARABIC_INDIC)),
+).flatmap(lambda v: st.sampled_from((v, f" {v}", f"{v}\n")))
+
+
+@settings(max_examples=1000)
+@given(_V1_TIMES)
+@example("Tue Aug 29 11:16:11 +0000 2017")
+@example("Mon Feb 29 12:00:00 +0000 2016")  # leap year
+@example("Mon Feb 29 12:00:00 +0000 2017")
+@example("Mon Feb 29 12:00:00 +0000 1900")
+@example("Tue Feb 30 12:00:00 +0000 2016")
+@example("Sun Aug 00 12:00:00 +0000 2017")
+@example("Sun Aug 32 12:00:00 +0000 2017")
+@example("Sun Aug 27 12:00:60 +0000 2017")
+@example("Sun Aug 27 12:00:61 +0000 2017")
+@example("Sun Aug 27 24:00:00 +0000 2017")
+@example("Sun Aug 27 12:00:00 +2359 2017")
+@example("Sun Aug 27 12:00:00 -2359 2017")
+@example("Sun Aug 27 12:00:00 +0060 2017")
+@example("Sun Aug 27 12:00:00 +9900 2017")
+@example("Sun Aug 27 12:00:00 +0000 0000")
+@example("Mon Jan 01 05:50:36 +0000 0001")
+@example("Mon Jan 01 00:00:00 +0100 0001")
+@example("Fri Dec 31 23:59:59 +0000 9999")
+@example("Fri Dec 31 23:59:59 -2359 9999")
+@example("Sun aug 27 12:00:00 +0000 2017")  # lowercase month
+@example("Sun Aug 7 12:00:00 +0000 2017")  # one-digit day
+@example("Sun Aug 27  12:00:00 +0000 2017")  # double space
+@example("Sun Aug 27 12:00:00 +0000 \u0662\u0660\u0661\u0667")  # Arabic-Indic year
+@example("Sun Aug \u0662\u0667 12:00:00 +0000 2017")  # Arabic-Indic day
+def test_v1_fast_path_agrees_with_strptime(value):
+    record = {"id": "1", "text": "x", "created_at": value}
+    try:
+        expected = _strptime_created_at(value)
+    except TweetParseError as exc:
+        with pytest.raises(TweetParseError) as got_exc:
+            parse_tweet(record)
+        assert str(got_exc.value) == str(exc)
         return
     got = parse_tweet(record).created_at_utc
     assert got == expected

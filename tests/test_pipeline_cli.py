@@ -544,6 +544,30 @@ class TestCliPipeline:
         assert summary["malformed"] == 1
 
     @pytest.mark.parametrize(
+        "coordinates",
+        [
+            pytest.param(f"[{10**400 - 1}, 29.7]", id="pair"),
+            pytest.param(f'{{"type": "Point", "coordinates": [{10**400 - 1}, 29.7]}}', id="point"),
+        ],
+    )
+    def test_coordinate_too_large_for_a_float_costs_only_its_line(
+        self, data_dir, tmp_path, capsys, coordinates
+    ):
+        source = tmp_path / "in.ndjson"
+        bad = (
+            '{"id": "bad", "text": "x", "created_at": "2017-08-27T12:00:00Z",'
+            f' "coordinates": {coordinates}}}\n'
+        )
+        source.write_bytes((data_dir / "harvey_sample.ndjson").read_bytes() + bad.encode())
+        code = self.run_cli(
+            "pipeline", "--input", str(source), "--gazetteer", str(data_dir / "gazetteer_sample.tsv")
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["read"] == 10
+        assert summary["malformed"] == 1
+
+    @pytest.mark.parametrize(
         "bad",
         [
             pytest.param(

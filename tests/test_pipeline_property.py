@@ -57,6 +57,9 @@ _plausible = {
         st.tuples(st.floats(-181, 181), st.floats(-91, 91)).map(
             lambda lonlat: {"type": "Point", "coordinates": list(lonlat)}
         ),
+        # integers, some too large for a float, in both shapes
+        st.lists(st.one_of(st.sampled_from([10**400, -10**400]), st.integers()), min_size=2, max_size=2)
+        .flatmap(lambda pair: st.sampled_from([pair, {"coordinates": pair}])),
     ),
     "hashtags": st.lists(st.sampled_from(["Harvey", "houstonflood", "htx", ""]), max_size=3),
     "entities": st.lists(st.sampled_from(["Harvey", "HoustonFlood"]), max_size=2).map(
