@@ -12,7 +12,7 @@ search string always names Texas.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -329,19 +329,20 @@ def complete_address(addr: FullAddress, hashtags: list[str] | tuple[str, ...]) -
     """
     if addr.completion_rule is not None:
         return addr
-    base = addr.completed
+    completed = addr.completed
     if addr.city is None and addr.state is None and addr.zip is None:
-        if any("houston" in tag.lower() for tag in hashtags):
-            return replace(
-                addr,
-                completed=base + ", Houston, TX",
-                completion_rule=CompletionRule.HOUSTON_HASHTAG,
-            )
-        return replace(
-            addr, completed=base + ", Texas", completion_rule=CompletionRule.TEXAS_DEFAULT
-        )
-    if contains_texas(base):
-        return replace(addr, completion_rule=CompletionRule.NONE)
-    return replace(
-        addr, completed=base + ", Texas", completion_rule=CompletionRule.TEXAS_APPENDED
+        rule, suffix = CompletionRule.TEXAS_DEFAULT, ", Texas"
+        for tag in hashtags:
+            if "houston" in tag.lower():
+                rule, suffix = CompletionRule.HOUSTON_HASHTAG, ", Houston, TX"
+                break
+        completed += suffix
+    elif contains_texas(completed):
+        rule = CompletionRule.NONE
+    else:
+        rule = CompletionRule.TEXAS_APPENDED
+        completed += ", Texas"
+    # Positional arguments, in field order, cost less per call than keywords.
+    return FullAddress(
+        addr.house_number, addr.street, addr.unit, addr.city, addr.state, addr.zip, completed, rule
     )

@@ -107,9 +107,14 @@ class StreamConfig:
             raise ValueError("stream config needs keywords or a bounding box")
 
     @cached_property
-    def folded_keywords(self) -> tuple[tuple[str, str], ...]:
-        """(casefolded keyword, the same without leading '#') per keyword, on first use."""
-        return tuple((folded, folded.lstrip("#")) for folded in map(str.casefold, self.track_keywords))
+    def folded_keywords(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """On first use: the casefolded keywords to find in the text, and the
+        same without leading '#' to find in hashtags, empty ones dropped."""
+        folded = tuple(map(str.casefold, self.track_keywords))
+        return (
+            tuple(filter(None, folded)),
+            tuple(filter(None, (keyword.lstrip("#") for keyword in folded))),
+        )
 
 
 @dataclass
@@ -123,7 +128,7 @@ class IngestStats:
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
     """Every '#'-prefixed token in the text, casefolded, '#' stripped."""
-    return tuple(m.group(1).casefold() for m in _HASHTAG_RE.finditer(text))
+    return tuple(map(str.casefold, _HASHTAG_RE.findall(text)))
 
 
 def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
@@ -132,13 +137,13 @@ def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
     Extra tags are casefolded with leading '#' stripped; empty tags and
     non-strings are skipped.
     """
-    tags = list(extract_hashtags(text))
+    tags = extract_hashtags(text)
     for tag in extra:
         if isinstance(tag, str):
             cleaned = tag.lstrip("#").casefold()
             if cleaned and cleaned not in tags:
-                tags.append(cleaned)
-    return tuple(tags)
+                tags += (cleaned,)
+    return tags
 
 
 @lru_cache(maxsize=None)  # at most 2 * 24 * 60 offsets are valid
@@ -146,6 +151,17 @@ def _fixed_offset(offset: str) -> timezone:
     """The zone of a "+HHMM"/"-HHMM" offset; ValueError from 24 hours on."""
     minutes = int(offset[1:3]) * 60 + int(offset[3:])
     return timezone(timedelta(minutes=-minutes if offset[0] == "-" else minutes))
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, or the type's name when repr
+    raises. A mapping given to :func:`parse_tweet` can hold values that
+    json.loads never returns: an integer past int-to-str's digit limit (4300
+    by default), or lists nested past the recursion limit."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"<unprintable {type(value).__name__}>"
 
 
 def _parse_created_at(value: object, line_no: int | None) -> datetime:
@@ -179,22 +195,22 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
                     parsed = parsed.replace(tzinfo=timezone.utc)
             parsed = parsed.astimezone(timezone.utc)
     except (ValueError, OverflowError, OSError):
-        raise TweetParseError(f"unparseable created_at: {value!r}", line_no) from None
+        raise TweetParseError(f"unparseable created_at: {_shown(value)}", line_no) from None
     if parsed < _EARLIEST_LOCAL_UTC:
-        raise TweetParseError(f"created_at has no US/Central time: {value!r}", line_no)
+        raise TweetParseError(f"created_at has no US/Central time: {_shown(value)}", line_no)
     return parsed
 
 
 def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float]:
     # Accept [lon, lat] or the GeoJSON-style {"coordinates": [lon, lat]}.
-    if isinstance(value, Mapping):
+    if type(value) is dict or isinstance(value, Mapping):
         value = value.get("coordinates")
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise TweetParseError(f"coordinates must be a [lon, lat] pair: {value!r}", line_no)
+        raise TweetParseError(f"coordinates must be a [lon, lat] pair: {_shown(value)}", line_no)
     try:
         lon, lat = float(value[0]), float(value[1])
     except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
-        raise TweetParseError(f"non-numeric coordinates: {value!r}", line_no) from None
+        raise TweetParseError(f"non-numeric coordinates: {_shown(value)}", line_no) from None
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
         raise TweetParseError(f"coordinates out of range: ({lon}, {lat})", line_no)
     return (lon, lat)
@@ -228,12 +244,18 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
             raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
     else:
         obj = record
-    # json.loads gives a dict; the exact type test skips the ABC check.
+    # json.loads gives dicts; each exact type test skips an ABC check.
     if type(obj) is not dict and not isinstance(obj, Mapping):
         raise TweetParseError("record is not a JSON object", line_no)
 
     raw_id = obj.get("id_str") or obj.get("id")
-    if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)) or not str(raw_id).strip():
+    if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
+        raise TweetParseError("missing id, or id is not a string or an integer", line_no)
+    try:
+        tweet_id = str(raw_id)
+    except ValueError:
+        raise TweetParseError("id is an integer of too many digits to print", line_no) from None
+    if not tweet_id.strip():
         raise TweetParseError("missing id, or id is not a string or an integer", line_no)
     text = obj.get("text")
     if text is None:
@@ -248,23 +270,19 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
     created = _parse_created_at(obj["created_at"], line_no)
 
     provided = obj.get("hashtags")
-    if provided is None and isinstance(obj.get("entities"), Mapping):
-        entities = obj["entities"].get("hashtags")
-        if isinstance(entities, list):
-            provided = [e.get("text") for e in entities if isinstance(e, Mapping)]
+    if provided is None:
+        entities = obj.get("entities")
+        if type(entities) is dict or isinstance(entities, Mapping):
+            entities = entities.get("hashtags")
+            if isinstance(entities, list):
+                provided = [e.get("text") for e in entities if type(e) is dict or isinstance(e, Mapping)]
     hashtags = merge_hashtags(text, provided if isinstance(provided, list) else ())
 
-    coords = None
-    if obj.get("coordinates") is not None:
-        coords = _parse_coordinates(obj["coordinates"], line_no)
+    coords = obj.get("coordinates")
+    if coords is not None:
+        coords = _parse_coordinates(coords, line_no)
 
-    return Tweet(
-        id=str(raw_id),
-        text=text,
-        created_at_utc=created,
-        hashtags=hashtags,
-        coordinates=coords,
-    )
+    return Tweet(tweet_id, text, created, hashtags, coords)
 
 
 def read_stream(
@@ -280,7 +298,8 @@ def read_stream(
         stats = IngestStats()
     seen: set[str] = set()
     for line_no, line in enumerate(source, start=1):
-        if not line.strip():
+        # The same test as `not line.strip()`, for str and bytes, without the copy.
+        if not line or line.isspace():
             continue
         try:
             tweet = parse_tweet(line, line_no)
@@ -302,12 +321,15 @@ def passes_stream_filter(tweet: Tweet, cfg: StreamConfig) -> bool:
     hashtag (the keyword's own leading '#' is ignored for hashtag matching).
     Bounding-box containment is boundary-inclusive and requires coordinates.
     """
+    text_keywords, tag_keywords = cfg.folded_keywords
     text = tweet.text.casefold()
-    for folded, bare in cfg.folded_keywords:
-        if folded and folded in text:
+    for keyword in text_keywords:
+        if keyword in text:
             return True
-        if bare and any(bare in tag for tag in tweet.hashtags):
-            return True
+    for tag in tweet.hashtags:
+        for keyword in tag_keywords:
+            if keyword in tag:
+                return True
     if cfg.bbox is not None and tweet.coordinates is not None:
         return cfg.bbox.contains(*tweet.coordinates)
     return False

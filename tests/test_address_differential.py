@@ -1,14 +1,25 @@
-"""Differential tests: the one-pattern detector and the component loop against
-the two-pattern detector and the per-kind walk they replaced, kept here as the
+"""Differential tests: the one-pattern detector, the component loop and the
+one-construction completion against the two-pattern detector, the per-kind walk
+and the `dataclasses.replace` completion they replaced, kept here as the
 reference implementations."""
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Optional
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from rescuemap import AddressForm, AddressMatch, FullAddress, detect_address, extract_full_address
+from rescuemap import (
+    AddressForm,
+    AddressMatch,
+    CompletionRule,
+    FullAddress,
+    complete_address,
+    contains_texas,
+    detect_address,
+    extract_full_address,
+)
 from rescuemap import address
 from rescuemap.lexicons import load_street_suffixes
 
@@ -128,6 +139,29 @@ def reference_extract_full_address(text: str) -> Optional[FullAddress]:
     )
 
 
+# --- reference: completion through dataclasses.replace --------------------------
+
+def reference_complete_address(addr: FullAddress, hashtags) -> FullAddress:
+    if addr.completion_rule is not None:
+        return addr
+    base = addr.completed
+    if addr.city is None and addr.state is None and addr.zip is None:
+        if any("houston" in tag.lower() for tag in hashtags):
+            return replace(
+                addr,
+                completed=base + ", Houston, TX",
+                completion_rule=CompletionRule.HOUSTON_HASHTAG,
+            )
+        return replace(
+            addr, completed=base + ", Texas", completion_rule=CompletionRule.TEXAS_DEFAULT
+        )
+    if contains_texas(base):
+        return replace(addr, completion_rule=CompletionRule.NONE)
+    return replace(
+        addr, completed=base + ", Texas", completion_rule=CompletionRule.TEXAS_APPENDED
+    )
+
+
 # --- generated text ---------------------------------------------------------------
 
 _CASES = (str.lower, str.upper, str.title, str.swapcase, lambda s: s)
@@ -207,3 +241,31 @@ _chains = st.builds(
 @example(text="900 Elm St, Katy 77494")
 def test_extract_full_address_matches_advance_walk_reference(text):
     assert extract_full_address(text) == reference_extract_full_address(text)
+
+
+_HASHTAGS = st.lists(
+    st.one_of(
+        st.sampled_from(["HOUSTON", "Houston", "houstonflood", "#HoustonStrong", "harvey", "htx", "", "\u0130"]),
+        st.text(max_size=8),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_chains, hashtags=_HASHTAGS, as_tuple=st.booleans(), already_completed=st.booleans())
+@example(text="4055 South Braeswood Blvd", hashtags=["HOUSTON"], as_tuple=False, already_completed=False)
+@example(text="4055 South Braeswood Blvd", hashtags=["Houston"], as_tuple=True, already_completed=False)
+@example(text="123 Ave. G", hashtags=["harvey"], as_tuple=False, already_completed=False)
+@example(text="4055 South Braeswood Blvd, Houston, TX", hashtags=[], as_tuple=False, already_completed=False)
+@example(text="900 Elm St, Katy 77494", hashtags=["Houston"], as_tuple=False, already_completed=False)
+@example(text="900 Elm St Apt 4B", hashtags=["HOUSTON"], as_tuple=False, already_completed=True)
+def test_complete_address_matches_replace_reference(text, hashtags, as_tuple, already_completed):
+    addr = extract_full_address(text)
+    assume(addr is not None)
+    tags = tuple(hashtags) if as_tuple else hashtags
+    if already_completed:
+        addr = reference_complete_address(addr, tags)
+    done = complete_address(addr, tags)
+    expected = reference_complete_address(addr, tags)
+    assert done == expected and repr(done) == repr(expected)

@@ -28,6 +28,13 @@ def line(**fields) -> str:
     return json.dumps(fields)
 
 
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestParseTweet:
     def test_twitter_time_format_maps_to_utc(self):
         tweet = parse_tweet(
@@ -134,6 +141,28 @@ class TestParseTweet:
             pytest.param(
                 '{"id": "1\\udfff", "text": "x", "created_at": "2017-08-27T12:00:00Z"}',
                 id="id_lone_surrogate",
+            ),
+            # Mappings only: json.loads rejects these values in a line.
+            pytest.param(
+                {"id": "1", "text": "x", "created_at": 10**5000}, id="created_at_past_int_str_digit_limit"
+            ),
+            pytest.param(
+                {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": [10**5000, 29.7]},
+                id="coordinate_past_int_str_digit_limit",
+            ),
+            pytest.param(
+                {
+                    "id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z",
+                    "coordinates": {"coordinates": [10**5000, 29.7]},
+                },
+                id="point_coordinate_past_int_str_digit_limit",
+            ),
+            pytest.param(
+                {"id": 10**5000, "text": "x", "created_at": "2017-08-27T12:00:00Z"}, id="id_past_int_str_digit_limit"
+            ),
+            pytest.param(
+                {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": [_nested(100_000), 1]},
+                id="coordinate_nested_past_the_recursion_limit",
             ),
         ],
     )

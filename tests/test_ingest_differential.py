@@ -1,11 +1,42 @@
-"""Differential test: the stream filter with keywords folded once per
-`StreamConfig` against the filter that folded them for every record, kept here
-as the reference."""
+"""Differential tests for ingest, each against the code it replaced, kept here
+as the reference:
+
+- the stream filter with keywords folded once per `StreamConfig` against the
+  filter that folded them for every record;
+- `parse_tweet`, `merge_hashtags` and `read_stream` against the versions that
+  built hashtags through a list, the `Tweet` through keyword arguments, and
+  tested blank lines through `line.strip()`.
+"""
 from __future__ import annotations
 
-from hypothesis import example, given, settings, strategies as st
+import json
+from collections.abc import Iterable, Iterator, Mapping
+from datetime import datetime, timezone
 
-from rescuemap import HARVEY_BBOX, StreamConfig, Tweet, extract_hashtags, passes_stream_filter
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_pipeline_property import _any_value, _json_values
+
+from rescuemap import (
+    HARVEY_BBOX,
+    IngestStats,
+    StreamConfig,
+    Tweet,
+    TweetParseError,
+    extract_hashtags,
+    parse_tweet,
+    passes_stream_filter,
+    read_stream,
+)
+from rescuemap.ingest import (
+    _EARLIEST_LOCAL_UTC,
+    _MONTHS,
+    _TWITTER_TIME_FORMAT,
+    _TWITTER_TIME_RE,
+    _HASHTAG_RE,
+    _fixed_offset,
+    merge_hashtags,
+)
 
 
 def reference_passes_stream_filter(tweet: Tweet, cfg: StreamConfig) -> bool:
@@ -57,3 +88,274 @@ def test_folded_keywords_match_per_record_folding(keywords, text, extra_tags, co
     # The folds are cached on the instance but are not a field.
     fresh = StreamConfig(track_keywords=tuple(keywords), bbox=bbox)
     assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+
+
+# --- parse_tweet, merge_hashtags and read_stream ---------------------------------
+
+def reference_merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
+    """The text's hashtags, then each further string tag not already present.
+
+    Extra tags are casefolded with leading '#' stripped; empty tags and
+    non-strings are skipped.
+    """
+    tags = [m.group(1).casefold() for m in _HASHTAG_RE.finditer(text)]
+    for tag in extra:
+        if isinstance(tag, str):
+            cleaned = tag.lstrip("#").casefold()
+            if cleaned and cleaned not in tags:
+                tags.append(cleaned)
+    return tuple(tags)
+
+
+def reference_parse_created_at(value: object, line_no: int | None) -> datetime:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TweetParseError(f"unsupported created_at type: {type(value).__name__}", line_no)
+    # Out-of-range instants (1e20, NaN, year 1 with an offset) raise
+    # ValueError, OverflowError or OSError from the datetime functions.
+    try:
+        if not isinstance(value, str):
+            parsed = datetime.fromtimestamp(value, tz=timezone.utc)
+        else:
+            text = value.strip()
+            # No string parses in both formats: ISO starts with a digit, the
+            # Twitter format with a weekday name. The canonical Twitter form
+            # is read first, by one regex match; ISO comes next, and strptime
+            # last, for the Twitter forms the regex does not take (a
+            # lowercase month, a one-digit day, "Z" as the offset).
+            match = _TWITTER_TIME_RE.fullmatch(text)
+            if match is not None:
+                month, day, hour, minute, second, offset, year = match.groups()
+                parsed = datetime(
+                    int(year), _MONTHS[month], int(day), int(hour), int(minute), int(second),
+                    tzinfo=_fixed_offset(offset),
+                )
+            else:
+                try:
+                    parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+                except ValueError:
+                    parsed = datetime.strptime(text, _TWITTER_TIME_FORMAT)
+                if parsed.tzinfo is None:
+                    parsed = parsed.replace(tzinfo=timezone.utc)
+            parsed = parsed.astimezone(timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise TweetParseError(f"unparseable created_at: {value!r}", line_no) from None
+    if parsed < _EARLIEST_LOCAL_UTC:
+        raise TweetParseError(f"created_at has no US/Central time: {value!r}", line_no)
+    return parsed
+
+
+def reference_parse_coordinates(value: object, line_no: int | None) -> tuple[float, float]:
+    # Accept [lon, lat] or the GeoJSON-style {"coordinates": [lon, lat]}.
+    if isinstance(value, Mapping):
+        value = value.get("coordinates")
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TweetParseError(f"coordinates must be a [lon, lat] pair: {value!r}", line_no)
+    try:
+        lon, lat = float(value[0]), float(value[1])
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
+        raise TweetParseError(f"non-numeric coordinates: {value!r}", line_no) from None
+    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+        raise TweetParseError(f"coordinates out of range: ({lon}, {lat})", line_no)
+    return (lon, lat)
+
+
+def reference_encodable(value: str) -> bool:
+    """False when ``value`` holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def reference_parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tweet:
+    """Parse one newline-delimited JSON record into a :class:`Tweet`.
+
+    Accepts either the raw line (UTF-8 when given as bytes) or an
+    already-decoded mapping. Twitter-v1 style field names (``id_str``,
+    ``full_text``, ``entities.hashtags``) are understood alongside the plain
+    schema; ``user_location`` and ``user.location`` are accepted and ignored.
+    """
+    if isinstance(record, (str, bytes)):
+        try:
+            obj = json.loads(record)
+        except json.JSONDecodeError as exc:
+            raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
+        except UnicodeDecodeError:
+            raise TweetParseError("line is not UTF-8", line_no) from None
+        except (ValueError, RecursionError) as exc:  # e.g. too deep, or a huge integer
+            raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
+    else:
+        obj = record
+    # json.loads gives a dict; the exact type test skips the ABC check.
+    if type(obj) is not dict and not isinstance(obj, Mapping):
+        raise TweetParseError("record is not a JSON object", line_no)
+
+    raw_id = obj.get("id_str") or obj.get("id")
+    if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)) or not str(raw_id).strip():
+        raise TweetParseError("missing id, or id is not a string or an integer", line_no)
+    text = obj.get("text")
+    if text is None:
+        text = obj.get("full_text")
+    if not isinstance(text, str):
+        raise TweetParseError("missing text", line_no)
+    # Both are written to the UTF-8 outputs; json.loads lets "\ud800" through.
+    if not reference_encodable(text) or (isinstance(raw_id, str) and not reference_encodable(raw_id)):
+        raise TweetParseError("id or text holds a lone surrogate", line_no)
+    if "created_at" not in obj:
+        raise TweetParseError("missing created_at", line_no)
+    created = reference_parse_created_at(obj["created_at"], line_no)
+
+    provided = obj.get("hashtags")
+    if provided is None and isinstance(obj.get("entities"), Mapping):
+        entities = obj["entities"].get("hashtags")
+        if isinstance(entities, list):
+            provided = [e.get("text") for e in entities if isinstance(e, Mapping)]
+    hashtags = reference_merge_hashtags(text, provided if isinstance(provided, list) else ())
+
+    coords = None
+    if obj.get("coordinates") is not None:
+        coords = reference_parse_coordinates(obj["coordinates"], line_no)
+
+    return Tweet(
+        id=str(raw_id),
+        text=text,
+        created_at_utc=created,
+        hashtags=hashtags,
+        coordinates=coords,
+    )
+
+
+def reference_read_stream(
+    source: Iterable[str | bytes], stats: IngestStats | None = None
+) -> Iterator[Tweet]:
+    """Yield tweets from an iterable of NDJSON lines (str or UTF-8 bytes), in input order.
+
+    Malformed lines and duplicate ids are counted in ``stats`` and skipped;
+    blank lines are ignored. An unreadable source raises the underlying
+    OSError (fatal).
+    """
+    if stats is None:
+        stats = IngestStats()
+    seen: set[str] = set()
+    for line_no, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        try:
+            tweet = reference_parse_tweet(line, line_no)
+        except TweetParseError:
+            stats.malformed += 1
+            continue
+        if tweet.id in seen:
+            stats.duplicates += 1
+            continue
+        seen.add(tweet.id)
+        stats.parsed += 1
+        yield tweet
+
+
+# A Twitter-v1 record and a plain one, each field absent, plausible or any JSON
+# value from the whole-pipeline property test's pool.
+_V1_FIELDS = ("id", "id_str", "full_text", "created_at", "entities", "user", "coordinates")
+_PLAIN_FIELDS = ("id", "text", "created_at", "hashtags", "coordinates")
+_entities = st.fixed_dictionaries({
+    "hashtags": st.one_of(
+        st.lists(st.one_of(st.fixed_dictionaries({"text": _json_values}), _json_values), max_size=3),
+        _json_values,
+    )
+})
+_v1_values = {key: _any_value[key] for key in _V1_FIELDS}
+_v1_values["entities"] = st.one_of(_entities, _any_value["entities"])
+_v1_values["created_at"] = st.one_of(
+    _any_value["created_at"], st.sampled_from(["Tue Aug 29 11:16:11 -0000 2017", "Tue Aug 29 11:16:11 +0530 2017"])
+)
+_records = st.one_of(
+    st.fixed_dictionaries({}, optional=_v1_values),
+    st.fixed_dictionaries({}, optional={key: _any_value[key] for key in _PLAIN_FIELDS}),
+    _json_values,
+)
+# Integers past int-to-str's digit limit, which only a mapping can carry:
+# json.loads rejects them in a line.
+_HUGE = 10**5000
+_HUGE_RECORDS = [
+    {"id": "1", "text": "x", "created_at": _HUGE},
+    {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": [_HUGE, 29.7]},
+    {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": {"coordinates": [_HUGE, 29.7]}},
+    {"id": _HUGE, "text": "x", "created_at": "2017-08-27T12:00:00Z"},
+]
+
+
+def _outcome(parse, record) -> object:
+    try:
+        tweet = parse(record, 3)
+    except TweetParseError as exc:
+        return ("TweetParseError", str(exc))
+    return tweet, repr(tweet)
+
+
+def _assert_parses_as_reference(record) -> None:
+    try:
+        expected = _outcome(reference_parse_tweet, record)
+    except ValueError as exc:
+        # The reference's one known fault: printing an integer past the limit.
+        assert "Exceeds the limit" in str(exc)
+        with pytest.raises(TweetParseError):
+            parse_tweet(record, 3)
+        return
+    assert _outcome(parse_tweet, record) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(record=_records)
+@example(record=_HUGE_RECORDS[0])
+@example(record=_HUGE_RECORDS[1])
+@example(record=_HUGE_RECORDS[2])
+@example(record=_HUGE_RECORDS[3])
+@example(record={"id": "1", "text": "#A #a", "created_at": 0, "hashtags": ["#A", "b", "B", 7, "", "#"]})
+@example(record={"id": "1", "text": "x \ud800", "created_at": 0})
+@example(record={"id": "1\udfff", "text": "x", "created_at": 0})
+@example(record={"id": "1", "full_text": "x", "created_at": 0, "entities": {"hashtags": 5}})
+def test_parse_tweet_matches_reference(record):
+    _assert_parses_as_reference(record)
+    try:
+        line = json.dumps(record)
+    except ValueError:  # an integer past the limit
+        return
+    _assert_parses_as_reference(line)
+    _assert_parses_as_reference(line.encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=20), extra=st.lists(st.one_of(st.text("#aAßs", max_size=4), _json_values), max_size=4))
+def test_merge_hashtags_matches_reference(text, extra):
+    assert merge_hashtags(text, extra) == reference_merge_hashtags(text, extra)
+
+
+_WHITESPACE_LINES = ["", " ", "\t\n", "\x0b", "\x0c", "\x85", "\u3000", "\x1c\u2028"]
+_stream_records = st.fixed_dictionaries(
+    {"id": st.sampled_from(["1", "2", "3", 4]), "text": _any_value["text"], "created_at": _any_value["created_at"]},
+    optional={key: _any_value[key] for key in ("full_text", "hashtags", "entities", "coordinates")},
+)
+_stream_lines = st.lists(
+    st.one_of(
+        _stream_records.map(json.dumps),
+        _records.map(json.dumps),
+        st.sampled_from(_WHITESPACE_LINES),
+        st.text(max_size=8),
+    ),
+    max_size=12,
+)
+
+
+def _replay(read, lines) -> tuple[list[tuple[Tweet, str]], IngestStats]:
+    stats = IngestStats()
+    return [(tweet, repr(tweet)) for tweet in read(lines, stats)], stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_stream_lines, raw=st.lists(st.sampled_from([b"\x0b\x0c", b"\x85", b" \r\n", b"\xff", b"{}"]), max_size=3))
+@example(lines=_WHITESPACE_LINES, raw=[b"\x0b\x0c"])
+def test_read_stream_matches_reference(lines, raw):
+    assert _replay(read_stream, lines) == _replay(reference_read_stream, lines)
+    encoded = [line.encode("utf-8", "surrogatepass") for line in lines] + raw
+    assert _replay(read_stream, encoded) == _replay(reference_read_stream, encoded)
