@@ -24,8 +24,9 @@ Generation rules
   misses every stream keyword get coordinates inside the collection
   bounding box when they are rescue requests (an archived stream would not
   contain them otherwise); other records get coordinates at random.
-* The gazetteer holds coordinates for every completed address the pipeline
-  produces except the last two, which stay ungeocoded on purpose.
+* The gazetteer holds coordinates for every completed address that
+  run_pipeline produces from replay_corpus.ndjson, except the last two,
+  which stay ungeocoded on purpose.
 """
 from __future__ import annotations
 
@@ -40,16 +41,14 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from rescuemap import (  # noqa: E402
+    Gazetteer,
+    Geocoder,
     StreamConfig,
-    Verdict,
-    classify,
-    complete_address,
     default_lexicon,
-    extract_features,
-    extract_full_address,
     normalize_query,
     parse_tweet,
     passes_stream_filter,
+    run_pipeline,
 )
 
 SEED = 20170827
@@ -259,24 +258,22 @@ def write_outputs(rows: list[dict], out_dir: Path) -> None:
             record = {k: v for k, v in row.items() if k != "label"}
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
-    # Geocode table: run the real pipeline stages to learn the completed
-    # address strings, then assign deterministic in-town coordinates.
-    lex = default_lexicon()
-    stream_cfg = StreamConfig()
+    # Geocode table: replay the corpus through the pipeline to learn the
+    # completed address strings, then assign deterministic in-town coordinates.
+    with ndjson_path.open(encoding="utf-8") as handle:
+        requests, _ = run_pipeline(
+            handle,
+            stream_cfg=StreamConfig(),
+            lex=default_lexicon(),
+            geocoder=Geocoder(Gazetteer({})),
+        )
     completed: list[str] = []
     seen = set()
-    for row in rows:
-        tweet = parse_tweet({k: v for k, v in row.items() if k != "label"})
-        if not passes_stream_filter(tweet, stream_cfg):
-            continue
-        features = extract_features(tweet.text, lex)
-        if classify(features) is not Verdict.RESCUE_REQUEST:
-            continue
-        address = complete_address(extract_full_address(tweet.text), tweet.hashtags)
-        key = normalize_query(address.completed)
+    for request in requests:
+        key = normalize_query(request.address.completed)
         if key not in seen:
             seen.add(key)
-            completed.append(address.completed)
+            completed.append(request.address.completed)
 
     gazetteer_path = out_dir / "gazetteer.tsv"
     with gazetteer_path.open("w", encoding="utf-8") as handle:

@@ -20,9 +20,9 @@ from .evaluate import (
 from .features import classify, extract_features
 from .geocode import Gazetteer, GazetteerError, Geocoder, HttpBackend
 from .ingest import BoundingBox, StreamConfig, read_stream
-from .lexicons import LexiconConfig, LexiconError, default_lexicon, lexicon_from_dir
+from .lexicons import LexiconConfig, LexiconError, data_lines, default_lexicon, lexicon_from_dir
 from .output import to_geojson, to_map_document
-from .pipeline import run_pipeline
+from .pipeline import GEOCODE_WORKERS, run_pipeline
 
 
 class ConfigError(ValueError):
@@ -79,7 +79,7 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _build_lexicon(args, config: dict) -> LexiconConfig:
     spanish = bool(args.spanish or config.get("spanish", False))
-    lexicon_dir = getattr(args, "lexicons", None) or config.get("lexicons")
+    lexicon_dir = args.lexicons or config.get("lexicons")
     try:
         if lexicon_dir:
             return lexicon_from_dir(lexicon_dir, spanish=spanish)
@@ -112,8 +112,8 @@ def _build_stream_config(config: dict) -> StreamConfig:
 
 
 def _build_geocoder(args, config: dict) -> Geocoder:
-    choice = getattr(args, "geocoder", None) or config.get("geocoder_backend")
-    gazetteer_path = getattr(args, "gazetteer", None) or config.get("gazetteer")
+    choice = args.geocoder or config.get("geocoder_backend")
+    gazetteer_path = args.gazetteer or config.get("gazetteer")
     http_config = config.get("http", {})
     if choice is None:
         choice = "gazetteer" if gazetteer_path else ("http" if http_config else None)
@@ -140,10 +140,10 @@ def _build_geocoder(args, config: dict) -> Geocoder:
 
 
 def _input_lines(args, config: dict) -> Iterable[bytes]:
-    paths: list[str] = list(getattr(args, "input", None) or [])
+    paths: list[str] = list(args.input or [])
     if not paths:
         paths = list(config.get("inputs", []))
-    manifest = getattr(args, "manifest", None) or config.get("manifest")
+    manifest = args.manifest or config.get("manifest")
     if manifest:
         manifest_path = Path(manifest)
         if not manifest_path.is_file():
@@ -153,10 +153,8 @@ def _input_lines(args, config: dict) -> Iterable[bytes]:
             listing = manifest_path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise ConfigError(f"input: manifest {manifest_path}: not valid UTF-8") from None
-        for line in listing.splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                paths.append(str((base / line) if not Path(line).is_absolute() else line))
+        for _, line in data_lines(listing):
+            paths.append(str((base / line) if not Path(line).is_absolute() else line))
     if not paths:
         raise ConfigError("input: give --input FILE (or '-' for stdin), --manifest, or config inputs")
 
@@ -293,7 +291,7 @@ def _build_parser() -> _Parser:
     p_pipe.add_argument(
         "--sequential",
         action="store_true",
-        help="one geocoding request at a time instead of 16 in flight (same output)",
+        help=f"one geocoding request at a time instead of {GEOCODE_WORKERS} in flight (same output)",
     )
     p_pipe.set_defaults(func=_cmd_pipeline)
 

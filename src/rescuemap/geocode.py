@@ -18,6 +18,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
+from .lexicons import data_lines
+
 API_KEY_ENV_VAR = "RESCUEMAP_GEOCODER_KEY"
 
 
@@ -94,11 +96,8 @@ class Gazetteer:
             text = Path(path).read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise GazetteerError(f"{path}: not valid UTF-8") from None
-        for i, line in enumerate(text.splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            cols = stripped.split("\t")
+        for i, line in data_lines(text):
+            cols = line.split("\t")
             if len(cols) != 3:
                 raise GazetteerError(f"{path}: row {i}: expected 3 tab-separated columns")
             address, lon_text, lat_text = cols

@@ -235,7 +235,9 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
     """
     if isinstance(record, (str, bytes)):
         try:
-            obj = json.loads(record)
+            # json.loads would guess UTF-16 or UTF-32 for bytes, and let an
+            # encoded surrogate through; a BOM-led UTF-8 line stays accepted.
+            obj = json.loads(record if isinstance(record, str) else record.decode("utf-8-sig"))
         except json.JSONDecodeError as exc:
             raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
         except UnicodeDecodeError:

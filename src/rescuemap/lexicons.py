@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 NEGATIVE_FEATURES = ("status_update", "offer_help", "news_report", "political", "ads")
 
@@ -34,23 +34,22 @@ class LexiconError(ValueError):
     """Raised when a lexicon file cannot be parsed."""
 
 
-def _read_lines(text: str) -> list[str]:
-    entries = []
-    for line in text.splitlines():
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for each entry of a data file.
+
+    Lines split as ``str.splitlines`` splits them and count from 1; blank
+    and ``#`` comment lines are skipped but counted.
+    """
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        entries.append(line)
-    return entries
+        if line and not line.startswith("#"):
+            yield number, line
 
 
 def _parse_pairs(text: str, source: str) -> tuple[tuple[str, str], ...]:
     pairs = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cols = [c.strip() for c in stripped.split("\t")]
+    for i, line in data_lines(text):
+        cols = [c.strip() for c in line.split("\t")]
         if len(cols) != 2 or not all(cols):
             raise LexiconError(f"{source}:{i}: expected 'region<TAB>disaster word'")
         pairs.append((cols[0], cols[1]))
@@ -68,7 +67,7 @@ def _packaged(name: str) -> str:
 def load_street_suffixes() -> frozenset[str]:
     """The shipped street-suffix lexicon (uppercased entries)."""
     text = importlib.resources.files("rescuemap.data").joinpath("street_suffixes.txt")
-    return frozenset(s.upper() for s in _read_lines(text.read_text(encoding="utf-8")))
+    return frozenset(s.upper() for _, s in data_lines(text.read_text(encoding="utf-8")))
 
 
 def _compile_phrases(phrases: Iterable[str]) -> re.Pattern:
@@ -191,7 +190,7 @@ def _load(directory: Path | None, spanish: bool) -> LexiconConfig:
         return _packaged(name), _DATA_FILES[name]
 
     def phrases(name: str) -> tuple[str, ...]:
-        return tuple(_read_lines(read(name)[0]))
+        return tuple(line for _, line in data_lines(read(name)[0]))
 
     help_keywords = phrases("help_keywords")
     situation = phrases("situation_words")

@@ -34,16 +34,6 @@ def _completion_rule(request: RescueRequest) -> str | None:
     return rule.value if rule else None
 
 
-def _ungeocoded_entry(request: RescueRequest) -> dict:
-    return {
-        "id": request.tweet.id,
-        "text": request.tweet.text,
-        "completed_address": request.address.completed,
-        "completion_rule": _completion_rule(request),
-        "status": request.geocode.status.value,
-    }
-
-
 # The GeoJSON schema is fixed, so each entry is written from a template that
 # reproduces json.dumps(..., indent=2, sort_keys=True, ensure_ascii=False):
 # keys in sorted order, two-space indent, "," between items, ": " after keys.
@@ -206,29 +196,32 @@ def to_map_document(requests: Sequence[RescueRequest]) -> str:
     markers = []
     ungeocoded = []
     for request in requests:
-        popup = (
-            f"<b>{html.escape(request.tweet.text)}</b><br>"
-            f"{html.escape(request.address.completed)}<br>"
-            f"{html.escape(request.local_time.isoformat())}"
-        )
         if request.geocode.status is GeocodeStatus.OK and request.geocode.point is not None:
             markers.append(
                 {
                     "id": request.tweet.id,
                     "lon": request.geocode.point.longitude,
                     "lat": request.geocode.point.latitude,
-                    "popup": popup,
+                    "popup": (
+                        f"<b>{html.escape(request.tweet.text)}</b><br>"
+                        f"{html.escape(request.address.completed)}<br>"
+                        f"{html.escape(request.local_time.isoformat())}"
+                    ),
                 }
             )
         else:
-            entry = _ungeocoded_entry(request)
-            entry["summary"] = html.escape(
-                f"{request.address.completed} ({request.geocode.status.value})"
+            ungeocoded.append(
+                {
+                    "id": request.tweet.id,
+                    "text": html.escape(request.tweet.text),  # escaped as in a popup
+                    "completed_address": request.address.completed,
+                    "completion_rule": _completion_rule(request),
+                    "status": request.geocode.status.value,
+                    "summary": html.escape(
+                        f"{request.address.completed} ({request.geocode.status.value})"
+                    ),
+                }
             )
-            # Keep the raw text out of markup; it is already present in the
-            # escaped summary-free fields for machine consumers.
-            entry["text"] = html.escape(entry["text"])
-            ungeocoded.append(entry)
     viewport = list(HARVEY_BBOX_TUPLE)
     if markers:
         lons = [m["lon"] for m in markers]

@@ -8,9 +8,10 @@ address and submits one task per address to a
 ``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so that
 many backend requests overlap. A task geocodes its address's queries in input
 order, which is what sequential mode does for that address, so the two modes
-return the same results. With classification done, the calling thread only
-collects results, so a worker whose request returns gets the GIL back at
-once. Sequential mode geocodes on the calling thread and starts no thread.
+return the same results. Each task stores its results in their input slots.
+With classification done, the calling thread only waits on the tasks, so a
+worker whose request returns gets the GIL back at once. Sequential mode
+geocodes on the calling thread and starts no thread.
 
 The trade-off: no lookup starts before the input ends. A file replay, this
 tool's traffic, gets faster. A slow live source (``--input -``) starts
@@ -44,11 +45,11 @@ from .output import RescueRequest
 # of 3.15k records/s with 16 workers against 2.57k with 8 (7 runs each).
 GEOCODE_WORKERS = 16
 
-# Submitted address tasks waiting to be collected, at most. Pool-mode
+# Submitted address tasks not yet waited on, at most. Pool-mode
 # geocode_latency replay (824 distinct addresses, 2 ms service, nproc 2,
 # medians of 20 runs, measured when a task was one lookup):
 # 202.3 ms at 16, 183.7 at 32, 181.9 at 256, 183.7 with no bound. A large
-# backlog leaves slack when one slow task holds up collection.
+# backlog leaves slack when one slow task holds up the wait.
 GEOCODE_BACKLOG = 256
 
 
@@ -73,10 +74,12 @@ def _geocode_pooled(queries: list[str], geocoder: Geocoder) -> list[GeocodeResul
     """Geocode ``queries`` in order with one GEOCODE_WORKERS pool task per address.
 
     The queries are grouped by normalized key. Each group's task geocodes its
-    queries in input order, as sequential mode does: a repeat after ``ok`` or
+    queries in input order, as sequential mode does, and stores each result
+    in its query's slot of the returned list: a repeat after ``ok`` or
     ``not_found`` is a cache hit, and a repeat after an error is looked up
-    again. No two tasks hold the same key. At most GEOCODE_BACKLOG submitted
-    tasks wait to be collected; at the bound the oldest is collected first.
+    again. No two tasks hold the same key, so no two write the same slot. At
+    most GEOCODE_BACKLOG submitted tasks are waited on at once; at the bound
+    the calling thread waits for the oldest first.
     """
     # Imported here: concurrent.futures pulls in logging, and `import
     # rescuemap` stays lean without it.
@@ -86,25 +89,21 @@ def _geocode_pooled(queries: list[str], geocoder: Geocoder) -> list[GeocodeResul
     for index, query in enumerate(queries):
         groups.setdefault(normalize_query(query), []).append(index)
 
-    def lookup(indices: list[int]) -> list[GeocodeResult]:
-        return [geocoder.geocode(queries[i]) for i in indices]
-
     results: list = [None] * len(queries)
-    waiting: deque = deque()  # (indices, Future of their results) per submitted task, oldest first
 
-    def collect_oldest() -> None:
-        indices, future = waiting.popleft()
-        for index, result in zip(indices, future.result()):
-            results[index] = result
+    def lookup(indices: list[int]) -> None:
+        for index in indices:
+            results[index] = geocoder.geocode(queries[index])
 
+    waiting: deque = deque()  # the Future of each submitted task, oldest first
     with ThreadPoolExecutor(GEOCODE_WORKERS, thread_name_prefix="rescuemap-geocode") as pool:
         try:
             for indices in groups.values():
                 if len(waiting) >= GEOCODE_BACKLOG:
-                    collect_oldest()
-                waiting.append((indices, pool.submit(lookup, indices)))
+                    waiting.popleft().result()
+                waiting.append(pool.submit(lookup, indices))
             while waiting:
-                collect_oldest()
+                waiting.popleft().result()
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

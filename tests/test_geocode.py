@@ -84,6 +84,14 @@ class TestGazetteer:
         with pytest.raises(GazetteerError, match="row 1"):
             Gazetteer.load(path)
 
+    def test_bad_row_after_comments_and_blanks_names_its_row(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "# head\n\n  # indented\n1 Main St\t-95.0\t29.0\n\n2 Main St\t-95.0\n", encoding="utf-8"
+        )
+        with pytest.raises(GazetteerError, match="row 6: expected 3 tab-separated columns"):
+            Gazetteer.load(path)
+
     def test_non_numeric_coordinate_names_the_row(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("# comment\n1 Main St\t-95.0\tnorth\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import types
 from datetime import datetime, timezone
@@ -128,6 +129,20 @@ class TestParseTweet:
                 b'{"id": "1", "text": "x \xff", "created_at": "2017-08-27T12:00:00Z"}',
                 id="non_utf8_byte",
             ),
+            pytest.param(
+                b'{"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", '
+                b'"user": {"location": "\xed\xa0\x80"}}',
+                id="utf8_encoded_surrogate",
+            ),
+            pytest.param(
+                line(id="1", text="x", created_at="2017-08-27T12:00:00Z").encode("utf-32-le"),
+                id="utf32_line",
+            ),
+            pytest.param(
+                codecs.BOM_UTF16_LE
+                + line(id="1", text="x", created_at="2017-08-27T12:00:00Z").encode("utf-16-le"),
+                id="utf16_le_line_with_bom",
+            ),
             pytest.param(line(id=False, text="x", created_at="2017-08-27T12:00:00Z"), id="id_false"),
             pytest.param(line(id=[1, 2], text="x", created_at="2017-08-27T12:00:00Z"), id="id_list"),
             pytest.param(
@@ -187,6 +202,10 @@ class TestParseTweet:
 
     def test_utf8_bytes_line(self):
         raw = line(id="1", text="ayúdanos", created_at="2017-08-27T12:00:00Z").encode("utf-8")
+        assert parse_tweet(raw).text == "ayúdanos"
+
+    def test_utf8_bytes_line_with_bom(self):
+        raw = codecs.BOM_UTF8 + line(id="1", text="ayúdanos", created_at=0).encode("utf-8")
         assert parse_tweet(raw).text == "ayúdanos"
 
     def test_parse_error_carries_line_number(self):

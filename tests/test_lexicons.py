@@ -19,7 +19,7 @@ from rescuemap import (
     lexicon_from_dir,
     load_street_suffixes,
 )
-from rescuemap.lexicons import NEGATIVE_FEATURES
+from rescuemap.lexicons import NEGATIVE_FEATURES, data_lines
 
 # The override file of each phrase list: the name of the packaged data file.
 PHRASE_FILES = {
@@ -110,6 +110,25 @@ class TestFileFormats:
         path.write_text("Houston Flood\n", encoding="utf-8")
         with pytest.raises(LexiconError, match="region_disaster_pairs.tsv:1"):
             lexicon_from_dir(tmp_path)
+
+    @pytest.mark.parametrize(
+        ("text", "expected"),
+        [
+            pytest.param(
+                "# head\n\nfirst\n\nsecond\n", [(3, "first"), (5, "second")],
+                id="numbers_count_skipped_lines",
+            ),
+            pytest.param("  # indented\nkept\n", [(2, "kept")], id="indented_comment_skipped"),
+            pytest.param("a # b\n", [(1, "a # b")], id="inline_hash_kept"),
+            pytest.param(" \t \nx", [(2, "x")], id="whitespace_only_line_skipped"),
+            pytest.param(
+                "a\x0bb\x1cc\u2028d", [(1, "a"), (2, "b"), (3, "c"), (4, "d")],
+                id="splitlines_boundaries",
+            ),
+        ],
+    )
+    def test_data_lines(self, text, expected):
+        assert list(data_lines(text)) == expected
 
     def test_street_suffixes_are_plentiful(self):
         suffixes = load_street_suffixes()

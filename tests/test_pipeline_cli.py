@@ -529,6 +529,20 @@ class TestCliPipeline:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["read"] == 10
 
+    def test_manifest_skips_an_indented_comment(self, data_dir, tmp_path, capsys):
+        manifest = tmp_path / "corpus.manifest"
+        manifest.write_text(
+            f"  # missing.ndjson\n{data_dir / 'harvey_sample.ndjson'}\n", encoding="utf-8"
+        )
+        code = self.run_cli(
+            "pipeline",
+            "--manifest", str(manifest),
+            "--gazetteer", str(data_dir / "gazetteer_sample.tsv"),
+            "--sequential",
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["read"] == 10
+
     def test_non_utf8_byte_costs_only_its_line(self, data_dir, tmp_path, capsys):
         source = tmp_path / "in.ndjson"
         good = (data_dir / "harvey_sample.ndjson").read_bytes()
@@ -541,6 +555,22 @@ class TestCliPipeline:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["read"] == 10
+        assert summary["malformed"] == 1
+
+    def test_utf8_encoded_surrogate_costs_only_its_line(self, data_dir, tmp_path, capsys):
+        source = tmp_path / "in.ndjson"
+        source.write_bytes(
+            b'{"id": "p1", "text": "Need rescue at 12 Clay Rd #Harvey",'
+            b' "created_at": "2017-08-27T14:03:00Z"}\n'
+            b'{"id": "p2", "text": "Need rescue at 14 Clay Rd #Harvey",'
+            b' "created_at": "2017-08-27T14:03:00Z", "user": {"location": "\xed\xa0\x80"}}\n'
+        )
+        code = self.run_cli(
+            "pipeline", "--input", str(source), "--gazetteer", str(data_dir / "gazetteer.tsv")
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["read"] == 1
         assert summary["malformed"] == 1
 
     @pytest.mark.parametrize(
