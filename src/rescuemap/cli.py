@@ -22,7 +22,7 @@ from .geocode import Gazetteer, GazetteerError, Geocoder, HttpBackend
 from .ingest import BoundingBox, StreamConfig, read_stream
 from .lexicons import LexiconConfig, LexiconError, data_lines, default_lexicon, lexicon_from_dir
 from .output import to_geojson, to_map_document
-from .pipeline import GEOCODE_WORKERS, run_pipeline
+from .pipeline import run_pipeline
 
 
 class ConfigError(ValueError):
@@ -193,7 +193,7 @@ def _cmd_pipeline(args) -> int:
         stream_cfg=stream_cfg,
         lex=lex,
         geocoder=geocoder,
-        sequential=args.sequential,
+        sequential=False,
     )
 
     if out_geojson:
@@ -288,11 +288,6 @@ def _build_parser() -> _Parser:
     p_pipe.add_argument("--geocoder", choices=("gazetteer", "http"), help="backend selection")
     p_pipe.add_argument("--out-geojson", help="write the GeoJSON feature collection here")
     p_pipe.add_argument("--out-map", help="write the interactive map document here")
-    p_pipe.add_argument(
-        "--sequential",
-        action="store_true",
-        help=f"one geocoding request at a time instead of {GEOCODE_WORKERS} in flight (same output)",
-    )
     p_pipe.set_defaults(func=_cmd_pipeline)
 
     p_classify = sub.add_parser("classify", help="print per-tweet features and verdicts")

@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .features import classify, extract_features, Verdict
+from .address import detect_address
+from .features import is_rescue_request
 from .ingest import Tweet, merge_hashtags
 from .lexicons import LexiconConfig
 
@@ -94,12 +95,13 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
 
 
 def evaluate(corpus: list[LabelledTweet], lex: LexiconConfig) -> ConfusionMatrix:
-    """Run the classifier over every record and tally the confusion matrix."""
+    """Tally the confusion matrix of the pipeline's verdict over every record."""
     if not corpus:
         raise ValueError("empty corpus")
     tp = fp = fn = tn = 0
     for item in corpus:
-        predicted = classify(extract_features(item.tweet.text, lex)) is Verdict.RESCUE_REQUEST
+        text = item.tweet.text
+        predicted = bool(detect_address(text)) and is_rescue_request(text, lex)
         if predicted and item.label:
             tp += 1
         elif predicted and not item.label:

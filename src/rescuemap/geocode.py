@@ -238,7 +238,7 @@ class Geocoder:
     """
 
     def __init__(self, backend: Backend):
-        self._backend = backend
+        self.backend = backend
         self._cache: dict[str, GeocodeResult] = {}
         # Only keys in flight or whose last answer was an error have a lock.
         self._key_locks: dict[str, threading.Lock] = {}
@@ -255,7 +255,7 @@ class Geocoder:
                 hit = self._cache.get(key)  # a caller this one waited on may have stored it
                 if hit is None:
                     try:
-                        result = replace(self._backend.resolve(query), from_cache=False)
+                        result = replace(self.backend.resolve(query), from_cache=False)
                     except Exception:
                         result = GeocodeResult(
                             query=query, point=None, status=GeocodeStatus.BACKEND_ERROR

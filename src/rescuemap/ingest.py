@@ -236,8 +236,9 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
     if isinstance(record, (str, bytes)):
         try:
             # json.loads would guess UTF-16 or UTF-32 for bytes, and let an
-            # encoded surrogate through; a BOM-led UTF-8 line stays accepted.
-            obj = json.loads(record if isinstance(record, str) else record.decode("utf-8-sig"))
+            # encoded surrogate through. Both forms drop one leading BOM.
+            text = record if isinstance(record, str) else record.decode("utf-8")
+            obj = json.loads(text.removeprefix("\ufeff"))
         except json.JSONDecodeError as exc:
             raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
         except UnicodeDecodeError:

@@ -2,16 +2,16 @@
 
 A run makes two passes. The classify pass streams the input one record at a
 time, keeps only the classified-positive requests, and extracts and completes
-each one's address. The geocode pass then resolves those addresses. In
-concurrent mode (the CLI's default) it groups the queries by normalized
-address and submits one task per address to a
-``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so that
-many backend requests overlap. A task geocodes its address's queries in input
-order, which is what sequential mode does for that address, so the two modes
-return the same results. Each task stores its results in their input slots.
-With classification done, the calling thread only waits on the tasks, so a
-worker whose request returns gets the GIL back at once. Sequential mode
-geocodes on the calling thread and starts no thread.
+each one's address. The geocode pass then resolves those addresses. A
+``Gazetteer`` lookup never waits, so it runs on the calling thread and no
+thread starts; so does every lookup with ``sequential=True``. Otherwise the
+queries are grouped by normalized address and each address is one task on a
+``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so
+that many backend requests overlap. A task geocodes its address's queries in
+input order, as the inline pass does, so both return the same results, and
+stores them in their input slots. With classification done, the calling
+thread only waits on the tasks, so a worker whose request returns gets the
+GIL back at once.
 
 The trade-off: no lookup starts before the input ends. A file replay, this
 tool's traffic, gets faster. A slow live source (``--input -``) starts
@@ -28,7 +28,7 @@ from .address import FullAddress, complete_address, detect_address, extract_full
 from .features import is_rescue_request
 # Not called here: benchmark/run.py --trace 1 wraps them by name on this module.
 from .features import classify, extract_features  # noqa: F401
-from .geocode import Geocoder, GeocodeResult, GeocodeStatus, normalize_query
+from .geocode import Gazetteer, Geocoder, GeocodeResult, GeocodeStatus, normalize_query
 from .ingest import (
     IngestStats,
     StreamConfig,
@@ -40,7 +40,7 @@ from .ingest import (
 from .lexicons import LexiconConfig
 from .output import RescueRequest
 
-# Backend lookups in flight at once in concurrent mode. Measured on the
+# Backend lookups in flight at once through the pool. Measured on the
 # benchmark's geocode_latency workload (2 ms fake service, nproc 2): medians
 # of 3.15k records/s with 16 workers against 2.57k with 8 (7 runs each).
 GEOCODE_WORKERS = 16
@@ -74,7 +74,7 @@ def _geocode_pooled(queries: list[str], geocoder: Geocoder) -> list[GeocodeResul
     """Geocode ``queries`` in order with one GEOCODE_WORKERS pool task per address.
 
     The queries are grouped by normalized key. Each group's task geocodes its
-    queries in input order, as sequential mode does, and stores each result
+    queries in input order, as the inline pass does, and stores each result
     in its query's slot of the returned list: a repeat after ``ok`` or
     ``not_found`` is a cache hit, and a repeat after an error is looked up
     again. No two tasks hold the same key, so no two write the same slot. At
@@ -121,14 +121,14 @@ def run_pipeline(
     """Run the full pipeline over NDJSON lines (str or UTF-8 bytes).
 
     Returns the rescue requests in input order plus the per-stage counts.
-    Both modes classify the whole input first, then geocode the positives.
-    ``sequential=True`` geocodes each positive on the calling thread, one
-    lookup at a time, and starts no thread. ``sequential=False`` submits one
-    task per distinct address to a pool of GEOCODE_WORKERS threads, so up to
-    that many backend requests overlap; each task geocodes its address's
-    positives in input order. On an error or interrupt, tasks not yet
-    started are dropped, started ones finish, and the error is re-raised.
-    Output is byte-identical either way.
+    The whole input is classified first, then the positives are geocoded.
+    ``sequential=False`` (the CLI's call) sends each distinct address as one
+    task to a pool of GEOCODE_WORKERS threads, unless the backend is a
+    ``Gazetteer``, whose lookups never wait; on an error or interrupt, tasks
+    not yet started are dropped, started ones finish, and the error is
+    re-raised. Otherwise each positive is geocoded on the calling thread and
+    no thread starts. That is the default, since a caller's own backend may
+    not be thread-safe. Output is byte-identical either way.
     """
     summary = RunSummary()
     stats = IngestStats()
@@ -149,7 +149,7 @@ def run_pipeline(
     summary.classified_positive = len(found)
 
     queries = [address.completed for _, address in found]
-    if sequential:
+    if sequential or isinstance(geocoder.backend, Gazetteer):
         results = [geocoder.geocode(query) for query in queries]
     else:
         results = _geocode_pooled(queries, geocoder)

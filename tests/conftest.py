@@ -28,3 +28,20 @@ def sample_corpus_lines() -> list[str]:
 @pytest.fixture()
 def sample_geocoder() -> Geocoder:
     return Geocoder(Gazetteer.load(DATA / "gazetteer_sample.tsv"))
+
+
+class PooledGazetteer:
+    """Answers as the wrapped gazetteer does, but is not a `Gazetteer`, so
+    `run_pipeline(sequential=False)` sends its lookups through the pool."""
+
+    def __init__(self, gazetteer: Gazetteer):
+        self._gazetteer = gazetteer
+
+    def resolve(self, query: str):
+        return self._gazetteer.resolve(query)
+
+
+@pytest.fixture(scope="session")
+def pooled_geocoder():
+    """Builds a fresh `Geocoder` whose lookups go through the pool, from a gazetteer file."""
+    return lambda path: Geocoder(PooledGazetteer(Gazetteer.load(path)))

@@ -155,9 +155,8 @@ def test_criterion_4_completion_rule_table():
     _ok(4, "all 20 completion cases pass and every result names Texas")
 
 
-def _pipeline_geojson(data_dir, sequential: bool) -> bytes:
+def _pipeline_geojson(data_dir, geocoder, sequential: bool) -> bytes:
     lines = (data_dir / "replay_corpus.ndjson").read_text(encoding="utf-8").splitlines()
-    geocoder = Geocoder(Gazetteer.load(data_dir / "gazetteer.tsv"))
     requests, _ = run_pipeline(
         lines,
         stream_cfg=StreamConfig(),
@@ -168,10 +167,11 @@ def _pipeline_geojson(data_dir, sequential: bool) -> bytes:
     return to_geojson(requests).encode("utf-8")
 
 
-def test_criterion_5_end_to_end_determinism(data_dir):
-    first = _pipeline_geojson(data_dir, sequential=True)
-    second = _pipeline_geojson(data_dir, sequential=True)
-    concurrent = _pipeline_geojson(data_dir, sequential=False)
+def test_criterion_5_end_to_end_determinism(data_dir, pooled_geocoder):
+    gazetteer = data_dir / "gazetteer.tsv"
+    first = _pipeline_geojson(data_dir, Geocoder(Gazetteer.load(gazetteer)), sequential=True)
+    second = _pipeline_geojson(data_dir, Geocoder(Gazetteer.load(gazetteer)), sequential=True)
+    concurrent = _pipeline_geojson(data_dir, pooled_geocoder(gazetteer), sequential=False)
     assert first == second
     assert first == concurrent
     count = len(json.loads(first)["features"])

@@ -1,5 +1,5 @@
 """Differential tests: the pipeline's two-union verdict, `is_rescue_request`,
-against the eight-feature rule it replaced on the hot path,
+against the eight-feature rule it replaced on the hot path and in `evaluate`,
 `classify(extract_features(...))`, kept as the reference."""
 from __future__ import annotations
 
@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rescuemap import (
+    ConfusionMatrix,
     Verdict,
     classify,
     default_lexicon,
     detect_address,
+    evaluate,
     extract_features,
     is_rescue_request,
     lexicon_from_dir,
+    load_labelled,
 )
 from rescuemap.lexicons import NEGATIVE_FEATURES
 
@@ -64,6 +67,17 @@ def _lists(lex) -> dict[str, tuple[str, ...]]:
         "pair_words": tuple(word for _, word in lex.region_disaster_pairs),
         **{k: lex.negative_lexicons[k] for k in NEGATIVE_FEATURES},
     }
+
+
+@pytest.mark.parametrize("name", sorted(LEXICONS))
+def test_evaluate_tallies_the_eight_feature_verdicts(name, data_dir):
+    lex = LEXICONS[name]
+    corpus = load_labelled(data_dir / "labelled_corpus.csv")
+    counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    for item in corpus:
+        predicted = _reference(item.tweet.text, lex)
+        counts[("t" if predicted == item.label else "f") + ("p" if predicted else "n")] += 1
+    assert evaluate(corpus, lex) == ConfusionMatrix(**counts)
 
 
 def test_override_lexicon_has_never_matching_lists():

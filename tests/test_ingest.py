@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_pipeline_property import _RAW_LINES, _records
 
 from rescuemap import (
     BoundingBox,
@@ -20,7 +21,7 @@ from rescuemap import (
     read_stream,
     to_local_time,
 )
-from rescuemap.ingest import US_CENTRAL
+from rescuemap.ingest import US_CENTRAL, _encodable
 
 UTC = timezone.utc
 
@@ -208,6 +209,13 @@ class TestParseTweet:
         raw = codecs.BOM_UTF8 + line(id="1", text="ayúdanos", created_at=0).encode("utf-8")
         assert parse_tweet(raw).text == "ayúdanos"
 
+    @pytest.mark.parametrize("form", [str, str.encode], ids=["str", "bytes"])
+    def test_exactly_one_leading_bom_is_dropped(self, form):
+        record = line(id="1", text="x", created_at=0)
+        assert parse_tweet(form("\ufeff" + record)).id == "1"
+        with pytest.raises(TweetParseError, match="BOM"):
+            parse_tweet(form("\ufeff\ufeff" + record))
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(TweetParseError) as exc_info:
             parse_tweet("{", line_no=42)
@@ -239,6 +247,16 @@ class TestReadStream:
     def test_blank_lines_ignored(self):
         tweets = list(read_stream(["", "  ", self.good("a"), "\n"]))
         assert len(tweets) == 1
+
+    @pytest.mark.parametrize("mode", ["r", "rb"], ids=["text", "binary"])
+    def test_bom_led_file_reads_alike_as_text_and_binary(self, tmp_path, mode):
+        path = tmp_path / "bom.ndjson"
+        path.write_bytes(codecs.BOM_UTF8 + f"{self.good('a')}\n{self.good('b')}\n".encode())
+        stats = IngestStats()
+        with path.open(mode, **({"encoding": "utf-8"} if mode == "r" else {})) as source:
+            tweets = list(read_stream(source, stats))
+        assert [t.id for t in tweets] == ["a", "b"]
+        assert (stats.parsed, stats.malformed) == (2, 0)
 
 
 def tweet_with(text="", coords=None, hashtags=None) -> Tweet:
@@ -367,6 +385,26 @@ def test_every_byte_line_is_parsed_malformed_duplicate_or_blank(lines):
     blank = sum(1 for raw in lines if not raw.strip())
     assert stats.parsed == len(tweets)
     assert stats.parsed + stats.malformed + stats.duplicates + blank == len(lines)
+
+
+def _parsed(record: str | bytes) -> object:
+    try:
+        return parse_tweet(record, 3)
+    except TweetParseError as exc:
+        return ("TweetParseError", str(exc))
+
+
+_str_lines = st.one_of(
+    st.builds(json.dumps, _records, ensure_ascii=st.booleans()),
+    st.sampled_from([raw.decode("utf-8", "replace") for raw in _RAW_LINES]),
+).filter(_encodable)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=_str_lines, bom=st.sampled_from(["", "\ufeff", "\ufeff\ufeff"]))
+def test_str_and_bytes_forms_of_a_line_parse_alike(body, bom):
+    text = bom + body
+    assert _parsed(text) == _parsed(text.encode("utf-8"))
 
 
 # --- created_at: ISO first against the strptime-first parser -----------------

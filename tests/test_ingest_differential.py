@@ -294,8 +294,11 @@ def _outcome(parse, record) -> object:
 
 
 def _assert_parses_as_reference(record) -> None:
+    # One deliberate change: a str line drops one leading BOM, as a bytes line
+    # always did, where the reference calls it invalid JSON.
+    reference_record = record.removeprefix("\ufeff") if isinstance(record, str) else record
     try:
-        expected = _outcome(reference_parse_tweet, record)
+        expected = _outcome(reference_parse_tweet, reference_record)
     except ValueError as exc:
         # The reference's one known fault: printing an integer past the limit.
         assert "Exceeds the limit" in str(exc)
@@ -315,6 +318,7 @@ def _assert_parses_as_reference(record) -> None:
 @example(record={"id": "1", "text": "x \ud800", "created_at": 0})
 @example(record={"id": "1\udfff", "text": "x", "created_at": 0})
 @example(record={"id": "1", "full_text": "x", "created_at": 0, "entities": {"hashtags": 5}})
+@example(record="\ufeff{}")
 def test_parse_tweet_matches_reference(record):
     _assert_parses_as_reference(record)
     try:

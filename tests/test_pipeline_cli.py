@@ -147,11 +147,12 @@ class TestRunPipeline:
         assert summary.read == summary.stream_passed + summary.stream_rejected
         assert summary.classified_positive == summary.geocoded_ok + summary.geocode_failed
 
-    def test_concurrent_mode_matches_sequential(self, data_dir, lex):
+    def test_concurrent_mode_matches_sequential(self, data_dir, lex, pooled_geocoder):
         lines = (data_dir / "replay_corpus.ndjson").read_text(encoding="utf-8").splitlines()
 
         def run(sequential):
-            geocoder = Geocoder(Gazetteer.load(data_dir / "gazetteer.tsv"))
+            gazetteer = data_dir / "gazetteer.tsv"
+            geocoder = Geocoder(Gazetteer.load(gazetteer)) if sequential else pooled_geocoder(gazetteer)
             return run_pipeline(
                 lines,
                 stream_cfg=StreamConfig(),
@@ -164,7 +165,7 @@ class TestRunPipeline:
         assert to_geojson(sequential_requests) == to_geojson(concurrent_requests)
         assert sequential_summary.as_dict() == concurrent_summary.as_dict()
 
-    def test_positives_are_exactly_the_classified_texts(self, data_dir, lex):
+    def test_positives_are_exactly_the_classified_texts(self, data_dir, lex, pooled_geocoder):
         texts = [row.tweet.text for row in load_labelled(data_dir / "labelled_corpus.csv")]
         # Lexicon-positive but address-less: never rescue requests.
         texts += [
@@ -187,11 +188,13 @@ class TestRunPipeline:
         assert 0 < len(expected) < len(texts)
 
         def run(sequential: bool):
+            gazetteer = data_dir / "gazetteer.tsv"
+            geocoder = Geocoder(Gazetteer.load(gazetteer)) if sequential else pooled_geocoder(gazetteer)
             return run_pipeline(
                 lines,
                 stream_cfg=StreamConfig(),
                 lex=lex,
-                geocoder=Geocoder(Gazetteer.load(data_dir / "gazetteer.tsv")),
+                geocoder=geocoder,
                 sequential=sequential,
             )
 
@@ -443,15 +446,43 @@ class TestRunPipeline:
         assert seen == [(threading.current_thread(), [])] * len(lines)
         assert geocode_threads() == []
 
+    def test_gazetteer_lookups_stay_on_the_calling_thread(self, data_dir, lex):
+        threads: list[str] = []
+
+        class RecordingGazetteer(Gazetteer):
+            def resolve(self, query: str) -> GeocodeResult:
+                threads.append(threading.current_thread().name)
+                return super().resolve(query)
+
+        lines = (data_dir / "replay_corpus.ndjson").read_text(encoding="utf-8").splitlines()
+        _, summary = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=Geocoder(RecordingGazetteer.load(data_dir / "gazetteer.tsv")), sequential=False,
+        )
+        assert summary.geocoded_ok > 0
+        assert threads and set(threads) == {threading.current_thread().name}
+
     def test_import_leaves_concurrent_futures_unloaded(self):
-        # run_pipeline imports it on its first pool-mode call; `import rescuemap` must not.
-        probe = "import sys, rescuemap; print('concurrent.futures' in sys.modules)"
+        # run_pipeline imports it on its first pool call; `import rescuemap` must
+        # not, and neither must a run whose gazetteer lookups stay inline.
+        data = SRC.parent / "data"
+        probe = "\n".join([
+            "import pathlib, sys, rescuemap",
+            "print('concurrent.futures' in sys.modules)",
+            f"lines = pathlib.Path({str(data / 'replay_corpus.ndjson')!r}).read_bytes().splitlines()",
+            f"geocoder = rescuemap.Geocoder(rescuemap.Gazetteer.load({str(data / 'gazetteer.tsv')!r}))",
+            "_, summary = rescuemap.run_pipeline(",
+            "    lines, stream_cfg=rescuemap.StreamConfig(), lex=rescuemap.default_lexicon(),",
+            "    geocoder=geocoder, sequential=False,",
+            ")",
+            "print(summary.geocoded_ok > 0, 'concurrent.futures' in sys.modules)",
+        ])
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split("\n") == ["False", "True False", ""]
 
     def test_malformed_and_duplicate_lines_reach_the_summary(
         self, sample_corpus_lines, sample_geocoder, lex
@@ -478,7 +509,6 @@ class TestCliPipeline:
             "--gazetteer", str(data_dir / "gazetteer_sample.tsv"),
             "--out-geojson", str(out_geojson),
             "--out-map", str(out_map),
-            "--sequential",
         )
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
@@ -498,21 +528,8 @@ class TestCliPipeline:
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        assert self.run_cli("pipeline", "--config", str(config_path), "--sequential") == 0
+        assert self.run_cli("pipeline", "--config", str(config_path)) == 0
         assert (tmp_path / "cfg.geojson").is_file()
-
-    def test_default_mode_is_concurrent_and_equivalent(self, data_dir, tmp_path, capsys):
-        out_concurrent = tmp_path / "concurrent.geojson"
-        out_sequential = tmp_path / "sequential.geojson"
-        base = [
-            "pipeline",
-            "--input", str(data_dir / "harvey_sample.ndjson"),
-            "--gazetteer", str(data_dir / "gazetteer_sample.tsv"),
-        ]
-        assert self.run_cli(*base, "--out-geojson", str(out_concurrent)) == 0
-        assert self.run_cli(*base, "--out-geojson", str(out_sequential), "--sequential") == 0
-        capsys.readouterr()
-        assert out_concurrent.read_bytes() == out_sequential.read_bytes()
 
     def test_manifest_inputs(self, data_dir, tmp_path, capsys):
         manifest = tmp_path / "corpus.manifest"
@@ -524,7 +541,6 @@ class TestCliPipeline:
             "pipeline",
             "--manifest", str(manifest),
             "--gazetteer", str(data_dir / "gazetteer_sample.tsv"),
-            "--sequential",
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["read"] == 10
@@ -538,7 +554,6 @@ class TestCliPipeline:
             "pipeline",
             "--manifest", str(manifest),
             "--gazetteer", str(data_dir / "gazetteer_sample.tsv"),
-            "--sequential",
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["read"] == 10
@@ -702,16 +717,13 @@ class TestCliPipeline:
         assert captured.err.startswith(("rescuemap: config: ", "rescuemap: geocoder: http"))
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("mode", [[], ["--sequential"]], ids=["concurrent", "sequential"])
-    def test_stdin_input_matches_shipped_outputs(
-        self, data_dir, tmp_path, capsys, monkeypatch, mode
-    ):
+    def test_stdin_input_matches_shipped_outputs(self, data_dir, tmp_path, capsys, monkeypatch):
         replay = (data_dir / "replay_corpus.ndjson").read_bytes()
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(replay)))
         out_geojson, out_map = tmp_path / "out.geojson", tmp_path / "map.html"
         code = self.run_cli(
             "pipeline", "--config", str(data_dir / "pipeline_config.json"), "--input", "-",
-            "--out-geojson", str(out_geojson), "--out-map", str(out_map), *mode,
+            "--out-geojson", str(out_geojson), "--out-map", str(out_map),
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["read"] == len(replay.splitlines())

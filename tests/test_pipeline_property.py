@@ -1,5 +1,5 @@
 """Whole-pipeline property: no generated input line aborts a replay, every
-count is conserved, both modes write the same bytes, and the outputs parse."""
+count is conserved, the geocode pool writes the CLI's bytes, and the outputs parse."""
 from __future__ import annotations
 
 import json
@@ -7,6 +7,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rescuemap import StreamConfig, default_lexicon, run_pipeline, to_geojson, to_map_document
 from rescuemap.cli import main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -101,11 +102,11 @@ _lines = st.lists(
 )
 
 
-def _run(tmp: Path, input_path: Path, mode: list[str], capsys) -> tuple[dict, str, str]:
-    geojson, map_doc = tmp / f"out{len(mode)}.geojson", tmp / f"out{len(mode)}.html"
+def _run(tmp: Path, input_path: Path, capsys) -> tuple[dict, str, str]:
+    geojson, map_doc = tmp / "out.geojson", tmp / "out.html"
     code = main([
         "pipeline", "--input", str(input_path), "--gazetteer", str(GAZETTEER),
-        "--out-geojson", str(geojson), "--out-map", str(map_doc), *mode,
+        "--out-geojson", str(geojson), "--out-map", str(map_doc),
     ])
     captured = capsys.readouterr()
     assert code == 0, captured.err
@@ -118,12 +119,18 @@ def _run(tmp: Path, input_path: Path, mode: list[str], capsys) -> tuple[dict, st
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=_lines)
-def test_any_input_lines_replay_with_conserved_counts(lines, tmp_path, capsys):
+def test_any_input_lines_replay_with_conserved_counts(lines, tmp_path, capsys, pooled_geocoder):
     input_path = tmp_path / "input.ndjson"
     input_path.write_bytes(b"\n".join(lines) + b"\n")
 
-    summary, geojson, map_doc = _run(tmp_path, input_path, [], capsys)
-    assert _run(tmp_path, input_path, ["--sequential"], capsys) == (summary, geojson, map_doc)
+    summary, geojson, map_doc = _run(tmp_path, input_path, capsys)
+    with input_path.open("rb") as source:
+        requests, pooled_summary = run_pipeline(
+            source, stream_cfg=StreamConfig(), lex=default_lexicon(),
+            geocoder=pooled_geocoder(GAZETTEER), sequential=False,
+        )
+    pooled = (pooled_summary.as_dict(), to_geojson(requests), to_map_document(requests))
+    assert pooled == (summary, geojson, map_doc)
 
     assert summary["read"] == summary["stream_passed"] + summary["stream_rejected"]
     assert summary["classified_positive"] == summary["geocoded_ok"] + summary["geocode_failed"]
