@@ -29,9 +29,6 @@ from .features import (
     FeatureVector,
     Verdict,
     classify,
-    detect_ask_help,
-    detect_disaster_context,
-    detect_negative_features,
     extract_features,
     is_rescue_request,
 )
@@ -102,9 +99,6 @@ __all__ = [
     "contains_texas",
     "default_lexicon",
     "detect_address",
-    "detect_ask_help",
-    "detect_disaster_context",
-    "detect_negative_features",
     "evaluate",
     "extract_features",
     "extract_full_address",

@@ -280,22 +280,18 @@ def _match_zip(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, 
 _COMPONENTS = (_match_unit, _match_city, _match_state, _match_zip)
 
 
-def extract_full_address(
-    text: str, *, matches: Optional[list[AddressMatch]] = None
-) -> Optional[FullAddress]:
+def extract_full_address(text: str) -> Optional[FullAddress]:
     """Parse the longest component chain starting at the first address match.
 
     Returns None when the text contains no street-address match. The result
     is uncompleted: run :func:`complete_address` to obtain the final search
     string.
     """
-    if matches is None:
-        matches = detect_address(text)
-    if not matches:
+    first = _ADDRESS_RE.search(text)  # the first match of detect_address
+    if first is None:
         return None
-    first = matches[0]
-    cursor = first.span[1]
-    completed = _normalize_ws(first.matched_text)
+    cursor = first.end()
+    completed = _normalize_ws(first.group())
     values: list[Optional[str]] = []
     for match_component in _COMPONENTS:
         conn = _connector(text, cursor)
@@ -308,8 +304,8 @@ def extract_full_address(
     unit, city, state, zip_code = values
 
     return FullAddress(
-        house_number=first.house_number,
-        street=first.street,
+        house_number=first.group("num"),
+        street=_normalize_ws(first.group(first.lastgroup)),
         unit=unit,
         city=city,
         state=state,

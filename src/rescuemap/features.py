@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from .address import AddressMatch, detect_address
+from .address import detect_address
 from .lexicons import LexiconConfig
 
 
@@ -41,48 +41,22 @@ class FeatureVector:
         return asdict(self)
 
 
-# --- feature detectors ------------------------------------------------------
-
-def detect_ask_help(text: str, lex: LexiconConfig) -> bool:
-    """True when any help-request phrase occurs in the text."""
-    return lex.list_patterns.help.search(text) is not None
-
-
-def detect_disaster_context(text: str, lex: LexiconConfig) -> bool:
-    """True for a disaster name, a full region/disaster pair, or a situation word."""
-    lists = lex.list_patterns
-    return (
-        lists.names.search(text) is not None
-        or any(region.search(text) and words.search(text) for region, words in lex.pair_patterns)
-        or lists.situation.search(text) is not None
-    )
-
-
-def detect_negative_features(
-    text: str, lex: LexiconConfig
-) -> tuple[bool, bool, bool, bool, bool]:
-    """(status_update, offer_help, news_report, political, ads) flags."""
-    return tuple(rx.search(text) is not None for rx in lex.list_patterns.negatives)  # type: ignore[return-value]
-
-
-def extract_features(
-    text: str,
-    lex: LexiconConfig,
-    *,
-    address_matches: list[AddressMatch] | None = None,
-) -> FeatureVector:
+def extract_features(text: str, lex: LexiconConfig) -> FeatureVector:
     """Evaluate all eight feature predicates on one text.
 
-    ``address_matches`` lets callers that already ran :func:`detect_address`
-    avoid scanning twice.
+    Disaster context is a disaster name, a full region/disaster pair, or a
+    situation word; the five negative flags follow ``NEGATIVE_FEATURES``.
     """
-    if address_matches is None:
-        address_matches = detect_address(text)
-    status, offer, news, political, ads = detect_negative_features(text, lex)
+    lists = lex.list_patterns
+    status, offer, news, political, ads = (rx.search(text) is not None for rx in lists.negatives)
     return FeatureVector(
-        has_address=bool(address_matches),
-        has_ask_help=detect_ask_help(text, lex),
-        has_disaster_context=detect_disaster_context(text, lex),
+        has_address=bool(detect_address(text)),
+        has_ask_help=lists.help.search(text) is not None,
+        has_disaster_context=(
+            lists.names.search(text) is not None
+            or any(region.search(text) and words.search(text) for region, words in lex.pair_patterns)
+            or lists.situation.search(text) is not None
+        ),
         has_status_update=status,
         has_offer_help=offer,
         has_news_report=news,

@@ -219,10 +219,9 @@ def _synthetic_texts(count: int):
 
 
 def _classify_and_extract(text: str) -> bool:
-    matches = detect_address(text)
-    vector = extract_features(text, LEX, address_matches=matches)
+    vector = extract_features(text, LEX)
     if classify(vector) is Verdict.RESCUE_REQUEST:
-        complete_address(extract_full_address(text, matches=matches), ("houstonflood",))
+        complete_address(extract_full_address(text), ("houstonflood",))
         return True
     return False
 

@@ -240,7 +240,12 @@ _chains = st.builds(
 @example(text="4055 South Braeswood Blvd Apt 4B, Houston, TX 77025")
 @example(text="900 Elm St, Katy 77494")
 def test_extract_full_address_matches_advance_walk_reference(text):
-    assert extract_full_address(text) == reference_extract_full_address(text)
+    result = extract_full_address(text)
+    assert result == reference_extract_full_address(text)
+    matches = detect_address(text)
+    assert (result is None) == (not matches)
+    if matches:
+        assert (result.house_number, result.street) == (matches[0].house_number, matches[0].street)
 
 
 _HASHTAGS = st.lists(

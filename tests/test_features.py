@@ -16,9 +16,6 @@ from rescuemap import (
     classify,
     default_lexicon,
     detect_address,
-    detect_ask_help,
-    detect_disaster_context,
-    detect_negative_features,
     extract_features,
     lexicon_from_dir,
 )
@@ -115,49 +112,53 @@ class TestDetectAddress:
             assert left.span[1] <= right.span[0]
 
 
+def _negatives(f: FeatureVector) -> tuple[bool, bool, bool, bool, bool]:
+    return (f.has_status_update, f.has_offer_help, f.has_news_report, f.has_political, f.has_ads)
+
+
 class TestPhraseDetectors:
     def test_please_help(self, lex):
-        assert detect_ask_help("Please help, water rising", lex)
+        assert extract_features("Please help, water rising", lex).has_ask_help
 
     def test_empty_text_is_not_ask_help(self, lex):
-        assert not detect_ask_help("", lex)
+        assert not extract_features("", lex).has_ask_help
 
     def test_hashtagged_keyword(self, lex):
-        assert detect_ask_help("#FloodRescue 2 adults", lex)
+        assert extract_features("#FloodRescue 2 adults", lex).has_ask_help
 
     def test_hashtag_compressed_phrase(self, lex):
-        assert detect_ask_help("#PleaseHelp water is rising", lex)
+        assert extract_features("#PleaseHelp water is rising", lex).has_ask_help
 
     def test_disaster_name(self, lex):
-        assert detect_disaster_context("#HoustonFlood at my street", lex)
+        assert extract_features("#HoustonFlood at my street", lex).has_disaster_context
 
     def test_region_without_disaster_word_is_not_context(self, lex):
         # Pairs need both members; "Houston" alone satisfies none.
-        assert not detect_disaster_context("Houston is fine today", lex)
+        assert not extract_features("Houston is fine today", lex).has_disaster_context
 
     def test_region_pair_needs_both_members(self, lex):
-        assert detect_disaster_context("Houston is a flood zone right now", lex)
+        assert extract_features("Houston is a flood zone right now", lex).has_disaster_context
 
     def test_situation_words(self, lex):
-        assert detect_disaster_context("we are trapped in the attic", lex)
+        assert extract_features("we are trapped in the attic", lex).has_disaster_context
 
     def test_situation_words_are_whole_words(self, lex):
-        assert not detect_disaster_context("the strandedish word is not a word", lex)
-        assert not detect_disaster_context("unstuckable", lex)  # "stuck" only as substring
+        assert not extract_features("the strandedish word is not a word", lex).has_disaster_context
+        assert not extract_features("unstuckable", lex).has_disaster_context  # "stuck" only as substring
 
     def test_offer_lexicon(self, lex):
-        flags = detect_negative_features("We are offering shelter and food at 2100 Main St", lex)
+        flags = _negatives(extract_features("We are offering shelter and food at 2100 Main St", lex))
         assert flags == (False, True, False, False, False)
 
     def test_empty_text_has_no_negative_flags(self, lex):
-        assert detect_negative_features("", lex) == (False,) * 5
+        assert _negatives(extract_features("", lex)) == (False,) * 5
 
     def test_status_lexicon(self, lex):
-        flags = detect_negative_features("Rescued! Everyone safe now at 12 Oak St", lex)
+        flags = _negatives(extract_features("Rescued! Everyone safe now at 12 Oak St", lex))
         assert flags[0] is True
 
     def test_news_lexicon(self, lex):
-        assert detect_negative_features("Breaking news: flooding in Houston", lex)[2] is True
+        assert _negatives(extract_features("Breaking news: flooding in Houston", lex))[2] is True
 
 
 class TestExtractFeatures:
@@ -341,11 +342,10 @@ class TestCompiledLexicon:
     def test_detectors_agree_with_per_phrase_oracle(self, name, text):
         lex = LEXICONS[name]
         ask, context, negatives = _oracle_detectors(text, lex)
-        assert detect_ask_help(text, lex) is ask
-        assert detect_disaster_context(text, lex) is context
-        assert detect_negative_features(text, lex) == negatives
         features = extract_features(text, lex)
-        assert (features.has_ask_help, features.has_disaster_context) == (ask, context)
+        assert features.has_ask_help is ask
+        assert features.has_disaster_context is context
+        assert _negatives(features) == negatives
 
     def test_patterns_are_built_once_per_lexicon(self, lex):
         assert lex.list_patterns is lex.list_patterns
@@ -353,8 +353,8 @@ class TestCompiledLexicon:
         assert lex.union_patterns is lex.union_patterns
 
     def test_replaced_lexicon_matches_its_own_phrases(self, lex):
-        assert detect_ask_help("please help", lex)  # the original's patterns exist now
+        assert extract_features("please help", lex).has_ask_help  # the original's patterns exist now
         boat = dataclasses.replace(lex, help_keywords=("send a boat",))
-        assert detect_ask_help("pls SEND A BOAT", boat)
-        assert not detect_ask_help("please help", boat)
-        assert detect_ask_help("please help", lex)
+        assert extract_features("pls SEND A BOAT", boat).has_ask_help
+        assert not extract_features("please help", boat).has_ask_help
+        assert extract_features("please help", lex).has_ask_help

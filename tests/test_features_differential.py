@@ -18,6 +18,7 @@ from rescuemap import (
     detect_address,
     evaluate,
     extract_features,
+    extract_full_address,
     is_rescue_request,
     lexicon_from_dir,
     load_labelled,
@@ -155,3 +156,4 @@ def test_is_rescue_request_matches_eight_feature_rule(name, data):
     verdict = is_rescue_request(text, lex)
     assert verdict == _reference_with_address(text, lex)
     assert (bool(detect_address(text)) and verdict) == _reference(text, lex)
+    assert (extract_full_address(text) is not None and verdict) == _reference(text, lex)

@@ -13,8 +13,6 @@ from rescuemap import (
     Verdict,
     classify,
     default_lexicon,
-    detect_ask_help,
-    detect_disaster_context,
     extract_features,
     lexicon_from_dir,
     load_street_suffixes,
@@ -161,14 +159,15 @@ class TestSpanishOverlay:
     SPANISH_TEXT = "Ayuda por favor, estamos atrapados en la azotea, 7412 Canal St"
 
     def test_disabled_by_default(self, lex):
-        assert not detect_ask_help(self.SPANISH_TEXT, lex)
+        assert not extract_features(self.SPANISH_TEXT, lex).has_ask_help
         assert classify(extract_features(self.SPANISH_TEXT, lex)) is Verdict.NOT_RESCUE_REQUEST
 
     def test_enabled_overlay_catches_spanish_requests(self):
         spanish = default_lexicon(spanish=True)
-        assert detect_ask_help(self.SPANISH_TEXT, spanish)
-        assert detect_disaster_context(self.SPANISH_TEXT, spanish)
-        assert classify(extract_features(self.SPANISH_TEXT, spanish)) is Verdict.RESCUE_REQUEST
+        features = extract_features(self.SPANISH_TEXT, spanish)
+        assert features.has_ask_help
+        assert features.has_disaster_context
+        assert classify(features) is Verdict.RESCUE_REQUEST
 
 
 class TestOverrideDirectory:
@@ -181,8 +180,8 @@ class TestOverrideDirectory:
         overridden = lexicon_from_dir(tmp_path)
         assert overridden.help_keywords == ("send a helicopter",)
         assert overridden.disaster_names == lex.disaster_names
-        assert detect_ask_help("SEND A HELICOPTER now", overridden)
-        assert not detect_ask_help("please help", overridden)
+        assert extract_features("SEND A HELICOPTER now", overridden).has_ask_help
+        assert not extract_features("please help", overridden).has_ask_help
 
     def test_negative_override(self, tmp_path):
         (tmp_path / "negative_ads.txt").write_text("crypto\n", encoding="utf-8")

@@ -147,6 +147,33 @@ class TestRunPipeline:
         assert summary.read == summary.stream_passed + summary.stream_rejected
         assert summary.classified_positive == summary.geocoded_ok + summary.geocode_failed
 
+    def test_exposes_every_name_the_traced_benchmark_wraps(self):
+        # benchmark/run.py --trace 1 replaces each of these names on this module.
+        for name in (
+            "read_stream", "passes_stream_filter", "detect_address", "extract_features",
+            "classify", "extract_full_address", "complete_address",
+        ):
+            assert callable(getattr(pipeline, name, None)), name
+
+    def test_replay_builds_no_address_match_list(self, data_dir, lex, monkeypatch):
+        def refuse(text):
+            raise AssertionError("run_pipeline called detect_address")
+
+        monkeypatch.setattr(pipeline, "detect_address", refuse)
+        lines = (data_dir / "replay_corpus.ndjson").read_text(encoding="utf-8").splitlines()
+        geocoder = Geocoder(Gazetteer.load(data_dir / "gazetteer.tsv"))
+        _, summary = run_pipeline(lines, stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder)
+        assert summary.as_dict() == {
+            "read": 202,
+            "malformed": 0,
+            "duplicates": 0,
+            "stream_passed": 178,
+            "stream_rejected": 24,
+            "classified_positive": 70,
+            "geocoded_ok": 68,
+            "geocode_failed": 2,
+        }
+
     def test_concurrent_mode_matches_sequential(self, data_dir, lex, pooled_geocoder):
         lines = (data_dir / "replay_corpus.ndjson").read_text(encoding="utf-8").splitlines()
 
@@ -842,7 +869,8 @@ class TestCliEval:
         assert code == 0
         out = capsys.readouterr().out
         report = json.loads(out[: out.index("\n}") + 2])
-        assert report["total"] >= 200
+        assert report["total"] == 202
+        assert report["confusion_matrix"] == {"tp": 66, "fp": 4, "fn": 8, "tn": 124}
 
     def test_missing_corpus_exits_2(self, capsys):
         assert main(["eval", "--input", "/nonexistent.csv"]) == 2
