@@ -7,8 +7,6 @@ or HTTP backend), and GeoJSON / interactive-map emission. An evaluation
 harness reproduces confusion-matrix metrics over a labelled corpus.
 """
 from .address import (
-    AddressForm,
-    AddressMatch,
     CompletionRule,
     FullAddress,
     complete_address,
@@ -64,8 +62,6 @@ from .pipeline import RunSummary, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressForm",
-    "AddressMatch",
     "BoundingBox",
     "CompletionRule",
     "ConfusionMatrix",

@@ -19,20 +19,6 @@ from typing import Optional
 from .lexicons import load_street_suffixes
 
 
-class AddressForm(Enum):
-    NAME_SUFFIX = "name_suffix"            # e.g. "4055 South Braeswood Blvd"
-    SUFFIX_DESIGNATOR = "suffix_designator"  # e.g. "1108 Highway 7", "123 Ave. G"
-
-
-@dataclass(frozen=True)
-class AddressMatch:
-    span: tuple[int, int]
-    matched_text: str
-    form: AddressForm
-    house_number: str
-    street: str
-
-
 class CompletionRule(Enum):
     NONE = "none"
     HOUSTON_HASHTAG = "houston_hashtag"
@@ -113,30 +99,22 @@ _ADDRESS_RE = re.compile(
     r")(?![A-Za-z0-9])",
     re.IGNORECASE,
 )
-# A match's lastgroup is the branch that matched: it closes after `num`.
-_FORM_BY_GROUP = {"name": AddressForm.NAME_SUFFIX, "designator": AddressForm.SUFFIX_DESIGNATOR}
 
 
 def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def detect_address(text: str) -> list[AddressMatch]:
-    """All non-overlapping leftmost street-address matches, sorted by start.
+def detect_address(text: str) -> Optional[re.Match]:
+    """The leftmost street-address match in ``text``, or None.
 
-    At equal start offsets the name+suffix form wins over the
-    designator form.
+    ``group("num")`` is the house number. The street is ``group("name")``
+    for the name+suffix form ("4055 South Braeswood Blvd") or
+    ``group("designator")`` for the designator form ("1108 Highway 7"), and
+    ``lastgroup`` names which. At equal start offsets the name+suffix form
+    wins.
     """
-    return [
-        AddressMatch(
-            span=m.span(),
-            matched_text=m.group(),
-            form=_FORM_BY_GROUP[m.lastgroup],
-            house_number=m.group("num"),
-            street=_normalize_ws(m.group(m.lastgroup)),
-        )
-        for m in _ADDRESS_RE.finditer(text)
-    ]
+    return _ADDRESS_RE.search(text)
 
 
 # --- full-address extraction --------------------------------------------------
@@ -280,18 +258,16 @@ def _match_zip(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, 
 _COMPONENTS = (_match_unit, _match_city, _match_state, _match_zip)
 
 
-def extract_full_address(text: str) -> Optional[FullAddress]:
-    """Parse the longest component chain starting at the first address match.
+def extract_full_address(match: re.Match) -> FullAddress:
+    """Parse the longest component chain after a :func:`detect_address` match.
 
-    Returns None when the text contains no street-address match. The result
-    is uncompleted: run :func:`complete_address` to obtain the final search
-    string.
+    The chain is read from ``match.string``, starting at ``match.end()``. The
+    result is uncompleted: run :func:`complete_address` to obtain the final
+    search string.
     """
-    first = _ADDRESS_RE.search(text)  # the first match of detect_address
-    if first is None:
-        return None
-    cursor = first.end()
-    completed = _normalize_ws(first.group())
+    text = match.string
+    cursor = match.end()
+    completed = _normalize_ws(match.group())
     values: list[Optional[str]] = []
     for match_component in _COMPONENTS:
         conn = _connector(text, cursor)
@@ -304,8 +280,8 @@ def extract_full_address(text: str) -> Optional[FullAddress]:
     unit, city, state, zip_code = values
 
     return FullAddress(
-        house_number=first.group("num"),
-        street=_normalize_ws(first.group(first.lastgroup)),
+        house_number=match.group("num"),
+        street=_normalize_ws(match.group(match.lastgroup)),
         unit=unit,
         city=city,
         state=state,

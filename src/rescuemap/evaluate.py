@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .address import extract_full_address
+from .address import detect_address
 from .features import is_rescue_request
 from .ingest import Tweet, merge_hashtags
 from .lexicons import LexiconConfig
@@ -101,7 +101,7 @@ def evaluate(corpus: list[LabelledTweet], lex: LexiconConfig) -> ConfusionMatrix
     tp = fp = fn = tn = 0
     for item in corpus:
         text = item.tweet.text
-        predicted = extract_full_address(text) is not None and is_rescue_request(text, lex)
+        predicted = detect_address(text) is not None and is_rescue_request(text, lex)
         if predicted and item.label:
             tp += 1
         elif predicted and not item.label:

@@ -50,7 +50,7 @@ def extract_features(text: str, lex: LexiconConfig) -> FeatureVector:
     lists = lex.list_patterns
     status, offer, news, political, ads = (rx.search(text) is not None for rx in lists.negatives)
     return FeatureVector(
-        has_address=bool(detect_address(text)),
+        has_address=detect_address(text) is not None,
         has_ask_help=lists.help.search(text) is not None,
         has_disaster_context=(
             lists.names.search(text) is not None

@@ -20,9 +20,8 @@ US_CENTRAL = ZoneInfo("America/Chicago")
 # converted by to_local_time.
 _EARLIEST_LOCAL_UTC = datetime.min.replace(tzinfo=US_CENTRAL).astimezone(timezone.utc)
 
-# Collection defaults used during the Harvey event.
+# The collection keywords used during the Harvey event.
 HARVEY_KEYWORDS = ("#HurricaneHarvey", "#Harvey", "Hurricane", "flooding")
-HARVEY_BBOX_TUPLE = (-99.0, 27.6, -90.8, 33.5)
 
 _HASHTAG_RE = re.compile(r"#(\w+)")  # \w is unicode-aware; '#ayúdanos' stays whole
 _TWITTER_TIME_FORMAT = "%a %b %d %H:%M:%S %z %Y"
@@ -89,7 +88,8 @@ class BoundingBox:
         return self.west <= longitude <= self.east and self.south <= latitude <= self.north
 
 
-HARVEY_BBOX = BoundingBox(*HARVEY_BBOX_TUPLE)
+# The collection bounding box used during the Harvey event.
+HARVEY_BBOX = BoundingBox(-99.0, 27.6, -90.8, 33.5)
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,8 @@ def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise TweetParseError(f"coordinates must be a [lon, lat] pair: {_shown(value)}", line_no)
     try:
+        if isinstance(value[0], bool) or isinstance(value[1], bool):
+            raise TypeError  # float() would read true and false as 1.0 and 0.0
         lon, lat = float(value[0]), float(value[1])
     except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
         raise TweetParseError(f"non-numeric coordinates: {_shown(value)}", line_no) from None

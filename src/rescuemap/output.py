@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .address import FullAddress
 from .geocode import GeocodeResult, GeocodeStatus
-from .ingest import HARVEY_BBOX_TUPLE, Tweet
+from .ingest import HARVEY_BBOX, Tweet
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def to_map_document(requests: Sequence[RescueRequest]) -> str:
                     ),
                 }
             )
-    viewport = list(HARVEY_BBOX_TUPLE)
+    viewport = [HARVEY_BBOX.west, HARVEY_BBOX.south, HARVEY_BBOX.east, HARVEY_BBOX.north]
     if markers:
         lons = [m["lon"] for m in markers]
         lats = [m["lat"] for m in markers]

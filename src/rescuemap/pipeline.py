@@ -24,11 +24,10 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .address import FullAddress, complete_address, extract_full_address
+from .address import FullAddress, complete_address, detect_address, extract_full_address
 from .features import is_rescue_request
-# Not called here: benchmark/run.py --trace 1 wraps detect_address, classify and
-# extract_features by name on this module.
-from .address import detect_address  # noqa: F401
+# Not called here: benchmark/run.py --trace 1 wraps classify and extract_features
+# by name on this module.
 from .features import classify, extract_features  # noqa: F401
 from .geocode import Gazetteer, Geocoder, GeocodeResult, GeocodeStatus, normalize_query
 from .ingest import (
@@ -140,10 +139,11 @@ def run_pipeline(
             summary.stream_rejected += 1
             continue
         summary.stream_passed += 1
-        address = extract_full_address(tweet.text)
-        # The rule needs an address: skip the lexicon without one.
-        if address is not None and is_rescue_request(tweet.text, lex):
-            found.append((tweet, complete_address(address, tweet.hashtags)))
+        match = detect_address(tweet.text)
+        # The rule needs an address: skip the lexicon without one, and parse
+        # the address's components only for a rescue request.
+        if match is not None and is_rescue_request(tweet.text, lex):
+            found.append((tweet, complete_address(extract_full_address(match), tweet.hashtags)))
     summary.read = stats.parsed
     summary.malformed = stats.malformed
     summary.duplicates = stats.duplicates

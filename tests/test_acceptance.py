@@ -67,7 +67,7 @@ def test_criterion_2_address_grammar_on_reference_texts():
         "@KPRC2 there are stranded families at Creech Elementary on Mason Rd. "
         "You have boats nearby. Please send them!"
     )
-    assert detect_address(negative) == []
+    assert detect_address(negative) is None
     assert extract_features(negative, LEX).has_address is False
     _ok(2, "all reference address texts agree (3 matches, 1 non-match)")
 
@@ -146,7 +146,7 @@ COMPLETION_TABLE = [
 def test_criterion_4_completion_rule_table():
     assert len(COMPLETION_TABLE) == 20
     for text, hashtags, expected_completed, expected_rule in COMPLETION_TABLE:
-        address = extract_full_address(text)
+        address = extract_full_address(detect_address(text))
         assert address is not None, text
         done = complete_address(address, hashtags)
         assert done.completed == expected_completed, text
@@ -221,7 +221,7 @@ def _synthetic_texts(count: int):
 def _classify_and_extract(text: str) -> bool:
     vector = extract_features(text, LEX)
     if classify(vector) is Verdict.RESCUE_REQUEST:
-        complete_address(extract_full_address(text), ("houstonflood",))
+        complete_address(extract_full_address(detect_address(text)), ("houstonflood",))
         return True
     return False
 

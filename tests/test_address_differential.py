@@ -6,13 +6,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rescuemap import (
-    AddressForm,
-    AddressMatch,
     CompletionRule,
     FullAddress,
     complete_address,
@@ -46,8 +44,17 @@ _REF_FORM2_RE = re.compile(
 )
 
 
-def reference_detect_address(text: str) -> list[AddressMatch]:
-    matches: list[AddressMatch] = []
+class ReferenceMatch(NamedTuple):
+    span: tuple[int, int]
+    matched_text: str
+    form: str  # "name" (name + suffix) or "designator"
+    house_number: str
+    street: str
+
+
+def reference_detect_address(text: str) -> list[ReferenceMatch]:
+    """Every non-overlapping leftmost match, sorted by start."""
+    matches: list[ReferenceMatch] = []
     pos = 0
     length = len(text)
     while pos < length:
@@ -56,11 +63,11 @@ def reference_detect_address(text: str) -> list[AddressMatch]:
         if m1 is None and m2 is None:
             break
         if m2 is None or (m1 is not None and m1.start() <= m2.start()):
-            m, form = m1, AddressForm.NAME_SUFFIX
+            m, form = m1, "name"
         else:
-            m, form = m2, AddressForm.SUFFIX_DESIGNATOR
+            m, form = m2, "designator"
         matches.append(
-            AddressMatch(
+            ReferenceMatch(
                 span=(m.start(), m.end()),
                 matched_text=m.group(0),
                 form=form,
@@ -216,7 +223,17 @@ _texts = st.lists(st.tuples(_tokens, _gaps), max_size=6).map(
 @example(text="123456 Main St, 1234567 Elm Rd")
 @example(text="12 Hwy 6x and 9 Main Stx")
 def test_detect_address_matches_two_pattern_reference(text):
-    assert detect_address(text) == reference_detect_address(text)
+    match = detect_address(text)
+    expected = reference_detect_address(text)
+    assert (match is None) == (not expected)
+    if match is not None:
+        assert ReferenceMatch(
+            span=match.span(),
+            matched_text=match.group(),
+            form=match.lastgroup,
+            house_number=match.group("num"),
+            street=" ".join(match.group(match.lastgroup).split()),
+        ) == expected[0]
 
 
 _CONNECTORS = (" ", ", ", ",", ".", ". ", "\n", " ,\t", "")
@@ -240,12 +257,14 @@ _chains = st.builds(
 @example(text="4055 South Braeswood Blvd Apt 4B, Houston, TX 77025")
 @example(text="900 Elm St, Katy 77494")
 def test_extract_full_address_matches_advance_walk_reference(text):
-    result = extract_full_address(text)
-    assert result == reference_extract_full_address(text)
-    matches = detect_address(text)
-    assert (result is None) == (not matches)
-    if matches:
-        assert (result.house_number, result.street) == (matches[0].house_number, matches[0].street)
+    match = detect_address(text)
+    expected = reference_extract_full_address(text)
+    assert (match is None) == (expected is None)
+    if match is not None:
+        result = extract_full_address(match)
+        assert result == expected
+        street = " ".join(match.group(match.lastgroup).split())
+        assert (result.house_number, result.street) == (match.group("num"), street)
 
 
 _HASHTAGS = st.lists(
@@ -266,8 +285,9 @@ _HASHTAGS = st.lists(
 @example(text="900 Elm St, Katy 77494", hashtags=["Houston"], as_tuple=False, already_completed=False)
 @example(text="900 Elm St Apt 4B", hashtags=["HOUSTON"], as_tuple=False, already_completed=True)
 def test_complete_address_matches_replace_reference(text, hashtags, as_tuple, already_completed):
-    addr = extract_full_address(text)
-    assume(addr is not None)
+    match = detect_address(text)
+    assume(match is not None)
+    addr = extract_full_address(match)
     tags = tuple(hashtags) if as_tuple else hashtags
     if already_completed:
         addr = reference_complete_address(addr, tags)

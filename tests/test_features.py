@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rescuemap import (
-    AddressForm,
     FeatureVector,
     Verdict,
     classify,
@@ -40,76 +39,74 @@ def fv(*bits: int) -> FeatureVector:
 class TestDetectAddress:
     def test_braeswood_tweet(self):
         text = "3 friends stuck at 4055 South #Braeswood Boulevard and S. Gessner"
-        matches = detect_address(text)
-        assert len(matches) == 1
-        match = matches[0]
-        assert match.matched_text == "4055 South #Braeswood Boulevard"
-        assert match.form is AddressForm.NAME_SUFFIX
-        assert match.house_number == "4055"
-        assert match.street == "South #Braeswood Boulevard"
-        assert text[match.span[0] : match.span[1]] == match.matched_text
+        match = detect_address(text)
+        assert match is not None
+        assert match.group() == "4055 South #Braeswood Boulevard"
+        assert match.lastgroup == "name"
+        assert match.group("num") == "4055"
+        assert match.group("name") == "South #Braeswood Boulevard"
+        assert text[match.start() : match.end()] == match.group()
 
     def test_highway_number_form(self):
-        matches = detect_address("1108 Highway 7")
-        assert len(matches) == 1
-        assert matches[0].form is AddressForm.SUFFIX_DESIGNATOR
-        assert matches[0].matched_text == "1108 Highway 7"
+        match = detect_address("1108 Highway 7")
+        assert match is not None
+        assert match.lastgroup == "designator"
+        assert match.group() == "1108 Highway 7"
 
     def test_ave_letter_form(self):
-        matches = detect_address("123 Ave. G")
-        assert len(matches) == 1
-        assert matches[0].form is AddressForm.SUFFIX_DESIGNATOR
-        assert matches[0].street == "Ave. G"
+        match = detect_address("123 Ave. G")
+        assert match is not None
+        assert match.lastgroup == "designator"
+        assert match.group("designator") == "Ave. G"
 
     def test_empty_text(self):
-        assert detect_address("") == []
+        assert detect_address("") is None
 
     def test_counting_sentence_has_no_address(self):
         # Hand-check: no token sequence "<digits> <words> <suffix>" exists;
         # neither "cats", "and" nor "dogs" is a street suffix.
-        assert detect_address("I have 2 cats and 3 dogs") == []
+        assert detect_address("I have 2 cats and 3 dogs") is None
 
     def test_no_house_number_means_no_match(self):
-        assert detect_address("stranded at Creech Elementary on Mason Rd") == []
+        assert detect_address("stranded at Creech Elementary on Mason Rd") is None
 
     def test_house_number_capped_at_six_digits(self):
-        assert detect_address("107900 Overseas Hwy") != []
-        assert detect_address("1234567 Main St") == []
+        assert detect_address("107900 Overseas Hwy") is not None
+        assert detect_address("1234567 Main St") is None
 
-    def test_multiple_addresses_found_in_order(self):
+    def test_first_of_several_addresses_is_found(self):
         text = "go to 100 Main St or 200 Elm Ave"
-        matches = detect_address(text)
-        assert [m.matched_text for m in matches] == ["100 Main St", "200 Elm Ave"]
+        match = detect_address(text)
+        assert match.group() == "100 Main St"
+        assert match.span() == (6, 17)
 
     def test_form1_wins_at_same_offset(self):
         # Both forms match at offset 0: "4 Ave G" (designator+letter) and
         # "4 Ave G Ct" (two name words + suffix). Name+suffix wins.
-        matches = detect_address("4 Ave G Ct")
-        assert matches[0].form is AddressForm.NAME_SUFFIX
-        assert matches[0].matched_text == "4 Ave G Ct"
+        match = detect_address("4 Ave G Ct")
+        assert match.lastgroup == "name"
+        assert match.group() == "4 Ave G Ct"
 
     def test_suffix_word_inside_street_name(self):
-        matches = detect_address("500 Park Avenue")
-        assert matches[0].form is AddressForm.NAME_SUFFIX
-        assert matches[0].matched_text == "500 Park Avenue"
+        match = detect_address("500 Park Avenue")
+        assert match.lastgroup == "name"
+        assert match.group() == "500 Park Avenue"
 
     def test_trailing_period_is_kept_with_suffix(self):
-        matches = detect_address("meet at 123 Main St. tomorrow")
-        assert matches[0].matched_text == "123 Main St."
+        match = detect_address("meet at 123 Main St. tomorrow")
+        assert match.group() == "123 Main St."
 
     def test_case_insensitive(self):
         assert detect_address("4055 SOUTH BRAESWOOD BLVD")
         assert detect_address("4055 south braeswood blvd")
 
     @given(st.text(alphabet=" #.,1234567890abcdefghijklmnop\nStAveRdB", max_size=200))
-    def test_spans_sorted_and_non_overlapping(self, text):
-        matches = detect_address(text)
-        for m in matches:
-            start, end = m.span
+    def test_first_match_span_slices_to_group(self, text):
+        match = detect_address(text)
+        if match is not None:
+            start, end = match.span()
             assert 0 <= start < end <= len(text)
-            assert text[start:end] == m.matched_text
-        for left, right in zip(matches, matches[1:]):
-            assert left.span[1] <= right.span[0]
+            assert text[start:end] == match.group()
 
 
 def _negatives(f: FeatureVector) -> tuple[bool, bool, bool, bool, bool]:

@@ -146,6 +146,22 @@ class TestParseTweet:
             ),
             pytest.param(line(id=False, text="x", created_at="2017-08-27T12:00:00Z"), id="id_false"),
             pytest.param(line(id=[1, 2], text="x", created_at="2017-08-27T12:00:00Z"), id="id_list"),
+            # float() reads true and false as 1.0 and 0.0.
+            pytest.param(
+                line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=[True, False]),
+                id="coordinates_true_false",
+            ),
+            pytest.param(
+                line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=[-95, True]),
+                id="coordinates_latitude_true",
+            ),
+            pytest.param(
+                line(
+                    id="1", text="x", created_at="2017-08-27T12:00:00Z",
+                    coordinates={"type": "Point", "coordinates": [-95.4, True]},
+                ),
+                id="point_coordinates_latitude_true",
+            ),
             pytest.param(
                 line(id="1", text="x", created_at="0001-01-01T00:30:00Z"),
                 id="created_at_before_year_1_in_us_central",

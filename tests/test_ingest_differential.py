@@ -151,6 +151,10 @@ def reference_parse_coordinates(value: object, line_no: int | None) -> tuple[flo
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise TweetParseError(f"coordinates must be a [lon, lat] pair: {value!r}", line_no)
     try:
+        # A deliberate change: a boolean member is non-numeric, where the
+        # reference read true and false as 1.0 and 0.0.
+        if isinstance(value[0], bool) or isinstance(value[1], bool):
+            raise TypeError
         lon, lat = float(value[0]), float(value[1])
     except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
         raise TweetParseError(f"non-numeric coordinates: {value!r}", line_no) from None
@@ -294,8 +298,9 @@ def _outcome(parse, record) -> object:
 
 
 def _assert_parses_as_reference(record) -> None:
-    # One deliberate change: a str line drops one leading BOM, as a bytes line
-    # always did, where the reference calls it invalid JSON.
+    # A deliberate change: a str line drops one leading BOM, as a bytes line
+    # always did, where the reference calls it invalid JSON. The other one,
+    # boolean coordinates, is made in reference_parse_coordinates itself.
     reference_record = record.removeprefix("\ufeff") if isinstance(record, str) else record
     try:
         expected = _outcome(reference_parse_tweet, reference_record)
@@ -319,6 +324,7 @@ def _assert_parses_as_reference(record) -> None:
 @example(record={"id": "1\udfff", "text": "x", "created_at": 0})
 @example(record={"id": "1", "full_text": "x", "created_at": 0, "entities": {"hashtags": 5}})
 @example(record="\ufeff{}")
+@example(record={"id": "1", "text": "x", "created_at": 0, "coordinates": [-95, True]})
 def test_parse_tweet_matches_reference(record):
     _assert_parses_as_reference(record)
     try:

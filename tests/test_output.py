@@ -10,6 +10,7 @@ from rescuemap import (
     Precision,
     Tweet,
     complete_address,
+    detect_address,
     extract_full_address,
     to_geojson,
     to_local_time,
@@ -30,7 +31,7 @@ def make_request(
         created_at_utc=datetime(2017, 8, 27, 12, 0, 0, tzinfo=timezone.utc),
         hashtags=("houstonflood",),
     )
-    address = complete_address(extract_full_address(text), tweet.hashtags)
+    address = complete_address(extract_full_address(detect_address(text)), tweet.hashtags)
     geocode = GeocodeResult(
         query=address.completed,
         point=point if status is GeocodeStatus.OK else None,

@@ -155,11 +155,14 @@ class TestRunPipeline:
         ):
             assert callable(getattr(pipeline, name, None)), name
 
-    def test_replay_builds_no_address_match_list(self, data_dir, lex, monkeypatch):
-        def refuse(text):
-            raise AssertionError("run_pipeline called detect_address")
+    def test_one_detect_per_passing_record_one_extract_per_positive(self, data_dir, lex, monkeypatch):
+        calls = {"detect_address": 0, "extract_full_address": 0}
+        for name in calls:
+            def counted(arg, _name=name, _fn=getattr(pipeline, name)):
+                calls[_name] += 1
+                return _fn(arg)
 
-        monkeypatch.setattr(pipeline, "detect_address", refuse)
+            monkeypatch.setattr(pipeline, name, counted)
         lines = (data_dir / "replay_corpus.ndjson").read_text(encoding="utf-8").splitlines()
         geocoder = Geocoder(Gazetteer.load(data_dir / "gazetteer.tsv"))
         _, summary = run_pipeline(lines, stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder)
@@ -173,6 +176,7 @@ class TestRunPipeline:
             "geocoded_ok": 68,
             "geocode_failed": 2,
         }
+        assert calls == {"detect_address": 178, "extract_full_address": 70}
 
     def test_concurrent_mode_matches_sequential(self, data_dir, lex, pooled_geocoder):
         lines = (data_dir / "replay_corpus.ndjson").read_text(encoding="utf-8").splitlines()
