@@ -170,7 +170,9 @@ class HttpBackend:
         if not {"query"} <= fields <= {"query", "key"}:
             raise ValueError(f"url may name only {{query}} (required) and {{key}}: {url_template}")
         self._url_template = url_template
-        self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR, "")
+        if api_key is None:
+            api_key = os.environ.get(API_KEY_ENV_VAR, "")
+        self._quoted_key = urllib.parse.quote(api_key)
         self._min_interval = min_interval
         self._timeout = timeout
         self._fetch = fetch or _default_fetch
@@ -180,13 +182,13 @@ class HttpBackend:
         self._pace_lock = threading.Lock()
 
     def _build_url(self, query: str) -> str:
-        return self._url_template.format(
-            query=urllib.parse.quote(query), key=urllib.parse.quote(self._api_key)
-        )
+        return self._url_template.format(query=urllib.parse.quote(query), key=self._quoted_key)
 
     def _pace(self) -> None:
+        if not self._min_interval:  # fixed at construction: no spacing, no lock, no clock
+            return
         with self._pace_lock:
-            if self._last_request is not None and self._min_interval > 0:
+            if self._last_request is not None:
                 wait = self._last_request + self._min_interval - self._clock()
                 if wait > 0:
                     self._sleep(wait)
@@ -214,7 +216,10 @@ class HttpBackend:
             precision = _PRECISION_BY_LOCATION_TYPE.get(
                 results[0]["geometry"].get("location_type", ""), Precision.UNKNOWN
             )
-            point = GeoPoint(float(location["lng"]), float(location["lat"]), precision)
+            lng, lat = location["lng"], location["lat"]
+            if isinstance(lng, bool) or isinstance(lat, bool):
+                raise TypeError  # float() would read true and false as 1.0 and 0.0
+            point = GeoPoint(float(lng), float(lat), precision)
         # AttributeError: a body that is JSON but not an object; OverflowError: a
         # coordinate integer too large for a float; RecursionError: deep nesting.
         except (
@@ -255,7 +260,9 @@ class Geocoder:
                 hit = self._cache.get(key)  # a caller this one waited on may have stored it
                 if hit is None:
                     try:
-                        result = replace(self.backend.resolve(query), from_cache=False)
+                        result = self.backend.resolve(query)
+                        if result.from_cache:
+                            result = replace(result, from_cache=False)
                     except Exception:
                         result = GeocodeResult(
                             query=query, point=None, status=GeocodeStatus.BACKEND_ERROR

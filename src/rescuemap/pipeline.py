@@ -5,13 +5,14 @@ time, keeps only the classified-positive requests, and extracts and completes
 each one's address. The geocode pass then resolves those addresses. A
 ``Gazetteer`` lookup never waits, so it runs on the calling thread and no
 thread starts; so does every lookup with ``sequential=True``. Otherwise the
-queries are grouped by normalized address and each address is one task on a
-``concurrent.futures.ThreadPoolExecutor`` of GEOCODE_WORKERS threads, so
-that many backend requests overlap. A task geocodes its address's queries in
-input order, as the inline pass does, so both return the same results, and
-stores them in their input slots. With classification done, the calling
-thread only waits on the tasks, so a worker whose request returns gets the
-GIL back at once.
+queries are grouped by normalized address, and up to GEOCODE_WORKERS plain
+threads pop the groups off one shared deque until it is empty, so that many
+backend requests overlap. A thread geocodes its group's queries in input
+order, as the inline pass does, so both return the same results, and stores
+them in their input slots. With classification done, the calling thread only
+joins the threads, so a worker whose request returns gets the GIL back at
+once. Plain threads, not an executor: no Future is made per group, and the
+caller wakes once per thread, not once per group.
 
 The trade-off: no lookup starts before the input ends. A file replay, this
 tool's traffic, gets faster. A slow live source (``--input -``) starts
@@ -20,6 +21,7 @@ misses x latency / GEOCODE_WORKERS more.
 """
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable
@@ -41,17 +43,13 @@ from .ingest import (
 from .lexicons import LexiconConfig
 from .output import RescueRequest
 
-# Backend lookups in flight at once through the pool. Measured on the
-# benchmark's geocode_latency workload (2 ms fake service, nproc 2): medians
-# of 3.15k records/s with 16 workers against 2.57k with 8 (7 runs each).
-GEOCODE_WORKERS = 16
-
-# Submitted address tasks not yet waited on, at most. Pool-mode
-# geocode_latency replay (824 distinct addresses, 2 ms service, nproc 2,
-# medians of 20 runs, measured when a task was one lookup):
-# 202.3 ms at 16, 183.7 at 32, 181.9 at 256, 183.7 with no bound. A large
-# backlog leaves slack when one slow task holds up the wait.
-GEOCODE_BACKLOG = 256
+# Backend lookups in flight at once through the pool, at most. Measured on the
+# benchmark's geocode_latency workload (2 ms fake service, nproc 2, Python
+# 3.11.7, 5 s runs): 6.8k records/s at 16 threads, 11.1k at 32, 13.9k at 48,
+# 14.8k at 64, 14.3k at 96 and 14.0k at 128. Past 64 the pass waits on the
+# GIL, not on the service. A live service is spared by http.min_interval,
+# not by this count.
+GEOCODE_WORKERS = 64
 
 
 @dataclass
@@ -72,42 +70,53 @@ class RunSummary:
 
 
 def _geocode_pooled(queries: list[str], geocoder: Geocoder) -> list[GeocodeResult]:
-    """Geocode ``queries`` in order with one GEOCODE_WORKERS pool task per address.
+    """Geocode ``queries`` in order on up to GEOCODE_WORKERS threads.
 
-    The queries are grouped by normalized key. Each group's task geocodes its
-    queries in input order, as the inline pass does, and stores each result
-    in its query's slot of the returned list: a repeat after ``ok`` or
-    ``not_found`` is a cache hit, and a repeat after an error is looked up
-    again. No two tasks hold the same key, so no two write the same slot. At
-    most GEOCODE_BACKLOG submitted tasks are waited on at once; at the bound
-    the calling thread waits for the oldest first.
+    The queries are grouped by normalized key, and each thread pops groups
+    until none is left. A group's queries are geocoded in input order, as the
+    inline pass does, and each result goes to its query's slot of the
+    returned list: a repeat after ``ok`` or ``not_found`` is a cache hit, and
+    a repeat after an error is looked up again. No two groups hold the same
+    key, so no two threads write the same slot. On an error in a worker, or
+    an interrupt while the caller joins, groups not yet started are dropped,
+    started ones finish, and the first error is re-raised.
     """
-    # Imported here: concurrent.futures pulls in logging, and `import
-    # rescuemap` stays lean without it.
-    from concurrent.futures import ThreadPoolExecutor
-
     groups: dict[str, list[int]] = {}  # key -> indices of its queries, in input order
     for index, query in enumerate(queries):
         groups.setdefault(normalize_query(query), []).append(index)
 
     results: list = [None] * len(queries)
+    pending = deque(groups.values())  # deque.popleft and clear are thread-safe
+    errors: list[BaseException] = []
 
-    def lookup(indices: list[int]) -> None:
-        for index in indices:
-            results[index] = geocoder.geocode(queries[index])
-
-    waiting: deque = deque()  # the Future of each submitted task, oldest first
-    with ThreadPoolExecutor(GEOCODE_WORKERS, thread_name_prefix="rescuemap-geocode") as pool:
+    def drain() -> None:
         try:
-            for indices in groups.values():
-                if len(waiting) >= GEOCODE_BACKLOG:
-                    waiting.popleft().result()
-                waiting.append(pool.submit(lookup, indices))
-            while waiting:
-                waiting.popleft().result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            while True:
+                try:
+                    indices = pending.popleft()
+                except IndexError:
+                    return
+                for index in indices:
+                    results[index] = geocoder.geocode(queries[index])
+        except BaseException as exc:
+            pending.clear()
+            errors.append(exc)
+
+    started: list[threading.Thread] = []
+    try:
+        for n in range(min(GEOCODE_WORKERS, len(groups))):
+            thread = threading.Thread(target=drain, name=f"rescuemap-geocode_{n}")
+            thread.start()
+            started.append(thread)
+        for thread in started:
+            thread.join()
+    except BaseException:
+        pending.clear()
+        for thread in started:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -123,13 +132,14 @@ def run_pipeline(
 
     Returns the rescue requests in input order plus the per-stage counts.
     The whole input is classified first, then the positives are geocoded.
-    ``sequential=False`` (the CLI's call) sends each distinct address as one
-    task to a pool of GEOCODE_WORKERS threads, unless the backend is a
-    ``Gazetteer``, whose lookups never wait; on an error or interrupt, tasks
-    not yet started are dropped, started ones finish, and the error is
-    re-raised. Otherwise each positive is geocoded on the calling thread and
-    no thread starts. That is the default, since a caller's own backend may
-    not be thread-safe. Output is byte-identical either way.
+    ``sequential=False`` (the CLI's call) has up to GEOCODE_WORKERS threads,
+    one per distinct address at most, look the addresses up, unless the
+    backend is a ``Gazetteer``, whose lookups never wait; on an error or
+    interrupt, addresses not yet started are dropped, started ones finish,
+    every thread is joined, and the first error is re-raised. Otherwise each
+    positive is geocoded on the calling thread and no thread starts. That is
+    the default, since a caller's own backend may not be thread-safe. Output
+    is byte-identical either way.
     """
     summary = RunSummary()
     stats = IngestStats()

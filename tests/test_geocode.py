@@ -544,11 +544,14 @@ class TestHttpBackend:
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": 1e400}}}]}',
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": %s}}}]}'
             % ("9" * 400),
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": true, "lng": -95.4}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": false}}}]}',
             "[" * 100_000 + "]" * 100_000,
         ],
         ids=[
             "array", "number", "string", "null", "results_object", "result_string",
-            "location_array", "coordinate_1e400", "coordinate_400_digits", "deep_nesting",
+            "location_array", "coordinate_1e400", "coordinate_400_digits", "lat_true",
+            "lng_false", "deep_nesting",
         ],
     )
     def test_body_of_the_wrong_shape_is_backend_error(self, body):

@@ -251,10 +251,9 @@ class TestRunPipeline:
                 sequential=False,
             )
 
-    @pytest.mark.parametrize("backlog", [1, 2, 8])
-    def test_geocode_pool_matches_sequential_under_random_latency(self, lex, monkeypatch, backlog):
-        monkeypatch.setattr(pipeline, "GEOCODE_BACKLOG", backlog)
-        rng = random.Random(backlog)
+    @pytest.mark.parametrize("seed", [1, 2, 8])
+    def test_geocode_pool_matches_sequential_under_random_latency(self, lex, seed):
+        rng = random.Random(seed)
         lines = []
         for i in range(150):
             if i % 6 == 0:
@@ -266,7 +265,7 @@ class TestRunPipeline:
                 lines.append(rescue_line(f"r{i}", rng.randint(1, 40)))
 
         def run(sequential: bool):
-            service = FlakyService(seed=backlog)
+            service = FlakyService(seed=seed)
             geocoder = Geocoder(HttpBackend(SERVICE_URL, api_key="test", fetch=service.fetch))
             requests, summary = run_pipeline(
                 lines, stream_cfg=StreamConfig(), lex=lex, geocoder=geocoder, sequential=sequential
@@ -460,6 +459,59 @@ class TestRunPipeline:
             )
         assert geocode_threads() == []
 
+    def test_pool_starts_at_most_one_thread_per_distinct_address(self, lex, monkeypatch):
+        # A surplus thread finds no address left and ends before any lookup
+        # counts it, so the starts are counted too.
+        started: list[str] = []
+        start = threading.Thread.start
+
+        def counting_start(thread: threading.Thread) -> None:
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        seen: list[int] = []
+
+        class RecordingBackend:
+            def resolve(self, query: str) -> GeocodeResult:
+                seen.append(len(geocode_threads()))
+                time.sleep(0.005)  # a later thread would start while this lookup waits
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.RATE_LIMITED)
+
+        lines = [rescue_line(f"r{i}", 100 + i % 3) for i in range(9)]
+        requests, _ = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex,
+            geocoder=Geocoder(RecordingBackend()), sequential=False,
+        )
+        assert len(requests) == len(seen) == 9  # errors are not cached: 9 lookups
+        assert 0 < max(seen) <= 3
+        assert len([name for name in started if name.startswith("rescuemap-geocode")]) == 3
+        assert geocode_threads() == []
+
+    def test_backend_interrupt_drops_the_addresses_not_yet_started(self, lex):
+        class Interrupt(BaseException):
+            pass
+
+        calls: list[str] = []
+
+        class FirstCallInterrupts:
+            def resolve(self, query: str) -> GeocodeResult:
+                calls.append(query)  # list.append is atomic
+                if len(calls) == 1:
+                    raise Interrupt()
+                time.sleep(0.01)
+                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+
+        distinct = 4 * GEOCODE_WORKERS
+        lines = [rescue_line(f"r{i}", 100 + i) for i in range(distinct)]
+        with pytest.raises(Interrupt):
+            run_pipeline(
+                lines, stream_cfg=StreamConfig(), lex=lex,
+                geocoder=Geocoder(FirstCallInterrupts()), sequential=False,
+            )
+        assert 0 < len(calls) < distinct
+        assert geocode_threads() == []
+
     def test_sequential_mode_geocodes_on_the_calling_thread_only(self, lex):
         seen: list[tuple[threading.Thread, list[threading.Thread]]] = []
 
@@ -494,26 +546,31 @@ class TestRunPipeline:
         assert threads and set(threads) == {threading.current_thread().name}
 
     def test_import_leaves_concurrent_futures_unloaded(self):
-        # run_pipeline imports it on its first pool call; `import rescuemap` must
-        # not, and neither must a run whose gazetteer lookups stay inline.
+        # Neither `import rescuemap`, nor a run whose gazetteer lookups stay
+        # inline, nor a pooled run over HttpBackend imports it.
         data = SRC.parent / "data"
         probe = "\n".join([
             "import pathlib, sys, rescuemap",
             "print('concurrent.futures' in sys.modules)",
             f"lines = pathlib.Path({str(data / 'replay_corpus.ndjson')!r}).read_bytes().splitlines()",
             f"geocoder = rescuemap.Geocoder(rescuemap.Gazetteer.load({str(data / 'gazetteer.tsv')!r}))",
-            "_, summary = rescuemap.run_pipeline(",
+            "run = lambda geocoder: rescuemap.run_pipeline(",
             "    lines, stream_cfg=rescuemap.StreamConfig(), lex=rescuemap.default_lexicon(),",
             "    geocoder=geocoder, sequential=False,",
-            ")",
-            "print(summary.geocoded_ok > 0, 'concurrent.futures' in sys.modules)",
+            ")[1]",
+            "print(run(geocoder).geocoded_ok > 0, 'concurrent.futures' in sys.modules)",
+            f"fetch = lambda url, timeout: (200, {ZERO_RESULTS!r})",
+            f"backend = rescuemap.HttpBackend({SERVICE_URL!r}, api_key='test', fetch=fetch)",
+            "summary = run(rescuemap.Geocoder(backend))",
+            "print(summary.geocode_failed == summary.classified_positive > 0,"
+            " 'concurrent.futures' in sys.modules)",
         ])
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split("\n") == ["False", "True False", ""]
+        assert done.stdout.split("\n") == ["False", "True False", "True False", ""]
 
     def test_malformed_and_duplicate_lines_reach_the_summary(
         self, sample_corpus_lines, sample_geocoder, lex
