@@ -10,8 +10,8 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from functools import cached_property, lru_cache
+from datetime import datetime, timezone
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 from zoneinfo import ZoneInfo
 
@@ -26,7 +26,7 @@ HARVEY_KEYWORDS = ("#HurricaneHarvey", "#Harvey", "Hurricane", "flooding")
 _HASHTAG_RE = re.compile(r"#(\w+)")  # \w is unicode-aware; '#ayúdanos' stays whole
 _TWITTER_TIME_FORMAT = "%a %b %d %H:%M:%S %z %Y"
 _MONTHS = {
-    name: number
+    name: f"{number:02d}"
     for number, name in enumerate(
         ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"), start=1
     )
@@ -36,10 +36,11 @@ _MONTHS = {
 # digits, English names in this case, single spaces, offset minutes 00-59.
 # The weekday is ignored, as strptime ignores it once the date is known.
 # Unlike %a and %b it is locale-free; the CLI never calls setlocale, so
-# strptime, which reads every other form, sees the C locale.
+# strptime, which reads every other form, sees the C locale. The groups are
+# month, day, clock, offset hours with sign, offset minutes and year.
 _TWITTER_TIME_RE = re.compile(
-    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) ([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})"
-    r" ([+-][0-9]{2}[0-5][0-9]) ([0-9]{4})" % "|".join(_MONTHS)
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) ([0-9]{2}) ([0-9]{2}:[0-9]{2}:[0-9]{2})"
+    r" ([+-][0-9]{2})([0-5][0-9]) ([0-9]{4})" % "|".join(_MONTHS)
 )
 
 
@@ -53,7 +54,7 @@ class TweetParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     """One ingested social-media record.
 
@@ -68,6 +69,14 @@ class Tweet:
     created_at_utc: Optional[datetime] = None
     hashtags: tuple[str, ...] = ()
     coordinates: Optional[tuple[float, float]] = None
+
+
+# parse_tweet fills each new Tweet through its slots' member descriptors: the
+# same store the generated __init__ makes through object.__setattr__, at about
+# half the cost per record.
+_set_id, _set_text, _set_created_at_utc, _set_hashtags, _set_coordinates = (
+    vars(Tweet)[name].__set__ for name in ("id", "text", "created_at_utc", "hashtags", "coordinates")
+)
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,8 @@ class IngestStats:
 
 def extract_hashtags(text: str) -> tuple[str, ...]:
     """Every '#'-prefixed token in the text, casefolded, '#' stripped."""
+    if "#" not in text:
+        return ()
     return tuple(map(str.casefold, _HASHTAG_RE.findall(text)))
 
 
@@ -144,13 +155,6 @@ def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
             if cleaned and cleaned not in tags:
                 tags += (cleaned,)
     return tags
-
-
-@lru_cache(maxsize=None)  # at most 2 * 24 * 60 offsets are valid
-def _fixed_offset(offset: str) -> timezone:
-    """The zone of a "+HHMM"/"-HHMM" offset; ValueError from 24 hours on."""
-    minutes = int(offset[1:3]) * 60 + int(offset[3:])
-    return timezone(timedelta(minutes=-minutes if offset[0] == "-" else minutes))
 
 
 def _shown(value: object) -> str:
@@ -176,16 +180,17 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
             text = value.strip()
             # No string parses in both formats: ISO starts with a digit, the
             # Twitter format with a weekday name. The canonical Twitter form
-            # is read first, by one regex match; ISO comes next, and strptime
-            # last, for the Twitter forms the regex does not take (a
-            # lowercase month, a one-digit day, "Z" as the offset).
+            # is read first, by one regex match rewritten to ISO; ISO comes
+            # next, and strptime last, for the Twitter forms the regex does not
+            # take (a lowercase month, a one-digit day, "Z" as the offset).
             match = _TWITTER_TIME_RE.fullmatch(text)
             if match is not None:
-                month, day, hour, minute, second, offset, year = match.groups()
-                parsed = datetime(
-                    int(year), _MONTHS[month], int(day), int(hour), int(minute), int(second),
-                    tzinfo=_fixed_offset(offset),
-                )
+                # fromisoformat rejects, as datetime() does, hour 24, second
+                # 60, Feb 29 of a common year, year 0000 and an offset of 24
+                # hours or more. The offset is written "+00:00": Python 3.10
+                # rejects "+0000".
+                month, day, clock, hours, minutes, year = match.groups()
+                parsed = datetime.fromisoformat(f"{year}-{_MONTHS[month]}-{day}T{clock}{hours}:{minutes}")
             else:
                 try:
                     parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -287,7 +292,13 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
     if coords is not None:
         coords = _parse_coordinates(coords, line_no)
 
-    return Tweet(tweet_id, text, created, hashtags, coords)
+    tweet = object.__new__(Tweet)
+    _set_id(tweet, tweet_id)
+    _set_text(tweet, text)
+    _set_created_at_utc(tweet, created)
+    _set_hashtags(tweet, hashtags)
+    _set_coordinates(tweet, coords)
+    return tweet
 
 
 def read_stream(
@@ -309,6 +320,11 @@ def read_stream(
         try:
             tweet = parse_tweet(line, line_no)
         except TweetParseError:
+            # bytes.isspace knows only ASCII whitespace. A bytes line that
+            # decodes to other whitespace ("\u3000", "\x85") is blank, as its
+            # str form is; an undecodable byte becomes U+FFFD, not whitespace.
+            if isinstance(line, bytes) and line.decode("utf-8", "replace").isspace():
+                continue
             stats.malformed += 1
             continue
         if tweet.id in seen:

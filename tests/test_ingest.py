@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import dataclasses
 import json
 import types
 from datetime import datetime, timezone
@@ -239,6 +240,48 @@ class TestParseTweet:
         assert "42" in str(exc_info.value)
 
 
+class TestTweet:
+    FIELDS = {
+        "id": "7",
+        "text": "Help #Harvey at 12 Clay Rd",
+        "created_at_utc": datetime(2017, 8, 29, 11, 16, 11, tzinfo=UTC),
+        "hashtags": ("harvey", "rescue"),
+        "coordinates": (-95.3, 29.7),
+    }
+
+    def parsed(self) -> Tweet:
+        return parse_tweet(line(
+            id_str="7", full_text="Help #Harvey at 12 Clay Rd", created_at="Tue Aug 29 11:16:11 +0000 2017",
+            entities={"hashtags": [{"text": "Rescue"}]}, coordinates=[-95.3, 29.7],
+        ))
+
+    def test_parsed_tweet_equals_one_built_by_keyword(self):
+        assert [field.name for field in dataclasses.fields(Tweet)] == list(self.FIELDS)
+        parsed, built = self.parsed(), Tweet(**self.FIELDS)
+        assert parsed == built
+        assert hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+
+    def test_fields_are_frozen(self):
+        tweet = self.parsed()
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tweet, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(tweet, name)
+        assert tweet == Tweet(**self.FIELDS)
+
+    def test_replace_and_asdict(self):
+        tweet = self.parsed()
+        assert dataclasses.replace(tweet, text="x") == Tweet(**{**self.FIELDS, "text": "x"})
+        assert dataclasses.asdict(tweet) == self.FIELDS
+
+    def test_no_instance_dict(self):
+        # A per-instance __dict__ would add a dict to every Tweet kept.
+        for tweet in (self.parsed(), Tweet(**self.FIELDS), Tweet(id="1", text="x")):
+            assert not hasattr(tweet, "__dict__")
+
+
 class TestReadStream:
     def good(self, i: str) -> str:
         return line(id=i, text=f"tweet {i}", created_at="2017-08-27T12:00:00Z")
@@ -398,7 +441,7 @@ _GOOD_BYTE_LINES = [
 def test_every_byte_line_is_parsed_malformed_duplicate_or_blank(lines):
     stats = IngestStats()
     tweets = list(read_stream(lines, stats))
-    blank = sum(1 for raw in lines if not raw.strip())
+    blank = sum(1 for raw in lines if raw.decode("utf-8", "replace").isspace() or not raw)
     assert stats.parsed == len(tweets)
     assert stats.parsed + stats.malformed + stats.duplicates + blank == len(lines)
 
@@ -421,6 +464,26 @@ _str_lines = st.one_of(
 def test_str_and_bytes_forms_of_a_line_parse_alike(body, bom):
     text = bom + body
     assert _parsed(text) == _parsed(text.encode("utf-8"))
+
+
+# Characters str.isspace calls whitespace, of which bytes.isspace knows only the
+# first six; and the BOM, which neither does.
+_WHITESPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\ufeff"), max_size=4)
+
+
+def _replayed(lines: list) -> tuple[list[tuple[Tweet, str]], IngestStats]:
+    stats = IngestStats()
+    return [(tweet, repr(tweet)) for tweet in read_stream(lines, stats)], stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(_str_lines, _WHITESPACE, st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)),
+    max_size=12,
+))
+@example(["\u3000\n", "\x85\n", "\x1c\n"])
+def test_str_and_bytes_forms_of_a_stream_read_alike(lines):
+    assert _replayed(lines) == _replayed([text.encode("utf-8") for text in lines])
 
 
 # --- created_at: ISO first against the strptime-first parser -----------------

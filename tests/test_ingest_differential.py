@@ -4,14 +4,18 @@ as the reference:
 - the stream filter with keywords folded once per `StreamConfig` against the
   filter that folded them for every record;
 - `parse_tweet`, `merge_hashtags` and `read_stream` against the versions that
-  built hashtags through a list, the `Tweet` through keyword arguments, and
-  tested blank lines through `line.strip()`.
+  built hashtags through a list, the `Tweet` through keyword arguments, the
+  canonical Twitter-v1 `created_at` through `datetime(...)` and a cached fixed
+  offset, and tested blank lines through `line.strip()`.
 """
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable, Iterator, Mapping
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from functools import lru_cache
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,15 +32,7 @@ from rescuemap import (
     passes_stream_filter,
     read_stream,
 )
-from rescuemap.ingest import (
-    _EARLIEST_LOCAL_UTC,
-    _MONTHS,
-    _TWITTER_TIME_FORMAT,
-    _TWITTER_TIME_RE,
-    _HASHTAG_RE,
-    _fixed_offset,
-    merge_hashtags,
-)
+from rescuemap.ingest import merge_hashtags
 
 
 def reference_passes_stream_filter(tweet: Tweet, cfg: StreamConfig) -> bool:
@@ -91,6 +87,30 @@ def test_folded_keywords_match_per_record_folding(keywords, text, extra_tags, co
 
 
 # --- parse_tweet, merge_hashtags and read_stream ---------------------------------
+
+# The reference's own copies of the definitions it was written against, so that
+# a change to the module's tables or patterns cannot move the reference with it.
+_EARLIEST_LOCAL_UTC = datetime.min.replace(tzinfo=ZoneInfo("America/Chicago")).astimezone(timezone.utc)
+_HASHTAG_RE = re.compile(r"#(\w+)")
+_TWITTER_TIME_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+_MONTHS = {
+    name: number
+    for number, name in enumerate(
+        ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"), start=1
+    )
+}
+_TWITTER_TIME_RE = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) ([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r" ([+-][0-9]{2}[0-5][0-9]) ([0-9]{4})" % "|".join(_MONTHS)
+)
+
+
+@lru_cache(maxsize=None)
+def _fixed_offset(offset: str) -> timezone:
+    """The zone of a "+HHMM"/"-HHMM" offset; ValueError from 24 hours on."""
+    minutes = int(offset[1:3]) * 60 + int(offset[3:])
+    return timezone(timedelta(minutes=-minutes if offset[0] == "-" else minutes))
+
 
 def reference_merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
     """The text's hashtags, then each further string tag not already present.
@@ -243,7 +263,10 @@ def reference_read_stream(
         stats = IngestStats()
     seen: set[str] = set()
     for line_no, line in enumerate(source, start=1):
-        if not line.strip():
+        # A deliberate change: a bytes line that decodes to whitespace is blank,
+        # as its str form is, where the reference strips ASCII whitespace only
+        # and counts it malformed.
+        if not (line.decode("utf-8", "replace") if isinstance(line, bytes) else line).strip():
             continue
         try:
             tweet = reference_parse_tweet(line, line_no)
