@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rescuemap import StreamConfig, default_lexicon, run_pipeline, to_geojson, to_map_document
 from rescuemap.cli import main
@@ -119,6 +119,7 @@ def _run(tmp: Path, input_path: Path, capsys) -> tuple[dict, str, str]:
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=_lines)
+@example(lines=[b"\x1c", "\u3000".encode(), b"\xc2\x85"])
 def test_any_input_lines_replay_with_conserved_counts(lines, tmp_path, capsys, pooled_geocoder):
     input_path = tmp_path / "input.ndjson"
     input_path.write_bytes(b"\n".join(lines) + b"\n")
@@ -134,7 +135,9 @@ def test_any_input_lines_replay_with_conserved_counts(lines, tmp_path, capsys, p
 
     assert summary["read"] == summary["stream_passed"] + summary["stream_rejected"]
     assert summary["classified_positive"] == summary["geocoded_ok"] + summary["geocode_failed"]
-    non_blank = sum(1 for line in lines if line.strip())
+    # A line is blank when its UTF-8 form is whitespace: b"\x1c" and
+    # "\u3000" encoded are blank, as their str forms are.
+    non_blank = sum(1 for line in lines if line.decode("utf-8", "replace").strip())
     assert summary["malformed"] + summary["duplicates"] + summary["read"] == non_blank
 
     features = json.loads(geojson)
