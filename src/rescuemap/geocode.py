@@ -21,6 +21,8 @@ from typing import Callable, Optional, Protocol
 from .lexicons import data_lines
 
 API_KEY_ENV_VAR = "RESCUEMAP_GEOCODER_KEY"
+# Seconds an HttpBackend request may wait to connect, and then for each read.
+HTTP_TIMEOUT_S = 10.0
 
 
 class Precision(Enum):
@@ -127,10 +129,27 @@ _PRECISION_BY_LOCATION_TYPE = {
 
 
 def _default_fetch(url: str, timeout: float) -> tuple[int, str]:
-    import requests
+    """GET ``url`` over HTTP(S), following redirects.
 
-    response = requests.get(url, timeout=timeout)
-    return response.status_code, response.text
+    A 2xx answer gives its status and its body as strict UTF-8, as JSON
+    requires (RFC 8259). An error answer gives its status and its body with
+    undecodable bytes replaced, so a 429 reads as rate limited whatever its
+    body. Anything else raises: a timeout, a refused connection, a
+    non-UTF-8 2xx body, or a scheme other than http and https (``urlopen``
+    would read a ``file:`` URL).
+    """
+    # Imported here: `import rescuemap` stays lean without them.
+    from urllib.error import HTTPError
+    from urllib.request import urlopen
+
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise ValueError(f"not an http(s) URL: {url}")
+    try:
+        with urlopen(url, timeout=timeout) as response:
+            return response.status, response.read().decode("utf-8")
+    except HTTPError as exc:
+        with exc:
+            return exc.code, exc.read().decode("utf-8", "replace")
 
 
 class HttpBackend:
@@ -140,7 +159,9 @@ class HttpBackend:
     other field; the key is read from the environment (never from the
     command line). The response is expected in the common maps-API shape: a
     ``status`` string plus a ``results`` list whose first entry carries
-    ``geometry.location.{lat,lng}`` and ``geometry.location_type``.
+    ``geometry.location.{lat,lng}`` and ``geometry.location_type``. Each
+    request is ``fetch(url, HTTP_TIMEOUT_S)``; ``fetch`` defaults to an HTTP
+    GET and returns ``(status code, body)``.
     """
 
     def __init__(
@@ -149,7 +170,6 @@ class HttpBackend:
         *,
         api_key: Optional[str] = None,
         min_interval: float = 0.0,
-        timeout: float = 10.0,
         fetch: Optional[Callable[[str, float], tuple[int, str]]] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -174,7 +194,6 @@ class HttpBackend:
             api_key = os.environ.get(API_KEY_ENV_VAR, "")
         self._quoted_key = urllib.parse.quote(api_key)
         self._min_interval = min_interval
-        self._timeout = timeout
         self._fetch = fetch or _default_fetch
         self._clock = clock
         self._sleep = sleep
@@ -197,7 +216,7 @@ class HttpBackend:
     def resolve(self, query: str) -> GeocodeResult:
         self._pace()
         try:
-            status_code, body = self._fetch(self._build_url(query), self._timeout)
+            status_code, body = self._fetch(self._build_url(query), HTTP_TIMEOUT_S)
         except Exception:
             return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
         if status_code == 429:

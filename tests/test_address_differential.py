@@ -18,7 +18,6 @@ from rescuemap import (
     detect_address,
     extract_full_address,
 )
-from rescuemap import address
 from rescuemap.lexicons import load_street_suffixes
 
 # --- reference: two patterns, the leftmost match wins, form 1 on ties ----------
@@ -80,19 +79,118 @@ def reference_detect_address(text: str) -> list[ReferenceMatch]:
 
 
 # --- reference: one advance(kind) call per component ---------------------------
+#
+# Copies of the component rules as they stood when this reference was written,
+# so that a change to a rule in `rescuemap.address` shows here.
+
+def _ref_normalize_ws(text: str) -> str:
+    return " ".join(text.split())
+
+
+_REF_STATE_NAMES_BY_ABBREV = {
+    "AL": "Alabama", "AK": "Alaska", "AZ": "Arizona", "AR": "Arkansas",
+    "CA": "California", "CO": "Colorado", "CT": "Connecticut", "DE": "Delaware",
+    "DC": "District of Columbia", "FL": "Florida", "GA": "Georgia", "HI": "Hawaii",
+    "ID": "Idaho", "IL": "Illinois", "IN": "Indiana", "IA": "Iowa",
+    "KS": "Kansas", "KY": "Kentucky", "LA": "Louisiana", "ME": "Maine",
+    "MD": "Maryland", "MA": "Massachusetts", "MI": "Michigan", "MN": "Minnesota",
+    "MS": "Mississippi", "MO": "Missouri", "MT": "Montana", "NE": "Nebraska",
+    "NV": "Nevada", "NH": "New Hampshire", "NJ": "New Jersey", "NM": "New Mexico",
+    "NY": "New York", "NC": "North Carolina", "ND": "North Dakota", "OH": "Ohio",
+    "OK": "Oklahoma", "OR": "Oregon", "PA": "Pennsylvania", "RI": "Rhode Island",
+    "SC": "South Carolina", "SD": "South Dakota", "TN": "Tennessee", "TX": "Texas",
+    "UT": "Utah", "VT": "Vermont", "VA": "Virginia", "WA": "Washington",
+    "WV": "West Virginia", "WI": "Wisconsin", "WY": "Wyoming",
+}
+_REF_STATE_ABBREVS = frozenset(_REF_STATE_NAMES_BY_ABBREV)
+_REF_STATE_NAMES = frozenset(n.lower() for n in _REF_STATE_NAMES_BY_ABBREV.values())
+_REF_STATE_NAME_RE = re.compile(
+    "(?:"
+    + "|".join(
+        re.escape(name).replace(r"\ ", r"\s+")
+        for name in sorted(_REF_STATE_NAMES_BY_ABBREV.values(), key=len, reverse=True)
+    )
+    + r")(?![A-Za-z])",
+    re.IGNORECASE,
+)
+_REF_STATE_ABBREV_RE = re.compile(r"[A-Za-z]{2}(?![A-Za-z0-9])")
+_REF_CONNECTOR_RE = re.compile(r"[ \t\n\r\f,.]+")
+_REF_ZIP_RE = re.compile(r"\d{5}(?:-\d{4})?(?![0-9A-Za-z])")
+_REF_UNIT_KEY_RE = re.compile(r"(?:apartment|suite|unit|apt|ste)\b\.?", re.IGNORECASE)
+_REF_UNIT_DESIGNATOR_RE = re.compile(r"#?\s?([A-Za-z0-9][A-Za-z0-9-]{0,5})(?![A-Za-z0-9])")
+_REF_CITY_WORD = r"(?:#[A-Za-z]+|[A-Z][A-Za-z]*)"
+_REF_CITY_RE = re.compile(rf"{_REF_CITY_WORD}(?: {_REF_CITY_WORD})?(?![A-Za-z0-9])")
+
+
+def _ref_connector(text: str, pos: int) -> Optional[re.Match]:
+    m = _REF_CONNECTOR_RE.match(text, pos)
+    return m if m and m.end() > pos else None
+
+
+def _ref_is_state_word(word: str) -> bool:
+    cleaned = word.lstrip("#")
+    return cleaned.lower() in _REF_STATE_NAMES or (
+        len(cleaned) == 2 and cleaned.upper() in _REF_STATE_ABBREVS and cleaned.isupper()
+    )
+
+
+def _ref_zip_follows(text: str, pos: int) -> bool:
+    conn = _ref_connector(text, pos)
+    return conn is not None and _REF_ZIP_RE.match(text, conn.end()) is not None
+
+
+def _ref_match_state(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
+    m = _REF_STATE_NAME_RE.match(text, pos)
+    if m is not None:
+        return _ref_normalize_ws(m.group(0)), m.end()
+    m = _REF_STATE_ABBREV_RE.match(text, pos)
+    if m is None:
+        return None
+    token = m.group(0)
+    if token.upper() not in _REF_STATE_ABBREVS or not token.isupper():
+        return None
+    if token.upper() == "TX" or "," in prev_connector or _ref_zip_follows(text, m.end()):
+        return token, m.end()
+    return None
+
+
+def _ref_state_or_zip_follows(text: str, pos: int) -> bool:
+    conn = _ref_connector(text, pos)
+    if conn is None:
+        return False
+    after = conn.end()
+    if _REF_ZIP_RE.match(text, after) is not None:
+        return True
+    return _ref_match_state(text, after, conn.group(0)) is not None
+
+
+def _ref_match_city(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
+    m = _REF_CITY_RE.match(text, pos)
+    if m is None:
+        return None
+    words = m.group(0).split(" ")
+    if len(words) == 2 and _ref_is_state_word(words[1]):
+        words = words[:1]
+    end = pos + len(" ".join(words))
+    if _ref_is_state_word(words[0]) and len(words) == 1:
+        return None
+    if "," not in prev_connector and not _ref_state_or_zip_follows(text, end):
+        return None
+    return " ".join(w.lstrip("#") for w in words), end
+
 
 def _reference_match_unit(text: str, pos: int) -> Optional[tuple[str, int]]:
-    key = address._UNIT_KEY_RE.match(text, pos)
+    key = _REF_UNIT_KEY_RE.match(text, pos)
     if key is not None:
-        rest = re.match(r"[ \t]*" + address._UNIT_DESIGNATOR_RE.pattern, text[key.end():])
+        rest = re.match(r"[ \t]*" + _REF_UNIT_DESIGNATOR_RE.pattern, text[key.end():])
         if rest is not None:
-            return address._normalize_ws(text[pos : key.end() + rest.end()]), key.end() + rest.end()
+            return _ref_normalize_ws(text[pos : key.end() + rest.end()]), key.end() + rest.end()
         return None
-    bare = address._UNIT_DESIGNATOR_RE.match(text, pos)
+    bare = _REF_UNIT_DESIGNATOR_RE.match(text, pos)
     if bare is not None and text[pos] == "#":
         designator = bare.group(1)
         if any(ch.isdigit() for ch in designator) or len(designator) == 1:
-            return address._normalize_ws(bare.group(0)), bare.end()
+            return _ref_normalize_ws(bare.group(0)), bare.end()
     return None
 
 
@@ -102,12 +200,12 @@ def reference_extract_full_address(text: str) -> Optional[FullAddress]:
         return None
     first = matches[0]
     cursor = first.span[1]
-    head = address._normalize_ws(first.matched_text)
+    head = _ref_normalize_ws(first.matched_text)
     pieces: list[tuple[str, str]] = []
 
     def advance(kind: str) -> Optional[str]:
         nonlocal cursor
-        conn = address._connector(text, cursor)
+        conn = _ref_connector(text, cursor)
         if conn is None:
             return None
         start = conn.end()
@@ -115,11 +213,11 @@ def reference_extract_full_address(text: str) -> Optional[FullAddress]:
         if kind == "unit":
             found = _reference_match_unit(text, start)
         elif kind == "city":
-            found = address._match_city(text, start, connector_text)
+            found = _ref_match_city(text, start, connector_text)
         elif kind == "state":
-            found = address._match_state(text, start, connector_text)
+            found = _ref_match_state(text, start, connector_text)
         else:
-            m = address._ZIP_RE.match(text, start)
+            m = _REF_ZIP_RE.match(text, start)
             found = (m.group(0), m.end()) if m else None
         if found is None:
             return None

@@ -238,12 +238,12 @@ class TestClassify:
 
 # --- compiled lexicon against one regex per phrase --------------------------
 #
-# The oracle gives every phrase its own `#?\b...\b` alternative and checks each
+# The oracle gives every phrase its own `#?(?<!\w)...(?!\w)` alternative and checks each
 # region/disaster pair on its own, with no grouping by region and no gate.
 
 def _oracle_phrase_pattern(phrase: str) -> str:
     words = [re.escape(w) for w in phrase.split()]
-    return r"#?\b" + r"\s*".join(words) + r"\b"
+    return r"#?(?<!\w)" + r"\s*".join(words) + r"(?!\w)"
 
 
 def _oracle_hit(phrases, text: str) -> bool:

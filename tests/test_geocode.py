@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import collections
 import json
+import socket
 import sys
 import threading
 import time
+import urllib.parse
 from dataclasses import replace
 from typing import Optional
 
@@ -22,6 +24,7 @@ from rescuemap import (
     Precision,
     normalize_query,
 )
+from rescuemap import geocode
 
 FIXTURE_ROWS = (
     "4055 South Braeswood Blvd, Houston, TX\t-95.44\t29.69\n"
@@ -595,6 +598,19 @@ class TestHttpBackend:
             backend.resolve(f"{i} Main St")
         assert clock.slept == 0
 
+    def test_every_request_waits_at_most_the_fixed_timeout(self):
+        timeouts = []
+
+        def fetch(url, timeout):
+            timeouts.append(timeout)
+            return (200, OK_BODY)
+
+        backend = HttpBackend("https://geo.example/api?address={query}", fetch=fetch)
+        backend.resolve("1 Main St")
+        assert timeouts == [geocode.HTTP_TIMEOUT_S] == [10.0]
+        with pytest.raises(TypeError):
+            HttpBackend("https://geo.example/api?address={query}", fetch=fetch, timeout=1.0)
+
     def test_api_key_read_from_environment(self, monkeypatch):
         from rescuemap.geocode import API_KEY_ENV_VAR
 
@@ -644,3 +660,75 @@ class TestHttpBackend:
         )
         assert backend.resolve("1 Main St").status is GeocodeStatus.OK
         assert calls == ["https://geo.example/{v1}/api?address=1%20Main%20St&key=secret"]
+
+
+# An OK body with a Latin-1 "í": read as UTF-8 with replacement it would be `ok`.
+LATIN1_OK_BODY = (OK_BODY[:-1] + ', "note": "Garc\u00eda"}').encode("latin-1")
+
+
+class TestDefaultFetch:
+    """`HttpBackend` with no injected fetch, against a server on 127.0.0.1."""
+
+    ROUTES = {
+        "/ok": (200, {"Content-Type": "application/json"}, OK_BODY.encode()),
+        "/moved": (302, {"Location": "/ok?address=moved"}, b""),
+        "/busy": (429, {}, b"slow down \xff"),
+        "/broken": (500, {}, json.dumps({"status": "UNKNOWN_ERROR"}).encode()),
+        "/latin1": (200, {}, LATIN1_OK_BODY),
+        "/slow": (200, {}, OK_BODY.encode()),
+    }
+
+    def serve(self, loopback):
+        paths = []
+
+        def answer(path):
+            paths.append(path)
+            route = urllib.parse.urlsplit(path).path
+            if route == "/slow":
+                time.sleep(1.0)
+            return self.ROUTES[route]
+
+        return loopback(answer), paths
+
+    @pytest.mark.parametrize(
+        "route, status",
+        [
+            ("/ok", GeocodeStatus.OK),
+            ("/moved", GeocodeStatus.OK),
+            ("/busy", GeocodeStatus.RATE_LIMITED),
+            ("/broken", GeocodeStatus.BACKEND_ERROR),
+            ("/latin1", GeocodeStatus.BACKEND_ERROR),
+        ],
+        ids=["ok", "redirect", "429_non_utf8_body", "500", "non_utf8_200_body"],
+    )
+    def test_status_of_each_answer(self, loopback, route, status):
+        base, paths = self.serve(loopback)
+        result = HttpBackend(base + route + "?address={query}").resolve("1 Main St")
+        assert result.status is status
+        assert paths[0] == route + "?address=1%20Main%20St"
+        if status is GeocodeStatus.OK:
+            assert result.point == GeoPoint(-95.4415, 29.6911, Precision.ROOFTOP)
+
+    def test_server_slower_than_the_timeout_is_backend_error(self, loopback, monkeypatch):
+        base, paths = self.serve(loopback)
+        monkeypatch.setattr(geocode, "HTTP_TIMEOUT_S", 0.3)
+        started = time.monotonic()
+        result = HttpBackend(base + "/slow?address={query}").resolve("1 Main St")
+        assert result.status is GeocodeStatus.BACKEND_ERROR
+        assert time.monotonic() - started < 0.9
+        assert paths == ["/slow?address=1%20Main%20St"]
+
+    def test_closed_port_is_backend_error(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        backend = HttpBackend(f"http://127.0.0.1:{port}/json?address={{query}}")
+        assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR
+
+    def test_other_schemes_are_not_read(self, tmp_path):
+        # urlopen would read this file, and its ZERO_RESULTS would be cached.
+        answer = tmp_path / "answer.json"
+        answer.write_text(EMPTY_BODY, encoding="utf-8")
+        backend = HttpBackend(answer.as_uri() + "#{query}")
+        assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR

@@ -183,6 +183,14 @@ class TestOverrideDirectory:
         assert extract_features("SEND A HELICOPTER now", overridden).has_ask_help
         assert not extract_features("please help", overridden).has_ask_help
 
+    def test_phrase_edged_with_punctuation_matches_as_a_whole_word(self, tmp_path):
+        (tmp_path / "help_keywords.txt").write_text("sos!\nS.O.S.\n-help me\n", encoding="utf-8")
+        overridden = lexicon_from_dir(tmp_path)
+        for text in ("send sos! now", "S.O.S.", "we need you (s.o.s.)", "-help me", "#-HELP ME"):
+            assert extract_features(text, overridden).has_ask_help, text
+        for text in ("sos!x", "xS.O.S.", "S.O.S.x", "x-help me", "-help mex"):
+            assert not extract_features(text, overridden).has_ask_help, text
+
     def test_negative_override(self, tmp_path):
         (tmp_path / "negative_ads.txt").write_text("crypto\n", encoding="utf-8")
         overridden = lexicon_from_dir(tmp_path)

@@ -89,6 +89,51 @@ class FlakyService:
         )
 
 
+class GazetteerService:
+    """A maps API for the loopback server: it answers as the gazetteer at
+    ``path`` does, except 429 for ``RATE_LIMITED`` and 500 for ``BROKEN``.
+
+    It logs the address and arrival time of every request.
+    """
+
+    RATE_LIMITED = "48368 braeswood blvd houston tx"
+    BROKEN = "79494 westheimer rd katy tx"
+
+    def __init__(self, path: Path):
+        self._gazetteer = Gazetteer.load(path)
+        self.requests: list[tuple[float, str]] = []
+
+    def answer(self, path: str) -> tuple[int, dict[str, str], bytes]:
+        address = urllib.parse.parse_qs(urllib.parse.urlsplit(path).query)["address"][0]
+        self.requests.append((time.monotonic(), address))
+        if normalize_query(address) == self.RATE_LIMITED:
+            return 429, {}, b""
+        if normalize_query(address) == self.BROKEN:
+            return 500, {}, json.dumps({"status": "UNKNOWN_ERROR"}).encode()
+        point = self._gazetteer.resolve(address).point
+        if point is None:
+            return 200, {}, ZERO_RESULTS.encode()
+        location = {"lat": point.latitude, "lng": point.longitude}
+        body = {"status": "OK", "results": [{"geometry": {"location": location, "location_type": "ROOFTOP"}}]}
+        return 200, {"Content-Type": "application/json"}, json.dumps(body).encode()
+
+    def expected_summary(self, lines: list[bytes], lex) -> dict[str, int]:
+        """The summary of a replay of ``lines`` against these answers: the
+        gazetteer's, with each request for a failing address moved from ok
+        to failed (a failure is not cached, so each use is a request)."""
+        _, summary = run_pipeline(
+            lines, stream_cfg=StreamConfig(), lex=lex, geocoder=Geocoder(self._gazetteer)
+        )
+        failing = {self.RATE_LIMITED, self.BROKEN}
+        uses = sum(normalize_query(address) in failing for _, address in self.requests)
+        assert uses >= 2
+        return {
+            **summary.as_dict(),
+            "geocoded_ok": summary.geocoded_ok - uses,
+            "geocode_failed": summary.geocode_failed + uses,
+        }
+
+
 class TestRunPipeline:
     def test_sample_corpus_counts(self, sample_corpus_lines, sample_geocoder, lex):
         requests, summary = run_pipeline(
@@ -547,30 +592,57 @@ class TestRunPipeline:
 
     def test_import_leaves_concurrent_futures_unloaded(self):
         # Neither `import rescuemap`, nor a run whose gazetteer lookups stay
-        # inline, nor a pooled run over HttpBackend imports it.
+        # inline, nor a pooled run over HttpBackend with an injected fetch
+        # imports it or urllib.request.
         data = SRC.parent / "data"
         probe = "\n".join([
             "import pathlib, sys, rescuemap",
-            "print('concurrent.futures' in sys.modules)",
+            "lean = lambda: not {'concurrent.futures', 'urllib.request'} & sys.modules.keys()",
+            "print(lean())",
             f"lines = pathlib.Path({str(data / 'replay_corpus.ndjson')!r}).read_bytes().splitlines()",
             f"geocoder = rescuemap.Geocoder(rescuemap.Gazetteer.load({str(data / 'gazetteer.tsv')!r}))",
             "run = lambda geocoder: rescuemap.run_pipeline(",
             "    lines, stream_cfg=rescuemap.StreamConfig(), lex=rescuemap.default_lexicon(),",
             "    geocoder=geocoder, sequential=False,",
             ")[1]",
-            "print(run(geocoder).geocoded_ok > 0, 'concurrent.futures' in sys.modules)",
+            "print(run(geocoder).geocoded_ok > 0, lean())",
             f"fetch = lambda url, timeout: (200, {ZERO_RESULTS!r})",
             f"backend = rescuemap.HttpBackend({SERVICE_URL!r}, api_key='test', fetch=fetch)",
             "summary = run(rescuemap.Geocoder(backend))",
-            "print(summary.geocode_failed == summary.classified_positive > 0,"
-            " 'concurrent.futures' in sys.modules)",
+            "print(summary.geocode_failed == summary.classified_positive > 0, lean())",
         ])
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split("\n") == ["False", "True False", "True False", ""]
+        assert done.stdout.split("\n") == ["True", "True True", "True True", ""]
+
+    def test_default_fetch_runs_the_pool_without_requests(self, loopback, data_dir, lex):
+        corpus = data_dir / "replay_corpus.ndjson"
+        service = GazetteerService(data_dir / "gazetteer.tsv")
+        url = loopback(service.answer) + "/json?address={query}"
+        probe = "\n".join([
+            "import json, pathlib, sys",
+            "sys.modules['requests'] = None  # so that importing it raises ImportError",
+            "import rescuemap",
+            f"lines = pathlib.Path({str(corpus)!r}).read_bytes().splitlines()",
+            f"geocoder = rescuemap.Geocoder(rescuemap.HttpBackend({url!r}))",
+            "_, summary = rescuemap.run_pipeline(",
+            "    lines, stream_cfg=rescuemap.StreamConfig(), lex=rescuemap.default_lexicon(),",
+            "    geocoder=geocoder, sequential=False,",
+            ")",
+            "print(json.dumps(summary.as_dict()))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""  # where -X dev reports a socket left unclosed
+        lines = corpus.read_bytes().splitlines()
+        assert json.loads(done.stdout) == service.expected_summary(lines, lex)
 
     def test_malformed_and_duplicate_lines_reach_the_summary(
         self, sample_corpus_lines, sample_geocoder, lex
@@ -753,6 +825,23 @@ class TestCliPipeline:
     def test_no_geocoder_selected_exits_1(self, data_dir, capsys):
         code = self.run_cli("pipeline", "--input", str(data_dir / "harvey_sample.ndjson"))
         assert code == 1
+
+    @pytest.mark.parametrize("min_interval", [None, 0.005], ids=["unpaced", "paced"])
+    def test_http_backend_end_to_end(self, loopback, data_dir, tmp_path, capsys, lex, min_interval):
+        corpus = data_dir / "replay_corpus.ndjson"
+        service = GazetteerService(data_dir / "gazetteer.tsv")
+        http = {"url": loopback(service.answer) + "/json?address={query}"}
+        if min_interval is not None:
+            http["min_interval"] = min_interval
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"inputs": [str(corpus)], "http": http}), encoding="utf-8")
+        assert self.run_cli("pipeline", "--config", str(config)) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == service.expected_summary(corpus.read_bytes().splitlines(), lex)
+        if min_interval is not None:
+            # Arrivals jitter by a few ms around the paced starts.
+            arrivals = sorted(arrived for arrived, _ in service.requests)
+            assert arrivals[-1] - arrivals[0] >= 0.5 * min_interval * (len(arrivals) - 1)
 
     def test_http_backend_without_url_exits_1(self, data_dir, capsys):
         code = self.run_cli(
