@@ -7,6 +7,7 @@ lock, so concurrent callers get what calls made in turn would get.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -128,24 +129,43 @@ _PRECISION_BY_LOCATION_TYPE = {
 }
 
 
+def _is_http(url: str) -> bool:
+    return urllib.parse.urlsplit(url).scheme in ("http", "https")
+
+
+@functools.cache
+def _opener():
+    """``urlopen``'s opener, but one that follows redirects to http(s) only."""
+    # Imported here: `import rescuemap` stays lean without them.
+    from urllib.request import HTTPRedirectHandler, build_opener
+
+    class HttpRedirectHandler(HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if not _is_http(newurl):
+                fp.close()
+                raise ValueError(f"redirect to a URL that is not http(s): {newurl}")
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+    return build_opener(HttpRedirectHandler)
+
+
 def _default_fetch(url: str, timeout: float) -> tuple[int, str]:
-    """GET ``url`` over HTTP(S), following redirects.
+    """GET ``url`` over HTTP(S), following redirects to HTTP(S) URLs.
 
     A 2xx answer gives its status and its body as strict UTF-8, as JSON
     requires (RFC 8259). An error answer gives its status and its body with
     undecodable bytes replaced, so a 429 reads as rate limited whatever its
     body. Anything else raises: a timeout, a refused connection, a
-    non-UTF-8 2xx body, or a scheme other than http and https (``urlopen``
-    would read a ``file:`` URL).
+    non-UTF-8 2xx body, or a URL or redirect target whose scheme is not
+    http or https (``urlopen`` would read a ``file:`` URL, and follow a
+    redirect to ``ftp:``).
     """
-    # Imported here: `import rescuemap` stays lean without them.
     from urllib.error import HTTPError
-    from urllib.request import urlopen
 
-    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+    if not _is_http(url):
         raise ValueError(f"not an http(s) URL: {url}")
     try:
-        with urlopen(url, timeout=timeout) as response:
+        with _opener().open(url, timeout=timeout) as response:
             return response.status, response.read().decode("utf-8")
     except HTTPError as exc:
         with exc:

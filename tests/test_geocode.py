@@ -726,6 +726,21 @@ class TestDefaultFetch:
         backend = HttpBackend(f"http://127.0.0.1:{port}/json?address={{query}}")
         assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR
 
+    def test_redirect_to_another_scheme_is_not_followed(self, loopback, monkeypatch):
+        # urlopen would follow a 302 to ftp:, and an FTP answer holding
+        # ZERO_RESULTS would be cached as not_found.
+        monkeypatch.setattr(geocode, "HTTP_TIMEOUT_S", 1.0)
+        with socket.socket() as ftp:
+            ftp.bind(("127.0.0.1", 0))
+            ftp.listen()
+            target = f"ftp://127.0.0.1:{ftp.getsockname()[1]}/answer.json"
+            base = loopback(lambda path: (302, {"Location": target}, b""))
+            result = HttpBackend(base + "/moved?address={query}").resolve("1 Main St")
+            assert result.status is GeocodeStatus.BACKEND_ERROR
+            ftp.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                ftp.accept()[0].close()  # the listener saw no connection
+
     def test_other_schemes_are_not_read(self, tmp_path):
         # urlopen would read this file, and its ZERO_RESULTS would be cached.
         answer = tmp_path / "answer.json"
