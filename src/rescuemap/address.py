@@ -2,12 +2,13 @@
 
 A street address is a house number followed by either 1-3 street-name words
 and a street suffix ("4055 South Braeswood Blvd") or a designator and a
-number or letter ("1108 Highway 7"). Starting from the first such match, the
-parser greedily takes the optional components of a US address: unit, city
-(possibly hashtagged), state, and zip code. Components are separated by
-"connector" runs of spaces, tabs, newlines, carriage returns, form feeds,
-commas, and periods. Under-specified addresses are completed so the final
-search string always names Texas.
+number or letter ("1108 Highway 7"). From the end of the first such match,
+one anchored match of one chain pattern reads the optional components of a
+US address: unit, city (possibly hashtagged), state, and zip code, each
+taken greedily and kept only where its context rules allow. Components are
+separated by "connector" runs of spaces, tabs, newlines, carriage returns,
+form feeds, commas, and periods. Under-specified addresses are completed so
+the final search string always names Texas.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ class CompletionRule(Enum):
     TEXAS_APPENDED = "texas_appended"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullAddress:
     """Decomposed address components plus completion provenance.
 
@@ -71,6 +72,8 @@ def _trie_alternation(words: frozenset[str]) -> str:
     def render(node: dict) -> str:
         branches = [re.escape(ch) + render(child) for ch, child in node.items() if ch]
         if "" in node:
+            if len(branches) == 1 and len(branches[0]) == 1:
+                return f"{branches[0]}?"  # "STS?" for "ST(?:S)?": one program, less to parse
             return f"(?:{'|'.join(branches)})?" if branches else ""
         return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
 
@@ -91,9 +94,11 @@ _DESIGNATOR_ALT = "|".join(sorted(_DESIGNATORS, key=len, reverse=True))
 # <house number> then either <1-3 street-name words> <street suffix>[.]
 # or <designator>[.] <digits | single letter>. The number and the whitespace
 # after it can match only one way, so at each start the name branch, tried
-# first, wins over the designator branch.
+# first, wins over the designator branch. The pattern starts with a digit and
+# checks the word boundary behind it, so the search scans ahead for a digit
+# before it tries the pattern; a leading `\b` kept the scan from being built.
 _ADDRESS_RE = re.compile(
-    rf"\b(?P<num>\d{{1,6}})\s+(?:"
+    rf"(?P<num>\d(?<=\b\d)\d{{0,5}})\s+(?:"
     rf"(?P<name>(?:{_WORD}\s+){{1,3}}(?:{_SUFFIX_ALT})\.?)"
     rf"|(?P<designator>(?:{_DESIGNATOR_ALT})\.?\s+(?:\d+|[A-Za-z]))"
     r")(?![A-Za-z0-9])",
@@ -134,29 +139,15 @@ _STATE_NAMES_BY_ABBREV = {
     "UT": "Utah", "VT": "Vermont", "VA": "Virginia", "WA": "Washington",
     "WV": "West Virginia", "WI": "Wisconsin", "WY": "Wyoming",
 }
-_STATE_ABBREVS = frozenset(_STATE_NAMES_BY_ABBREV)
-_STATE_NAMES = frozenset(n.lower() for n in _STATE_NAMES_BY_ABBREV.values())
-
-_STATE_NAME_RE = re.compile(
-    "(?:"
-    + "|".join(
-        re.escape(name).replace(r"\ ", r"\s+")
-        for name in sorted(_STATE_NAMES_BY_ABBREV.values(), key=len, reverse=True)
-    )
-    + r")(?![A-Za-z])",
-    re.IGNORECASE,
-)
-_STATE_ABBREV_RE = re.compile(r"[A-Za-z]{2}(?![A-Za-z0-9])")
-
-_CONNECTOR_RE = re.compile(r"[ \t\n\r\f,.]+")
-_ZIP_RE = re.compile(r"\d{5}(?:-\d{4})?(?![0-9A-Za-z])")
-
-_UNIT_KEY_RE = re.compile(r"(?:apartment|suite|unit|apt|ste)\b\.?", re.IGNORECASE)
-_UNIT_DESIGNATOR_RE = re.compile(r"#?\s?([A-Za-z0-9][A-Za-z0-9-]{0,5})(?![A-Za-z0-9])")
-_UNIT_REST_RE = re.compile(r"[ \t]*" + _UNIT_DESIGNATOR_RE.pattern)
-
-_CITY_WORD = r"(?:#[A-Za-z]+|[A-Z][A-Za-z]*)"
-_CITY_RE = re.compile(rf"{_CITY_WORD}(?: {_CITY_WORD})?(?![A-Za-z0-9])")
+_STATE_NAMES = frozenset(name.lower() for name in _STATE_NAMES_BY_ABBREV.values())
+_STATE_ABBREV_ALT = _trie_alternation(frozenset(_STATE_NAMES_BY_ABBREV))
+# A state name in any case, with any whitespace run between its words.
+_STATE_NAME_ALT = _trie_alternation(_STATE_NAMES).replace(r"\ ", r"\s+")
+# A whole city word that is a state word: a one-word state name in any ASCII
+# case (city words are ASCII letters, so "Texa" before "ſ" is none) or an
+# uppercase code, '#'-prefixed or not ("texas", "#TX").
+_ONE_WORD_STATE_NAME_ALT = _trie_alternation(frozenset(n for n in _STATE_NAMES if " " not in n))
+_STATE_WORD = rf"#?(?:(?ai:{_ONE_WORD_STATE_NAME_ALT})|{_STATE_ABBREV_ALT})(?![A-Za-z])"
 
 _TEXAS_RE = re.compile(r"texas|\btx\b", re.IGNORECASE)
 
@@ -166,96 +157,84 @@ def contains_texas(text: str) -> bool:
     return _TEXAS_RE.search(text) is not None
 
 
-def _connector(text: str, pos: int) -> Optional[re.Match]:
-    m = _CONNECTOR_RE.match(text, pos)
-    return m if m and m.end() > pos else None
+def _connector_run(name: str) -> str:
+    """A connector run; the group ``name`` is set when the run holds a comma.
+
+    No component starts with a connector character, so a component always
+    follows the whole run.
+    """
+    return rf"(?:(?P<{name}>[ \t\n\r\f.]*,[ \t\n\r\f,.]*)|[ \t\n\r\f.]+)"
 
 
-# Each component matcher takes the text, the offset after a connector run and
-# that run's text, and returns (component, end offset) or None.
+_CITY_WORD = r"(?:#[A-Za-z]+|[A-Z][A-Za-z]*)"
+_ZIP = r"\d{5}(?:-\d{4})?(?![0-9A-Za-z])"
 
-def _match_unit(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
-    key = _UNIT_KEY_RE.match(text, pos)
-    if key is not None:
-        rest = _UNIT_REST_RE.match(text, key.end())
-        if rest is not None:
-            return _normalize_ws(text[pos : rest.end()]), rest.end()
-        return None
-    # Bare '#' unit: keep it distinguishable from a hashtagged city by
-    # requiring a digit or a single letter ("#4B", "#B", not "#Houston").
-    bare = _UNIT_DESIGNATOR_RE.match(text, pos)
-    if bare is not None and text[pos] == "#":
-        designator = bare.group(1)
-        if any(ch.isdigit() for ch in designator) or len(designator) == 1:
-            return _normalize_ws(bare.group(0)), bare.end()
-    return None
+# The optional unit, city, state and zip after a street address, in that
+# order, read by one anchored match; each component's connector run comes
+# before it. A component is the first match of its own pattern, judged once:
+# where a rule can reject that match, a lookahead capture replayed as a
+# backreference, ``(?=(?P<g>...))(?P=g)``, keeps the engine from backtracking
+# into a shorter match the rule would accept (Python 3.10 has no atomic
+# groups). A rejected component leaves the position for the next one.
+_CHAIN_RE = re.compile(
+    # Unit: a key word and a designator ("Apt 4B", "Suite A"), or '#' and a
+    # designator ("#4B", "#B"). The lookbehinds reject a bare designator of
+    # two to six letters and hyphens, so that "#Houston" is no unit.
+    rf"(?:{_connector_run('unit_comma')}(?P<unit>"
+    r"(?i:apartment|suite|unit|apt|ste)\b\.?[ \t]*#?\s?[A-Za-z0-9][A-Za-z0-9-]{0,5}(?![A-Za-z0-9])"
+    r"|#\s?(?=(?P<unit_id>[A-Za-z0-9][A-Za-z0-9-]{0,5})(?![A-Za-z0-9]))(?P=unit_id)"
+    + "".join(rf"(?<![#\s][A-Za-z-]{{{n}}})" for n in range(2, 7))
+    + "))?"
+    # City: the first match of one or two words (city_1, city_2) gives both
+    # words unless the second is a state word, else the first alone unless
+    # it is a state word. The final condition asks a city for a comma before
+    # it or a state or zip right after it.
+    + rf"(?:{_connector_run('city_comma')}"
+    rf"(?=(?P<city_text>(?=(?P<city_1>{_CITY_WORD})(?: (?P<city_2>{_CITY_WORD}))?(?![A-Za-z0-9]))"
+    rf"(?:(?P=city_1) (?=(?P=city_2)))?(?!{_STATE_WORD})#?[A-Za-z]+))(?P<city>(?P=city_text)))?"
+    # State: a full name, or an uppercase code that is TX, follows a comma
+    # or has a zip after it (bare codes collide with "IN", "OR", "OK").
+    rf"(?:{_connector_run('state_comma')}(?P<state>(?i:(?:{_STATE_NAME_ALT})(?![A-Za-z]))"
+    rf"|(?:{_STATE_ABBREV_ALT})(?![A-Za-z0-9])"
+    rf"(?(state_comma)|(?:(?<=TX)|(?=[ \t\n\r\f,.]+{_ZIP})))))?"
+    rf"(?:{_connector_run('zip_comma')}(?P<zip>{_ZIP}))?"
+    # Failing here drops the city, and the state and zip are read again
+    # from where the city started.
+    r"(?(city)(?(city_comma)|(?(state)|(?(zip)|(?!)))))"
+)
+_CHAIN_GROUPS = (
+    "unit_comma", "unit", "city_comma", "city", "state_comma", "state", "zip_comma", "zip",
+)
 
-
-def _is_state_word(word: str) -> bool:
-    cleaned = word.lstrip("#")
-    return cleaned.lower() in _STATE_NAMES or (
-        len(cleaned) == 2 and cleaned.upper() in _STATE_ABBREVS and cleaned.isupper()
-    )
-
-
-def _zip_follows(text: str, pos: int) -> bool:
-    conn = _connector(text, pos)
-    return conn is not None and _ZIP_RE.match(text, conn.end()) is not None
-
-
-def _match_state(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
-    m = _STATE_NAME_RE.match(text, pos)
-    if m is not None:
-        return _normalize_ws(m.group(0)), m.end()
-    m = _STATE_ABBREV_RE.match(text, pos)
-    if m is None:
-        return None
-    token = m.group(0)
-    if token.upper() not in _STATE_ABBREVS or not token.isupper():
-        return None
-    # Bare two-letter codes collide with English words ("IN", "OR", "OK"):
-    # require a comma lead-in, a trailing zip, or the home-state code.
-    if token.upper() == "TX" or "," in prev_connector or _zip_follows(text, m.end()):
-        return token, m.end()
-    return None
-
-
-def _state_or_zip_follows(text: str, pos: int) -> bool:
-    conn = _connector(text, pos)
-    if conn is None:
-        return False
-    after = conn.end()
-    if _ZIP_RE.match(text, after) is not None:
-        return True
-    return _match_state(text, after, conn.group(0)) is not None
+# Both builders fill each new FullAddress through its slots' member
+# descriptors: the same store the generated __init__ makes through
+# object.__setattr__, at about half the cost.
+(
+    _set_house_number, _set_street, _set_unit, _set_city,
+    _set_state, _set_zip, _set_completed, _set_completion_rule,
+) = (vars(FullAddress)[field].__set__ for field in FullAddress.__match_args__)
 
 
-def _match_city(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
-    m = _CITY_RE.match(text, pos)
-    if m is None:
-        return None
-    words = m.group(0).split(" ")
-    # Never swallow the state into the city; retry with one word.
-    if len(words) == 2 and _is_state_word(words[1]):
-        words = words[:1]
-    end = pos + len(" ".join(words))
-    if _is_state_word(words[0]) and len(words) == 1:
-        return None
-    # Guard against trailing narrative words: a city needs a comma lead-in
-    # or a recognized state/zip right after it.
-    if "," not in prev_connector and not _state_or_zip_follows(text, end):
-        return None
-    city = " ".join(w.lstrip("#") for w in words)
-    return city, end
-
-
-def _match_zip(text: str, pos: int, prev_connector: str) -> Optional[tuple[str, int]]:
-    m = _ZIP_RE.match(text, pos)
-    return (m.group(0), m.end()) if m else None
-
-
-# The optional components, in the order they may follow the street address.
-_COMPONENTS = (_match_unit, _match_city, _match_state, _match_zip)
+def _new_full_address(
+    house_number: str,
+    street: str,
+    unit: Optional[str],
+    city: Optional[str],
+    state: Optional[str],
+    zip_code: Optional[str],
+    completed: str,
+    completion_rule: Optional[CompletionRule],
+) -> FullAddress:
+    addr = object.__new__(FullAddress)
+    _set_house_number(addr, house_number)
+    _set_street(addr, street)
+    _set_unit(addr, unit)
+    _set_city(addr, city)
+    _set_state(addr, state)
+    _set_zip(addr, zip_code)
+    _set_completed(addr, completed)
+    _set_completion_rule(addr, completion_rule)
+    return addr
 
 
 def extract_full_address(match: re.Match) -> FullAddress:
@@ -265,30 +244,26 @@ def extract_full_address(match: re.Match) -> FullAddress:
     result is uncompleted: run :func:`complete_address` to obtain the final
     search string.
     """
-    text = match.string
-    cursor = match.end()
-    completed = _normalize_ws(match.group())
-    values: list[Optional[str]] = []
-    for match_component in _COMPONENTS:
-        conn = _connector(text, cursor)
-        found = None if conn is None else match_component(text, conn.end(), conn.group(0))
-        value = None
-        if found is not None:
-            value, cursor = found
-            completed += (", " if "," in conn.group(0) else " ") + value
-        values.append(value)
-    unit, city, state, zip_code = values
-
-    return FullAddress(
-        house_number=match.group("num"),
-        street=_normalize_ws(match.group(match.lastgroup)),
-        unit=unit,
-        city=city,
-        state=state,
-        zip=zip_code,
-        completed=completed,
-        completion_rule=None,
-    )
+    unit_comma, unit, city_comma, city, state_comma, state, zip_comma, zip_code = _CHAIN_RE.match(
+        match.string, match.end()
+    ).group(*_CHAIN_GROUPS)
+    house_number, street = match.group("num", match.lastgroup)
+    street = _normalize_ws(street)
+    # The number holds no whitespace and `\s+` follows it, so this is the
+    # whole match with its whitespace runs normalized.
+    completed = f"{house_number} {street}"
+    if unit is not None:
+        unit = _normalize_ws(unit)
+        completed += (" " if unit_comma is None else ", ") + unit
+    if city is not None:
+        city = city.replace("#", "")  # '#' only ever leads a city word
+        completed += (" " if city_comma is None else ", ") + city
+    if state is not None:
+        state = _normalize_ws(state)
+        completed += (" " if state_comma is None else ", ") + state
+    if zip_code is not None:
+        completed += (" " if zip_comma is None else ", ") + zip_code
+    return _new_full_address(house_number, street, unit, city, state, zip_code, completed, None)
 
 
 def complete_address(addr: FullAddress, hashtags: list[str] | tuple[str, ...]) -> FullAddress:
@@ -314,7 +289,6 @@ def complete_address(addr: FullAddress, hashtags: list[str] | tuple[str, ...]) -
     else:
         rule = CompletionRule.TEXAS_APPENDED
         completed += ", Texas"
-    # Positional arguments, in field order, cost less per call than keywords.
-    return FullAddress(
+    return _new_full_address(
         addr.house_number, addr.street, addr.unit, addr.city, addr.state, addr.zip, completed, rule
     )

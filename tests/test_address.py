@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -157,6 +159,40 @@ class TestCompleteAddress:
         ]:
             done = complete_address(extract_full_address(detect_address(text)), tags)
             assert contains_texas(done.completed), done
+
+
+class TestFullAddressInstances:
+    """Extraction and completion fill each FullAddress through its slots."""
+
+    FIELDS = dict(
+        house_number="900", street="Elm St", unit="Apt 4B", city="Houston", state="TX",
+        zip=None, completed="900 Elm St Apt 4B, Houston, TX", completion_rule=None,
+    )
+
+    def extracted(self) -> FullAddress:
+        return extract_full_address(detect_address("at 900 Elm St Apt 4B, Houston, TX now"))
+
+    def test_no_instance_dict(self):
+        # A per-instance __dict__ would add a dict to every address kept.
+        extracted = self.extracted()
+        for addr in (extracted, complete_address(extracted, []), FullAddress(**self.FIELDS)):
+            assert not hasattr(addr, "__dict__")
+
+    def test_equal_to_the_constructed_instance(self):
+        extracted, built = self.extracted(), FullAddress(**self.FIELDS)
+        assert extracted == built
+        assert hash(extracted) == hash(built)
+        assert repr(extracted) == repr(built)
+        done = complete_address(extracted, [])
+        expected = FullAddress(**{**self.FIELDS, "completion_rule": CompletionRule.NONE})
+        assert (done, hash(done), repr(done)) == (expected, hash(expected), repr(expected))
+
+    def test_frozen_and_replaceable(self):
+        addr = self.extracted()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            addr.city = "Katy"
+        assert dataclasses.replace(addr, city="Katy") == FullAddress(**{**self.FIELDS, "city": "Katy"})
+        assert dataclasses.asdict(addr) == self.FIELDS
 
 
 class TestContainsTexas:

@@ -1,7 +1,7 @@
-"""Differential tests: the one-pattern detector, the component loop and the
-one-construction completion against the two-pattern detector, the per-kind walk
-and the `dataclasses.replace` completion they replaced, kept here as the
-reference implementations."""
+"""Differential tests: the one-pattern detector, the one-match component chain
+and the one-construction completion against the two-pattern detector, the
+per-kind walk and the `dataclasses.replace` completion they replaced, kept here
+as the reference implementations."""
 from __future__ import annotations
 
 import re
@@ -320,6 +320,16 @@ _texts = st.lists(st.tuples(_tokens, _gaps), max_size=6).map(
 @example(text="4 Ave G Ct")
 @example(text="123456 Main St, 1234567 Elm Rd")
 @example(text="12 Hwy 6x and 9 Main Stx")
+# The search starts at a digit and looks back for the word boundary: no match
+# after a letter, '_' or 'é', a match after a space or '#', and `\d` takes any
+# Unicode digit.
+@example(text="a12 Main St")
+@example(text="_12 Main St")
+@example(text="é12 Main St")
+@example(text="x 12 Main St")
+@example(text="#12 Main St")
+@example(text="١٢ Main St")
+@example(text="１２ Main St")
 def test_detect_address_matches_two_pattern_reference(text):
     match = detect_address(text)
     expected = reference_detect_address(text)
@@ -339,6 +349,7 @@ _COMPONENTS = (
     "Apt 4B", "apt. 12", "Suite \tA", "Apt\t 4B", "unit", "Ste 1-2", "#4B", "#B", "# 7", "#Houston",
     "Houston", "#Houston", "Sugar Land", "Katy TX", "houston", "New York", "Of",
     "TX", "Texas", "tx", "New  Mexico", "OK", "IN", "Ok", "#TX",
+    "#A-BCDE", "Katy", "Sugar Land9", "New\nMexico", "Texas City",
     "77025", "77025-1234", "7702", "770251", "77025x",
     "please", "Help", "now",
 )
@@ -354,6 +365,20 @@ _chains = st.builds(
 @given(text=st.one_of(_chains, _texts))
 @example(text="4055 South Braeswood Blvd Apt 4B, Houston, TX 77025")
 @example(text="900 Elm St, Katy 77494")
+# Each case below is one where a pattern that may backtrack into a component
+# finds a shorter match that the first match's rule would not allow.
+@example(text="900 Elm St #A-BCDE")  # "A-BCDE" has no digit; "#A" is no unit
+@example(text="900 Elm St #AB-CD1X2")  # the designator "AB" ends before the digit
+@example(text="12 Main St Katy OK")  # "OK" without a zip is no state, so no city
+@example(text="12 Main St Katy OK 77494")
+@example(text="12 Main St Sugar Land9")  # the city is "Sugar", which needs a state or zip
+@example(text="12 Main St, Foo New York")  # "Foo New" is the city; "York" is no state
+@example(text="12 Main St Foo New York")  # no city, and not "Foo" then "New York"
+@example(text="12 Main St Apt")
+@example(text="12 Main St New\nMexico")
+@example(text="12 Main St, Texa\u017f 77025")  # the city "Texa": "ſ" is no ASCII letter
+@example(text="12 Main St Texa\u017f 77025")  # the state "Texaſ": "ſ" is "s" in any case
+@example(text="# 0 avenue  0 ")  # the chain starts one connector before the end
 def test_extract_full_address_matches_advance_walk_reference(text):
     match = detect_address(text)
     expected = reference_extract_full_address(text)
