@@ -148,6 +148,10 @@ _STATE_NAME_ALT = _trie_alternation(_STATE_NAMES).replace(r"\ ", r"\s+")
 # uppercase code, '#'-prefixed or not ("texas", "#TX").
 _ONE_WORD_STATE_NAME_ALT = _trie_alternation(frozenset(n for n in _STATE_NAMES if " " not in n))
 _STATE_WORD = rf"#?(?:(?ai:{_ONE_WORD_STATE_NAME_ALT})|{_STATE_ABBREV_ALT})(?![A-Za-z])"
+# A state name of two or more words where the state would read one.
+_MULTI_WORD_STATE_NAME = (
+    rf"(?i:{_trie_alternation(frozenset(n for n in _STATE_NAMES if ' ' in n))})(?![A-Za-z])"
+).replace(r"\ ", r"\s+")
 
 _TEXAS_RE = re.compile(r"texas|\btx\b", re.IGNORECASE)
 
@@ -187,10 +191,13 @@ _CHAIN_RE = re.compile(
     + "))?"
     # City: the first match of one or two words (city_1, city_2) gives both
     # words unless the second is a state word, else the first alone unless
-    # it is a state word. The final condition asks a city for a comma before
-    # it or a state or zip right after it.
+    # it is a state word. A second word never starts a state name of two or
+    # more words: "Fargo North Dakota" is "Fargo", then "North Dakota". The
+    # final condition asks a city for a comma before it or a state or zip
+    # right after it.
     + rf"(?:{_connector_run('city_comma')}"
-    rf"(?=(?P<city_text>(?=(?P<city_1>{_CITY_WORD})(?: (?P<city_2>{_CITY_WORD}))?(?![A-Za-z0-9]))"
+    rf"(?=(?P<city_text>(?=(?P<city_1>{_CITY_WORD})"
+    rf"(?: (?!{_MULTI_WORD_STATE_NAME})(?P<city_2>{_CITY_WORD}))?(?![A-Za-z0-9]))"
     rf"(?:(?P=city_1) (?=(?P=city_2)))?(?!{_STATE_WORD})#?[A-Za-z]+))(?P<city>(?P=city_text)))?"
     # State: a full name, or an uppercase code that is TX, follows a comma
     # or has a zip after it (bare codes collide with "IN", "OR", "OK").

@@ -1,5 +1,11 @@
 """Geocoding: pluggable backends, a caching front-end, and an offline gazetteer.
 
+A result is the answer alone: ``point``, ``status`` and ``from_cache``; the
+question stays with the caller. Results are immutable values, so one object
+serves every caller that gets the same answer: each failure status has one
+shared result, a gazetteer builds each row's result once at load, and every
+cache hit on a key returns the one result cached for it.
+
 The cache stores ``ok`` and ``not_found`` results for the lifetime of the
 process; transient failures (``backend_error``, ``rate_limited``) are never
 cached. Lookups of one normalized key run one at a time behind a per-key
@@ -14,7 +20,7 @@ import os
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol
@@ -55,7 +61,6 @@ class GeoPoint:
 
 @dataclass(frozen=True)
 class GeocodeResult:
-    query: str
     point: Optional[GeoPoint]
     status: GeocodeStatus
     from_cache: bool = False
@@ -63,6 +68,11 @@ class GeocodeResult:
     def __post_init__(self) -> None:
         if (self.point is not None) != (self.status is GeocodeStatus.OK):
             raise ValueError("point must be present exactly when status is ok")
+
+
+_NOT_FOUND = GeocodeResult(None, GeocodeStatus.NOT_FOUND)
+_RATE_LIMITED = GeocodeResult(None, GeocodeStatus.RATE_LIMITED)
+_BACKEND_ERROR = GeocodeResult(None, GeocodeStatus.BACKEND_ERROR)
 
 
 class Backend(Protocol):
@@ -87,7 +97,7 @@ class Gazetteer:
     """
 
     def __init__(self, table: dict[str, GeoPoint]):
-        self._table = dict(table)
+        self._table = {key: GeocodeResult(point, GeocodeStatus.OK) for key, point in table.items()}
 
     def __len__(self) -> int:
         return len(self._table)
@@ -115,10 +125,7 @@ class Gazetteer:
         return cls(table)
 
     def resolve(self, query: str) -> GeocodeResult:
-        point = self._table.get(normalize_query(query))
-        if point is None:
-            return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
-        return GeocodeResult(query=query, point=point, status=GeocodeStatus.OK)
+        return self._table.get(normalize_query(query), _NOT_FOUND)
 
 
 _PRECISION_BY_LOCATION_TYPE = {
@@ -238,19 +245,19 @@ class HttpBackend:
         try:
             status_code, body = self._fetch(self._build_url(query), HTTP_TIMEOUT_S)
         except Exception:
-            return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+            return _BACKEND_ERROR
         if status_code == 429:
-            return GeocodeResult(query=query, point=None, status=GeocodeStatus.RATE_LIMITED)
+            return _RATE_LIMITED
         try:
             payload = json.loads(body)
             api_status = payload.get("status", "OK")
             if api_status in ("OVER_QUERY_LIMIT", "OVER_DAILY_LIMIT", "RESOURCE_EXHAUSTED"):
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.RATE_LIMITED)
+                return _RATE_LIMITED
             results = payload.get("results", [])
             if api_status == "ZERO_RESULTS" or (api_status == "OK" and not results):
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                return _NOT_FOUND
             if status_code != 200 or api_status != "OK":
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+                return _BACKEND_ERROR
             location = results[0]["geometry"]["location"]
             precision = _PRECISION_BY_LOCATION_TYPE.get(
                 results[0]["geometry"].get("location_type", ""), Precision.UNKNOWN
@@ -264,8 +271,8 @@ class HttpBackend:
         except (
             AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError
         ):
-            return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
-        return GeocodeResult(query=query, point=point, status=GeocodeStatus.OK)
+            return _BACKEND_ERROR
+        return GeocodeResult(point, GeocodeStatus.OK)
 
 
 _CACHED_STATUSES = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
@@ -275,7 +282,8 @@ class Geocoder:
     """Caching front-end over a backend.
 
     ``ok``/``not_found`` results are cached for the process lifetime, so a
-    backend sees at most one request per distinct normalized query. Errors
+    backend sees at most one request per distinct normalized query. Every
+    hit on a key returns the one ``from_cache`` result stored for it. Errors
     pass through uncached and will be retried by later calls. A cache miss
     holds that key's lock while it calls the backend, so concurrent callers
     of one key call it one at a time, and each reads the cache again first.
@@ -301,14 +309,12 @@ class Geocoder:
                     try:
                         result = self.backend.resolve(query)
                         if result.from_cache:
-                            result = replace(result, from_cache=False)
+                            result = GeocodeResult(result.point, result.status)
                     except Exception:
-                        result = GeocodeResult(
-                            query=query, point=None, status=GeocodeStatus.BACKEND_ERROR
-                        )
+                        result = _BACKEND_ERROR
                     if result.status in _CACHED_STATUSES:
-                        self._cache[key] = result
+                        self._cache[key] = GeocodeResult(result.point, result.status, True)
                         del self._key_locks[key]  # later calls find the cache first
                     return result
                 self._key_locks.pop(key, None)  # re-added by a caller that missed the store
-        return GeocodeResult(query, hit.point, hit.status, True)
+        return hit

@@ -185,7 +185,6 @@ def test_criterion_6_geocode_cache_soundness():
         def resolve(self, query):
             CountingBackend.calls += 1
             return GeocodeResult(
-                query=query,
                 point=GeoPoint(-95.4, 29.7, Precision.ROOFTOP),
                 status=GeocodeStatus.OK,
             )

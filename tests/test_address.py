@@ -76,6 +76,43 @@ class TestExtractFullAddress:
         addr = extract_full_address(detect_address("at 8 Main St, Bay City, TX"))
         assert addr.city == "Bay City"
 
+    @pytest.mark.parametrize(
+        "text, city, state, zip_code, completed",
+        [
+            (
+                "12 Main St, Fargo North Dakota 58102",
+                "Fargo", "North Dakota", "58102",
+                "12 Main St, Fargo North Dakota 58102, Texas",
+            ),
+            (
+                "12 Main St Buffalo New York",
+                "Buffalo", "New York", None,
+                "12 Main St Buffalo New York, Texas",
+            ),
+            (
+                "12 Main St Charleston West Virginia",
+                "Charleston", "West Virginia", None,
+                "12 Main St Charleston West Virginia, Texas",
+            ),
+            (
+                "12 Main St, South Houston, TX",
+                "South Houston", "TX", None,
+                "12 Main St, South Houston, TX",
+            ),
+            (
+                "12 Main St, Port New Orleans",
+                "Port New", None, None,
+                "12 Main St, Port New, Texas",
+            ),
+        ],
+        ids=["fargo", "buffalo", "charleston", "south_houston", "port_new_orleans"],
+    )
+    def test_second_city_word_does_not_start_a_two_word_state(
+        self, text, city, state, zip_code, completed
+    ):
+        addr = complete_address(extract_full_address(detect_address(text)), [])
+        assert (addr.city, addr.state, addr.zip, addr.completed) == (city, state, zip_code, completed)
+
     def test_lowercase_state_abbreviation_is_not_state(self):
         # "in" as a word must not become Indiana.
         addr = extract_full_address(detect_address("flooded at 12 Oak St in the dark"))

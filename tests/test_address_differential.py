@@ -119,7 +119,19 @@ _REF_ZIP_RE = re.compile(r"\d{5}(?:-\d{4})?(?![0-9A-Za-z])")
 _REF_UNIT_KEY_RE = re.compile(r"(?:apartment|suite|unit|apt|ste)\b\.?", re.IGNORECASE)
 _REF_UNIT_DESIGNATOR_RE = re.compile(r"#?\s?([A-Za-z0-9][A-Za-z0-9-]{0,5})(?![A-Za-z0-9])")
 _REF_CITY_WORD = r"(?:#[A-Za-z]+|[A-Z][A-Za-z]*)"
-_REF_CITY_RE = re.compile(rf"{_REF_CITY_WORD}(?: {_REF_CITY_WORD})?(?![A-Za-z0-9])")
+# A city's second word may not start a state name of two or more words.
+_REF_MULTI_WORD_STATE_NAME = (
+    "(?i:"
+    + "|".join(
+        re.escape(name).replace(r"\ ", r"\s+")
+        for name in sorted(_REF_STATE_NAMES_BY_ABBREV.values(), key=len, reverse=True)
+        if " " in name
+    )
+    + r")(?![A-Za-z])"
+)
+_REF_CITY_RE = re.compile(
+    rf"{_REF_CITY_WORD}(?: (?!{_REF_MULTI_WORD_STATE_NAME}){_REF_CITY_WORD})?(?![A-Za-z0-9])"
+)
 
 
 def _ref_connector(text: str, pos: int) -> Optional[re.Match]:
@@ -350,6 +362,7 @@ _COMPONENTS = (
     "Houston", "#Houston", "Sugar Land", "Katy TX", "houston", "New York", "Of",
     "TX", "Texas", "tx", "New  Mexico", "OK", "IN", "Ok", "#TX",
     "#A-BCDE", "Katy", "Sugar Land9", "New\nMexico", "Texas City",
+    "North Dakota", "West", "District of Columbia", "Fargo",
     "77025", "77025-1234", "7702", "770251", "77025x",
     "please", "Help", "now",
 )
@@ -372,8 +385,15 @@ _chains = st.builds(
 @example(text="12 Main St Katy OK")  # "OK" without a zip is no state, so no city
 @example(text="12 Main St Katy OK 77494")
 @example(text="12 Main St Sugar Land9")  # the city is "Sugar", which needs a state or zip
-@example(text="12 Main St, Foo New York")  # "Foo New" is the city; "York" is no state
-@example(text="12 Main St Foo New York")  # no city, and not "Foo" then "New York"
+@example(text="12 Main St, Foo New York")  # "Foo" then "New York": no city "Foo New"
+@example(text="12 Main St Foo New York")
+@example(text="12 Main St, Fargo North Dakota 58102")
+@example(text="12 Main St Buffalo New York")
+@example(text="12 Main St Charleston West Virginia")  # not "Charleston West", "Virginia"
+@example(text="12 Main St, Foo New  york")  # the state's case and whitespace rules
+@example(text="12 Main St, Foo New Yorker")  # no state follows, so "Foo New" is the city
+@example(text="12 Main St, South Houston, TX")
+@example(text="12 Main St, Port New Orleans")
 @example(text="12 Main St Apt")
 @example(text="12 Main St New\nMexico")
 @example(text="12 Main St, Texa\u017f 77025")  # the city "Texa": "ſ" is no ASCII letter

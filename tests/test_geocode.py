@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 import urllib.parse
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from typing import Optional
 
 import pytest
@@ -48,11 +48,9 @@ class TestGeoPoint:
 
     def test_result_requires_point_iff_ok(self):
         with pytest.raises(ValueError):
-            GeocodeResult(query="q", point=None, status=GeocodeStatus.OK)
+            GeocodeResult(point=None, status=GeocodeStatus.OK)
         with pytest.raises(ValueError):
-            GeocodeResult(
-                query="q", point=GeoPoint(0, 0), status=GeocodeStatus.NOT_FOUND
-            )
+            GeocodeResult(point=GeoPoint(0, 0), status=GeocodeStatus.NOT_FOUND)
 
 
 class TestGazetteer:
@@ -72,6 +70,11 @@ class TestGazetteer:
     def test_lookup_is_normalization_insensitive(self, gazetteer):
         result = gazetteer.resolve("4055  south braeswood blvd,  houston, tx")
         assert result.status is GeocodeStatus.OK
+
+    def test_resolve_returns_one_shared_answer_per_row_and_for_misses(self, gazetteer):
+        hit = gazetteer.resolve("4055 South Braeswood Blvd, Houston, TX")
+        assert gazetteer.resolve("4055  SOUTH braeswood blvd.  houston tx") is hit
+        assert gazetteer.resolve("1 Nowhere Pl") is gazetteer.resolve("2 Elsewhere Ave")
 
     def test_duplicate_key_is_an_error(self, tmp_path):
         path = tmp_path / "dup.tsv"
@@ -139,7 +142,7 @@ class CountingBackend:
         if self.delay:
             time.sleep(self.delay)
         point = self.point if self.status is GeocodeStatus.OK else None
-        return GeocodeResult(query=query, point=point, status=self.status)
+        return GeocodeResult(point=point, status=self.status)
 
 
 class TestGeocoderCache:
@@ -207,6 +210,30 @@ class TestGeocoderCache:
         assert len(results) == 8
         assert {r.point for r in results} == {backend.point}
 
+    def test_every_hit_on_a_key_is_the_one_cached_result(self):
+        # Callers that start during the first one's lookup find the stored
+        # result after the key lock; the last lookup finds it before any lock.
+        backend = CountingBackend()
+        backend.delay = 0.05
+        geocoder = Geocoder(backend)
+        results = []
+        barrier = threading.Barrier(4)
+
+        def worker():
+            barrier.wait()
+            results.append(geocoder.geocode("77 Fannin St, Houston, TX"))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        hits = [r for r in results if r.from_cache]
+        assert len(hits) == 3
+        assert all(hit is hits[0] for hit in hits)
+        assert geocoder.geocode("77 FANNIN ST. HOUSTON TX") is hits[0]
+        assert backend.calls == 1
+
     def test_raising_backend_maps_to_backend_error(self):
         class Exploding:
             def resolve(self, query):
@@ -247,7 +274,6 @@ class TestGeocoderCache:
                 with lock:
                     LockedCounting.calls += 1
                 return GeocodeResult(
-                    query=query,
                     point=GeoPoint(-95.0, 29.0, Precision.ROOFTOP),
                     status=GeocodeStatus.OK,
                 )
@@ -323,8 +349,8 @@ class TestGeocoderCache:
                 with self.guard:
                     self.running[query] -= 1
                 if ok:
-                    return GeocodeResult(query, GeoPoint(-95.0, 29.0), GeocodeStatus.OK)
-                return GeocodeResult(query, None, GeocodeStatus.RATE_LIMITED)
+                    return GeocodeResult(GeoPoint(-95.0, 29.0), GeocodeStatus.OK)
+                return GeocodeResult(None, GeocodeStatus.RATE_LIMITED)
 
         keys = [f"{i} Test St, Houston, TX" for i in range(20)]
         interval = sys.getswitchinterval()
@@ -351,14 +377,36 @@ class TestGeocoderCache:
             sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("kind", ["gazetteer_miss", "http_429", "cache_hit"])
+def test_a_shared_answer_cannot_change(gazetteer, kind):
+    query = "1 Nowhere Pl"
+    if kind == "gazetteer_miss":
+        lookup, status = gazetteer.resolve, GeocodeStatus.NOT_FOUND
+    elif kind == "http_429":
+        backend = HttpBackend(
+            "https://geo.example/api?address={query}", fetch=lambda url, timeout: (429, "")
+        )
+        lookup, status = backend.resolve, GeocodeStatus.RATE_LIMITED
+    else:
+        query = "4055 South Braeswood Blvd, Houston, TX"
+        lookup, status = Geocoder(gazetteer).geocode, GeocodeStatus.OK
+        assert not lookup(query).from_cache
+    answer = lookup(query)
+    with pytest.raises(FrozenInstanceError):
+        answer.status = GeocodeStatus.BACKEND_ERROR
+    again = lookup(query)
+    assert (answer.status, again.status) == (status, status)
+    assert again.from_cache == (kind == "cache_hit")
+
+
 # --- reference: the geocoder with an in-flight table, which concurrent callers
 # of one key waited on and whose result, error or not, they were all handed ---
 
 _REF_CACHED_STATUSES = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
 
 
-def _reference_coalesced(result: GeocodeResult, query: str) -> GeocodeResult:
-    return replace(result, query=query, from_cache=result.status in _REF_CACHED_STATUSES)
+def _reference_coalesced(result: GeocodeResult) -> GeocodeResult:
+    return replace(result, from_cache=result.status in _REF_CACHED_STATUSES)
 
 
 class _ReferenceInflight:
@@ -384,7 +432,7 @@ class ReferenceGeocoder:
             with self._lock:
                 cached = self._cache.get(key)
                 if cached is not None:
-                    return _reference_coalesced(cached, query)
+                    return _reference_coalesced(cached)
                 entry = self._inflight.get(key)
                 if entry is None:
                     entry = _ReferenceInflight()
@@ -392,13 +440,13 @@ class ReferenceGeocoder:
                     break
             entry.event.wait()
             if entry.result is not None:
-                return _reference_coalesced(entry.result, query)
+                return _reference_coalesced(entry.result)
 
         result = None
         try:
             result = replace(self._backend.resolve(query), from_cache=False)
         except Exception:
-            result = GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+            result = GeocodeResult(point=None, status=GeocodeStatus.BACKEND_ERROR)
         finally:
             with self._lock:
                 if result is not None and result.status in _REF_CACHED_STATUSES:
@@ -428,7 +476,7 @@ class ScriptedBackend:
             raise KeyboardInterrupt
         status = GeocodeStatus(outcome)
         point = SCRIPTED_POINT if status is GeocodeStatus.OK else None
-        return GeocodeResult(query=query, point=point, status=status, from_cache=True)
+        return GeocodeResult(point=point, status=status, from_cache=True)
 
 
 def _outcomes(geocoder, queries):

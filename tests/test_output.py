@@ -33,7 +33,6 @@ def make_request(
     )
     address = complete_address(extract_full_address(detect_address(text)), tweet.hashtags)
     geocode = GeocodeResult(
-        query=address.completed,
         point=point if status is GeocodeStatus.OK else None,
         status=status,
     )

@@ -101,7 +101,6 @@ def _request(draw) -> RescueRequest:
             completion_rule=draw(st.sampled_from([None, *CompletionRule])),
         ),
         geocode=GeocodeResult(
-            query=completed,
             point=draw(_POINT) if status is GeocodeStatus.OK else None,
             status=status,
         ),
@@ -113,13 +112,13 @@ _OK = RescueRequest(
     tweet=Tweet(id="t1", text='say "help"\\ \u2028 \U0001F30A'),
     address=FullAddress(house_number="5", street="Elm St", completed="5 Elm St, Texas",
                         completion_rule=CompletionRule.TEXAS_DEFAULT),
-    geocode=GeocodeResult(query="5 Elm St, Texas", point=GeoPoint(5, 6), status=GeocodeStatus.OK),
+    geocode=GeocodeResult(point=GeoPoint(5, 6), status=GeocodeStatus.OK),
     local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
 )
 _FAILED = RescueRequest(
     tweet=Tweet(id="t2", text="\x00\x1f"),
     address=FullAddress(house_number="7", street="Oak Rd", completed="7 Oak Rd"),
-    geocode=GeocodeResult(query="7 Oak Rd", point=None, status=GeocodeStatus.RATE_LIMITED),
+    geocode=GeocodeResult(point=None, status=GeocodeStatus.RATE_LIMITED),
     local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
 )
 

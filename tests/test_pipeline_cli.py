@@ -330,11 +330,16 @@ class TestRunPipeline:
         assert to_map_document(pooled_requests) == to_map_document(sequential_requests)
         assert pooled_summary.as_dict() == sequential_summary.as_dict()
         assert pooled_calls == sequential_calls
+        # Slot by slot: a result put in another request's slot differs from the
+        # sequential one there in point, status or from_cache.
+        def answers(requests):
+            return [(r.geocode.point, r.geocode.status, r.geocode.from_cache) for r in requests]
+
+        assert answers(pooled_requests) == answers(sequential_requests)
         # Geocoder's rule: ok/not_found count as cached after the first lookup
         # of a key; an error, retried, never does.
         seen: set[str] = set()
         for r in pooled_requests:
-            assert r.geocode.query == r.address.completed
             key = normalize_query(r.address.completed)
             cacheable = r.geocode.status in (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
             assert r.geocode.from_cache == (cacheable and key in seen)
@@ -348,7 +353,7 @@ class TestRunPipeline:
         class GatedBackend:
             def resolve(self, query: str) -> GeocodeResult:
                 gate.wait()
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                return GeocodeResult(point=None, status=GeocodeStatus.NOT_FOUND)
 
         lines = [rescue_line(f"r{i}", 100 + i) for i in range(2 * GEOCODE_WORKERS)]
         requests, _ = run_pipeline(
@@ -386,7 +391,7 @@ class TestRunPipeline:
         class RecordingBackend:
             def resolve(self, query: str) -> GeocodeResult:
                 events.append("lookup")
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                return GeocodeResult(point=None, status=GeocodeStatus.NOT_FOUND)
 
         def source():
             for i in range(3 * GEOCODE_WORKERS):
@@ -407,7 +412,7 @@ class TestRunPipeline:
             def resolve(self, query: str) -> GeocodeResult:
                 SlowBackend.calls += 1
                 time.sleep(0.02)
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                return GeocodeResult(point=None, status=GeocodeStatus.NOT_FOUND)
 
         class CountingGeocoder(Geocoder):
             calls = 0
@@ -436,7 +441,7 @@ class TestRunPipeline:
                 self.calls.append(number)
                 time.sleep(0.02)  # the repeats of 100 are queued while its first lookup runs
                 status = GeocodeStatus.RATE_LIMITED if first else GeocodeStatus.NOT_FOUND
-                return GeocodeResult(query=query, point=None, status=status)
+                return GeocodeResult(point=None, status=status)
 
         backend = FailsFirstPerAddress()
         lines = [rescue_line(f"r{i}", n) for i, n in enumerate([100, 200, 100, 100, 100, 100])]
@@ -455,7 +460,7 @@ class TestRunPipeline:
 
             def resolve(self, query: str) -> GeocodeResult:
                 FailingBackend.calls += 1
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.BACKEND_ERROR)
+                return GeocodeResult(point=None, status=GeocodeStatus.BACKEND_ERROR)
 
         lines = [rescue_line(f"r{i}", 100) for i in range(20)]
         _, summary = run_pipeline(
@@ -494,7 +499,7 @@ class TestRunPipeline:
             def resolve(self, query: str) -> GeocodeResult:
                 if query.startswith("107 "):
                     raise Interrupt()
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                return GeocodeResult(point=None, status=GeocodeStatus.NOT_FOUND)
 
         lines = [rescue_line(f"r{i}", 100 + i) for i in range(20)]
         with pytest.raises(Interrupt):
@@ -521,7 +526,7 @@ class TestRunPipeline:
             def resolve(self, query: str) -> GeocodeResult:
                 seen.append(len(geocode_threads()))
                 time.sleep(0.005)  # a later thread would start while this lookup waits
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.RATE_LIMITED)
+                return GeocodeResult(point=None, status=GeocodeStatus.RATE_LIMITED)
 
         lines = [rescue_line(f"r{i}", 100 + i % 3) for i in range(9)]
         requests, _ = run_pipeline(
@@ -545,7 +550,7 @@ class TestRunPipeline:
                 if len(calls) == 1:
                     raise Interrupt()
                 time.sleep(0.01)
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                return GeocodeResult(point=None, status=GeocodeStatus.NOT_FOUND)
 
         distinct = 4 * GEOCODE_WORKERS
         lines = [rescue_line(f"r{i}", 100 + i) for i in range(distinct)]
@@ -563,7 +568,7 @@ class TestRunPipeline:
         class RecordingBackend:
             def resolve(self, query: str) -> GeocodeResult:
                 seen.append((threading.current_thread(), geocode_threads()))
-                return GeocodeResult(query=query, point=None, status=GeocodeStatus.NOT_FOUND)
+                return GeocodeResult(point=None, status=GeocodeStatus.NOT_FOUND)
 
         lines = [rescue_line(f"r{i}", 100 + i) for i in range(2 * GEOCODE_WORKERS)]
         requests, _ = run_pipeline(
