@@ -176,17 +176,16 @@ _ZIP = r"\d{5}(?:-\d{4})?(?![0-9A-Za-z])"
 # The optional unit, city, state and zip after a street address, in that
 # order, read by one anchored match; each component's connector run comes
 # before it. A component is the first match of its own pattern, judged once:
-# where a rule can reject that match, a lookahead capture replayed as a
-# backreference, ``(?=(?P<g>...))(?P=g)``, keeps the engine from backtracking
-# into a shorter match the rule would accept (Python 3.10 has no atomic
-# groups). A rejected component leaves the position for the next one.
+# where a rule can reject that match, an atomic group, ``(?>...)``, keeps the
+# engine from backtracking into a shorter match the rule would accept. A
+# rejected component leaves the position for the next one.
 _CHAIN_RE = re.compile(
     # Unit: a key word and a designator ("Apt 4B", "Suite A"), or '#' and a
     # designator ("#4B", "#B"). The lookbehinds reject a bare designator of
     # two to six letters and hyphens, so that "#Houston" is no unit.
     rf"(?:{_connector_run('unit_comma')}(?P<unit>"
     r"(?i:apartment|suite|unit|apt|ste)\b\.?[ \t]*#?\s?[A-Za-z0-9][A-Za-z0-9-]{0,5}(?![A-Za-z0-9])"
-    r"|#\s?(?=(?P<unit_id>[A-Za-z0-9][A-Za-z0-9-]{0,5})(?![A-Za-z0-9]))(?P=unit_id)"
+    r"|#\s?(?>[A-Za-z0-9][A-Za-z0-9-]{0,5}(?![A-Za-z0-9]))"
     + "".join(rf"(?<![#\s][A-Za-z-]{{{n}}})" for n in range(2, 7))
     + "))?"
     # City: the first match of one or two words (city_1, city_2) gives both
@@ -196,9 +195,9 @@ _CHAIN_RE = re.compile(
     # final condition asks a city for a comma before it or a state or zip
     # right after it.
     + rf"(?:{_connector_run('city_comma')}"
-    rf"(?=(?P<city_text>(?=(?P<city_1>{_CITY_WORD})"
+    rf"(?P<city>(?>(?=(?P<city_1>{_CITY_WORD})"
     rf"(?: (?!{_MULTI_WORD_STATE_NAME})(?P<city_2>{_CITY_WORD}))?(?![A-Za-z0-9]))"
-    rf"(?:(?P=city_1) (?=(?P=city_2)))?(?!{_STATE_WORD})#?[A-Za-z]+))(?P<city>(?P=city_text)))?"
+    rf"(?:(?P=city_1) (?=(?P=city_2)))?(?!{_STATE_WORD})#?[A-Za-z]+)))?"
     # State: a full name, or an uppercase code that is TX, follows a comma
     # or has a zip after it (bare codes collide with "IN", "OR", "OK").
     rf"(?:{_connector_run('state_comma')}(?P<state>(?i:(?:{_STATE_NAME_ALT})(?![A-Za-z]))"

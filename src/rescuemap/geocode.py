@@ -85,7 +85,7 @@ def normalize_query(query: str) -> str:
 
 
 class GazetteerError(ValueError):
-    """Raised when a gazetteer file cannot be loaded."""
+    """Raised when a gazetteer file cannot be loaded, or two of its addresses normalize alike."""
 
 
 class Gazetteer:
@@ -93,11 +93,17 @@ class Gazetteer:
 
     File format: tab-separated rows of ``address<TAB>longitude<TAB>latitude``;
     ``#`` comment lines and blank lines are ignored. Keys are normalized, so
-    lookups tolerate case and connector differences.
+    lookups tolerate case and connector differences; two addresses that
+    normalize to the same key raise :class:`GazetteerError`.
     """
 
     def __init__(self, table: dict[str, GeoPoint]):
-        self._table = {key: GeocodeResult(point, GeocodeStatus.OK) for key, point in table.items()}
+        self._table: dict[str, GeocodeResult] = {}
+        for address, point in table.items():
+            key = normalize_query(address)
+            if key in self._table:
+                raise GazetteerError(f"duplicate address {address!r}")
+            self._table[key] = GeocodeResult(point, GeocodeStatus.OK)
 
     def __len__(self) -> int:
         return len(self._table)

@@ -37,10 +37,10 @@ _MONTHS = {
 # The weekday is ignored, as strptime ignores it once the date is known.
 # Unlike %a and %b it is locale-free; the CLI never calls setlocale, so
 # strptime, which reads every other form, sees the C locale. The groups are
-# month, day, clock, offset hours with sign, offset minutes and year.
+# month, day, clock, offset and year.
 _TWITTER_TIME_RE = re.compile(
     r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) ([0-9]{2}) ([0-9]{2}:[0-9]{2}:[0-9]{2})"
-    r" ([+-][0-9]{2})([0-5][0-9]) ([0-9]{4})" % "|".join(_MONTHS)
+    r" ([+-][0-9]{2}[0-5][0-9]) ([0-9]{4})" % "|".join(_MONTHS)
 )
 
 
@@ -187,10 +187,9 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
             if match is not None:
                 # fromisoformat rejects, as datetime() does, hour 24, second
                 # 60, Feb 29 of a common year, year 0000 and an offset of 24
-                # hours or more. The offset is written "+00:00": Python 3.10
-                # rejects "+0000".
-                month, day, clock, hours, minutes, year = match.groups()
-                parsed = datetime.fromisoformat(f"{year}-{_MONTHS[month]}-{day}T{clock}{hours}:{minutes}")
+                # hours or more.
+                month, day, clock, offset, year = match.groups()
+                parsed = datetime.fromisoformat(f"{year}-{_MONTHS[month]}-{day}T{clock}{offset}")
             else:
                 try:
                     parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))

@@ -107,7 +107,7 @@ def to_geojson(requests: Sequence[RescueRequest]) -> str:
         tweet = request.tweet
         address = request.address
         geocode = request.geocode
-        if geocode.status is GeocodeStatus.OK and geocode.point is not None:
+        if geocode.status is GeocodeStatus.OK:
             features.append(
                 _FEATURE
                 % (
@@ -196,16 +196,17 @@ def to_map_document(requests: Sequence[RescueRequest]) -> str:
     markers = []
     ungeocoded = []
     for request in requests:
-        if request.geocode.status is GeocodeStatus.OK and request.geocode.point is not None:
+        if request.geocode.status is GeocodeStatus.OK:
             markers.append(
                 {
                     "id": request.tweet.id,
                     "lon": request.geocode.point.longitude,
                     "lat": request.geocode.point.latitude,
+                    # An ISO time holds none of the characters html.escape replaces.
                     "popup": (
                         f"<b>{html.escape(request.tweet.text)}</b><br>"
                         f"{html.escape(request.address.completed)}<br>"
-                        f"{html.escape(request.local_time.isoformat())}"
+                        f"{request.local_time.isoformat()}"
                     ),
                 }
             )

@@ -81,8 +81,19 @@ class TestGazetteer:
         path.write_text(
             "1 Main St\t-95.0\t29.0\n1 MAIN ST.\t-95.1\t29.1\n", encoding="utf-8"
         )
-        with pytest.raises(GazetteerError, match="duplicate"):
+        with pytest.raises(GazetteerError, match="row 2: duplicate"):
             Gazetteer.load(path)
+
+    def test_table_keys_are_normalized(self):
+        gazetteer = Gazetteer({"1 Main St, Houston": GeoPoint(-95.0, 29.0)})
+        result = gazetteer.resolve("1 Main St, Houston")
+        assert result.status is GeocodeStatus.OK
+        assert (result.point.longitude, result.point.latitude) == (-95.0, 29.0)
+
+    def test_table_keys_that_normalize_alike_are_an_error(self):
+        table = {"1 Main St, Houston": GeoPoint(-95.0, 29.0), "1 MAIN ST. HOUSTON": GeoPoint(-95.1, 29.1)}
+        with pytest.raises(GazetteerError, match="duplicate address '1 MAIN ST. HOUSTON'"):
+            Gazetteer(table)
 
     def test_malformed_row_names_the_row(self, tmp_path):
         path = tmp_path / "bad.tsv"
