@@ -42,6 +42,16 @@ _TWITTER_TIME_RE = re.compile(
     r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) ([0-9]{2}) ([0-9]{2}:[0-9]{2}:[0-9]{2})"
     r" ([+-][0-9]{2}[0-5][0-9]) ([0-9]{4})" % "|".join(_MONTHS)
 )
+# fromisoformat takes any character after a YYYY-MM-DD date as the separator,
+# so it would read "2017-08-29+05:00" as 05:00 and "2017-08-29x11:00" as 11:00;
+# the ISO path takes only "T", "t" or a space there.
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# parse_tweet decodes a line with the one scan_once call that json.loads makes
+# through JSONDecoder.decode, and does inline what loads and decode do around
+# it: the BOM check, the two [ \t\n\r] skips, "Expecting value" and "Extra data".
+_JSON_WHITESPACE = " \t\n\r"
+_scan_json = json.JSONDecoder().scan_once
 
 
 class TweetParseError(ValueError):
@@ -159,17 +169,33 @@ def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
 
 def _shown(value: object) -> str:
     """``repr(value)`` for an error message, or the type's name when repr
-    raises. A mapping given to :func:`parse_tweet` can hold values that
-    json.loads never returns: an integer past int-to-str's digit limit (4300
-    by default), or lists nested past the recursion limit."""
+    raises. A mapping given to :func:`parse_tweet` can hold values that no
+    decoded line holds: an integer past int-to-str's digit limit (4300 by
+    default), or lists nested past the recursion limit."""
     try:
         return repr(value)
     except (ValueError, RecursionError):
         return f"<unprintable {type(value).__name__}>"
 
 
+def _decode_json(s: str) -> object:
+    """``json.loads(s)`` for a str: the same value, or the same exception with
+    the same message and position."""
+    if s.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
+    try:
+        obj, end = _scan_json(s, len(s) - len(s.lstrip(_JSON_WHITESPACE)))
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", s, err.value) from None
+    # No JSON value ends in whitespace, so the line's end stripped of
+    # whitespace is the value's end exactly when nothing else follows it.
+    if len(s.rstrip(_JSON_WHITESPACE)) != end:
+        raise json.JSONDecodeError("Extra data", s, len(s) - len(s[end:].lstrip(_JSON_WHITESPACE)))
+    return obj
+
+
 def _parse_created_at(value: object, line_no: int | None) -> datetime:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if type(value) is not str and (isinstance(value, bool) or not isinstance(value, (int, float, str))):
         raise TweetParseError(f"unsupported created_at type: {type(value).__name__}", line_no)
     # Out-of-range instants (1e20, NaN, year 1 with an offset) raise
     # ValueError, OverflowError or OSError from the datetime functions.
@@ -191,6 +217,8 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
                 month, day, clock, offset, year = match.groups()
                 parsed = datetime.fromisoformat(f"{year}-{_MONTHS[month]}-{day}T{clock}{offset}")
             else:
+                if len(text) > 10 and text[10] not in "Tt " and _ISO_DATE_RE.match(text):
+                    raise ValueError("no date/time separator")
                 try:
                     parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
                 except ValueError:
@@ -244,7 +272,7 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
             # json.loads would guess UTF-16 or UTF-32 for bytes, and let an
             # encoded surrogate through. Both forms drop one leading BOM.
             text = record if isinstance(record, str) else record.decode("utf-8")
-            obj = json.loads(text.removeprefix("\ufeff"))
+            obj = _decode_json(text.removeprefix("\ufeff"))
         except json.JSONDecodeError as exc:
             raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
         except UnicodeDecodeError:
@@ -253,12 +281,12 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
             raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
     else:
         obj = record
-    # json.loads gives dicts; each exact type test skips an ABC check.
+    # The decoder gives dicts; each exact type test skips an ABC check.
     if type(obj) is not dict and not isinstance(obj, Mapping):
         raise TweetParseError("record is not a JSON object", line_no)
 
     raw_id = obj.get("id_str") or obj.get("id")
-    if isinstance(raw_id, bool) or not isinstance(raw_id, (str, int)):
+    if type(raw_id) is not str and (isinstance(raw_id, bool) or not isinstance(raw_id, (str, int))):
         raise TweetParseError("missing id, or id is not a string or an integer", line_no)
     try:
         tweet_id = str(raw_id)
@@ -271,7 +299,7 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
         text = obj.get("full_text")
     if not isinstance(text, str):
         raise TweetParseError("missing text", line_no)
-    # Both are written to the UTF-8 outputs; json.loads lets "\ud800" through.
+    # Both are written to the UTF-8 outputs; the decoder lets "\ud800" through.
     if not _encodable(text) or (isinstance(raw_id, str) and not _encodable(raw_id)):
         raise TweetParseError("id or text holds a lone surrogate", line_no)
     if "created_at" not in obj:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import codecs
 import dataclasses
 import json
+import re
 import types
 from datetime import datetime, timezone
 
@@ -232,6 +233,35 @@ class TestParseTweet:
         assert parse_tweet(form("\ufeff" + record)).id == "1"
         with pytest.raises(TweetParseError, match="BOM"):
             parse_tweet(form("\ufeff\ufeff" + record))
+
+    @pytest.mark.parametrize("form", [str, str.encode], ids=["str", "bytes"])
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("", "invalid JSON (Expecting value)"),
+            (" \t\r\n", "invalid JSON (Expecting value)"),
+            ("\x0b{}", "invalid JSON (Expecting value)"),
+            ("{} x", "invalid JSON (Extra data)"),
+            ("{}\x0c", "invalid JSON (Extra data)"),
+            ("\ufeff\ufeff{}", "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        ],
+    )
+    def test_invalid_json_messages(self, raw, message, form):
+        with pytest.raises(TweetParseError) as exc_info:
+            parse_tweet(form(raw), line_no=7)
+        assert str(exc_info.value) == f"line 7: {message}"
+
+    @pytest.mark.parametrize("value", ["2017-08-29+05:00", "2017-08-29x11:00", "2017-08-29Z"])
+    def test_iso_date_and_time_need_a_separator(self, value):
+        lines = [line(id=str(n), text="x", created_at=created) for n, created in enumerate(
+            ["2017-08-29T11:00", value, "2017-08-29 11:00"]
+        )]
+        stats = IngestStats()
+        assert [tweet.id for tweet in read_stream(lines, stats)] == ["0", "2"]
+        assert stats == IngestStats(parsed=2, malformed=1)
+        with pytest.raises(TweetParseError) as exc_info:
+            parse_tweet(lines[1])
+        assert str(exc_info.value) == f"unparseable created_at: {value!r}"
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(TweetParseError) as exc_info:
@@ -498,6 +528,10 @@ def _strptime_first_created_at(value: str) -> datetime:
         try:
             parsed = datetime.strptime(text, "%a %b %d %H:%M:%S %z %Y")
         except ValueError:
+            # A deliberate difference: after a YYYY-MM-DD date only "T", "t"
+            # or a space may follow, where fromisoformat takes any character.
+            if len(text) > 10 and text[10] not in "Tt " and re.match(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+                raise
             parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if parsed.tzinfo is None:
             parsed = parsed.replace(tzinfo=UTC)
@@ -544,7 +578,7 @@ _ISO_TIMES = st.builds(
     _YEARS,
     _number(1, 12, 2),
     _number(1, 31, 2),
-    st.sampled_from(("T", " ", "t")),
+    st.sampled_from(("T", " ", "t", "x", "+", "Z", "\u3000")),
     _CLOCKS,
     st.sampled_from(("", "Z", "z", "+00:00", "-05:00", "+0530", "+05", "-23:59", "+24:00")),
 )
@@ -557,6 +591,13 @@ _CREATED_AT = st.one_of(
 
 @settings(max_examples=1000)
 @given(_CREATED_AT)
+@example("2017-08-29")
+@example("2017-08-29T11:00")
+@example("2017-08-29t11:00")
+@example("2017-08-29 11:00")
+@example("2017-08-29+05:00")
+@example("2017-08-29x11:00")
+@example("2017-08-29Z")
 def test_iso_first_created_at_agrees_with_strptime_first(value):
     record = {"id": "1", "text": "x", "created_at": value}
     try:

@@ -6,10 +6,13 @@ as the reference:
 - `parse_tweet`, `merge_hashtags` and `read_stream` against the versions that
   built hashtags through a list, the `Tweet` through keyword arguments, the
   canonical Twitter-v1 `created_at` through `datetime(...)` and a cached fixed
-  offset, and tested blank lines through `line.strip()`.
+  offset, tested blank lines through `line.strip()` and decoded each line with
+  `json.loads`;
+- the line decoder, `_decode_json`, against `json.loads` itself.
 """
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from collections.abc import Iterable, Iterator, Mapping
@@ -32,7 +35,7 @@ from rescuemap import (
     passes_stream_filter,
     read_stream,
 )
-from rescuemap.ingest import merge_hashtags
+from rescuemap.ingest import _decode_json, merge_hashtags
 
 
 def reference_passes_stream_filter(tweet: Tweet, cfg: StreamConfig) -> bool:
@@ -150,6 +153,10 @@ def reference_parse_created_at(value: object, line_no: int | None) -> datetime:
                     tzinfo=_fixed_offset(offset),
                 )
             else:
+                # A deliberate change: after a YYYY-MM-DD date only "T", "t" or
+                # a space may follow, where fromisoformat takes any character.
+                if len(text) > 10 and text[10] not in "Tt " and re.match(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+                    raise ValueError
                 try:
                     parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
                 except ValueError:
@@ -321,10 +328,18 @@ def _outcome(parse, record) -> object:
 
 
 def _assert_parses_as_reference(record) -> None:
-    # A deliberate change: a str line drops one leading BOM, as a bytes line
-    # always did, where the reference calls it invalid JSON. The other one,
-    # boolean coordinates, is made in reference_parse_coordinates itself.
-    reference_record = record.removeprefix("\ufeff") if isinstance(record, str) else record
+    # Deliberate changes: a str line drops one leading BOM, as a bytes line
+    # always did, where the reference calls it invalid JSON; and a bytes line
+    # reports a second BOM as its str form does, where the reference's
+    # json.loads drops the first as "utf-8-sig" and then expects a value. The
+    # others, boolean coordinates and the ISO separator, are made in the
+    # reference's own functions.
+    if isinstance(record, str):
+        reference_record = record.removeprefix("\ufeff")
+    elif isinstance(record, bytes) and record.startswith(codecs.BOM_UTF8 * 2):
+        reference_record = record.decode("utf-8")[1:]
+    else:
+        reference_record = record
     try:
         expected = _outcome(reference_parse_tweet, reference_record)
     except ValueError as exc:
@@ -348,6 +363,8 @@ def _assert_parses_as_reference(record) -> None:
 @example(record={"id": "1", "full_text": "x", "created_at": 0, "entities": {"hashtags": 5}})
 @example(record="\ufeff{}")
 @example(record={"id": "1", "text": "x", "created_at": 0, "coordinates": [-95, True]})
+@example(record={"id": "1", "text": "x", "created_at": True})
+@example(record={"id": True, "text": "x", "created_at": 0})
 def test_parse_tweet_matches_reference(record):
     _assert_parses_as_reference(record)
     try:
@@ -356,6 +373,30 @@ def test_parse_tweet_matches_reference(record):
         return
     _assert_parses_as_reference(line)
     _assert_parses_as_reference(line.encode())
+
+
+# Lines that are not one JSON object, around the decoder's edges.
+_MALFORMED_LINES = [
+    pytest.param("", id="empty"),
+    pytest.param(" \t\r\n", id="json_whitespace"),
+    pytest.param("\x0b{}", id="vertical_tab_first"),
+    pytest.param("\u3000{}", id="ideographic_space_first"),
+    pytest.param("{} x", id="extra_data"),
+    pytest.param("{} {}", id="two_objects"),
+    pytest.param("{}\x0c", id="form_feed_last"),
+    pytest.param("\ufeff\ufeff{}", id="two_boms"),
+    pytest.param("{}\ufeff", id="bom_last"),
+    pytest.param("NaN", id="nan"),
+    pytest.param('{"id": "1"', id="unclosed"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested_100k_deep"),  # RecursionError
+    pytest.param('{"id": "1", "text": "x", "created_at": 0, "n": ' + "7" * 5000 + "}", id="int_of_5000_digits"),
+]
+
+
+@pytest.mark.parametrize("form", [str, str.encode], ids=["str", "bytes"])
+@pytest.mark.parametrize("line", _MALFORMED_LINES)
+def test_parse_tweet_matches_reference_on_malformed_lines(line, form):
+    _assert_parses_as_reference(form(line))
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,3 +433,47 @@ def test_read_stream_matches_reference(lines, raw):
     assert _replay(read_stream, lines) == _replay(reference_read_stream, lines)
     encoded = [line.encode("utf-8", "surrogatepass") for line in lines] + raw
     assert _replay(read_stream, encoded) == _replay(reference_read_stream, encoded)
+
+
+# --- the line decoder against json.loads ------------------------------------------
+
+
+def _decoded(decode, text: str) -> object:
+    try:
+        value = decode(text)
+    except json.JSONDecodeError as exc:
+        return ("JSONDecodeError", exc.msg, exc.pos)
+    except (ValueError, RecursionError) as exc:
+        return (type(exc).__name__, str(exc))
+    # repr tells 1 from 1.0 and True, and -0.0 from 0.0, and shows NaN.
+    return ("value", repr(value))
+
+
+_JSON_TOKENS = [
+    "{", "}", "[", "]", ",", ":", '"', '"a"', '""', '"\\u00e9"', '"\\ud800"', "\\",
+    "0", "-", "-1", "01", "1.5e3", "1e400", "12345678901234567890",
+    "true", "false", "null", "tru", "NaN", "Infinity", "-Infinity", "nan", "x",
+]
+# json's whitespace, then what str.isspace also calls whitespace, and the BOM.
+_JSON_SPACES = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x85", "\xa0", "\u3000", "\ufeff"]
+_spaces = st.lists(st.sampled_from(_JSON_SPACES), max_size=3).map("".join)
+_json_lines = st.one_of(
+    st.lists(st.sampled_from(_JSON_TOKENS + _JSON_SPACES), max_size=12).map("".join),
+    st.builds(
+        lambda lead, value, trail: lead + json.dumps(value) + trail, _spaces, _json_values, _spaces
+    ),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_json_lines)
+@example("")
+@example("{} x")
+@example("\ufeff\ufeff{}")
+@example("\ufeff{}")
+@example("{}\x0c")
+@example(" \t\n\r[1, 2] \r\n\t ")
+@example("[" * 100_000 + "]" * 100_000)
+@example("7" * 5000)
+def test_decode_json_matches_json_loads(text):
+    assert _decoded(_decode_json, text) == _decoded(json.loads, text)
