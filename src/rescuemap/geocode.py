@@ -4,7 +4,8 @@ A result is the answer alone: ``point``, ``status`` and ``from_cache``; the
 question stays with the caller. Results are immutable values, so one object
 serves every caller that gets the same answer: each failure status has one
 shared result, a gazetteer builds each row's result once at load, and every
-cache hit on a key returns the one result cached for it.
+cache hit on a key returns the one result cached for it. Points and results
+are slotted, so each one kept costs no per-instance dict.
 
 The cache stores ``ok`` and ``not_found`` results for the lifetime of the
 process; transient failures (``backend_error``, ``rate_limited``) are never
@@ -25,6 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
+from .ingest import _decode_json
 from .lexicons import data_lines
 
 API_KEY_ENV_VAR = "RESCUEMAP_GEOCODER_KEY"
@@ -46,20 +48,25 @@ class GeocodeStatus(Enum):
     RATE_LIMITED = "rate_limited"
 
 
-@dataclass(frozen=True)
+def _check_coordinates(longitude: float, latitude: float) -> None:
+    """Raise ValueError unless both coordinates are in range (NaN never is)."""
+    if not -180.0 <= longitude <= 180.0:
+        raise ValueError(f"longitude out of range: {longitude}")
+    if not -90.0 <= latitude <= 90.0:
+        raise ValueError(f"latitude out of range: {latitude}")
+
+
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     longitude: float
     latitude: float
     precision: Precision = Precision.UNKNOWN
 
     def __post_init__(self) -> None:
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude}")
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude}")
+        _check_coordinates(self.longitude, self.latitude)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeocodeResult:
     point: Optional[GeoPoint]
     status: GeocodeStatus
@@ -68,6 +75,41 @@ class GeocodeResult:
     def __post_init__(self) -> None:
         if (self.point is not None) != (self.status is GeocodeStatus.OK):
             raise ValueError("point must be present exactly when status is ok")
+
+
+# HttpBackend.resolve and Geocoder.geocode fill each new point and result
+# through their slots' member descriptors: the same stores the generated
+# __init__ makes through object.__setattr__, at about half the cost.
+_set_longitude, _set_latitude, _set_precision = (
+    vars(GeoPoint)[field].__set__ for field in GeoPoint.__match_args__
+)
+_set_point, _set_status, _set_from_cache = (
+    vars(GeocodeResult)[field].__set__ for field in GeocodeResult.__match_args__
+)
+
+
+def _new_ok_result(longitude: float, latitude: float, precision: Precision) -> GeocodeResult:
+    """``GeocodeResult(GeoPoint(longitude, latitude, precision), GeocodeStatus.OK)``."""
+    _check_coordinates(longitude, latitude)
+    point = object.__new__(GeoPoint)
+    _set_longitude(point, longitude)
+    _set_latitude(point, latitude)
+    _set_precision(point, precision)
+    result = object.__new__(GeocodeResult)
+    _set_point(result, point)
+    _set_status(result, GeocodeStatus.OK)
+    _set_from_cache(result, False)
+    return result
+
+
+def _cached_copy(result: GeocodeResult) -> GeocodeResult:
+    """``GeocodeResult(result.point, result.status, True)``: the checks in
+    ``__post_init__`` already held for ``result``."""
+    copy = object.__new__(GeocodeResult)
+    _set_point(copy, result.point)
+    _set_status(copy, result.status)
+    _set_from_cache(copy, True)
+    return copy
 
 
 _NOT_FOUND = GeocodeResult(None, GeocodeStatus.NOT_FOUND)
@@ -142,6 +184,19 @@ _PRECISION_BY_LOCATION_TYPE = {
 }
 
 
+# What urllib.parse.quote writes for each UTF-8 byte under its default safe="/":
+# ASCII letters, digits, "_.-~" and "/" stay, every other byte becomes %XX.
+_UNQUOTED_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~/"
+_QUOTED_BYTE = [chr(byte) if byte in _UNQUOTED_BYTES else f"%{byte:02X}" for byte in range(256)]
+
+
+def _quote(text: str) -> str:
+    """``urllib.parse.quote(text)``, through one table over the text's UTF-8
+    bytes (each read as the Latin-1 character of the same number). A lone
+    surrogate raises UnicodeEncodeError, as it does in ``quote``."""
+    return text.encode("utf-8").decode("latin-1").translate(_QUOTED_BYTE)
+
+
 def _is_http(url: str) -> bool:
     return urllib.parse.urlsplit(url).scheme in ("http", "https")
 
@@ -194,7 +249,9 @@ class HttpBackend:
     ``status`` string plus a ``results`` list whose first entry carries
     ``geometry.location.{lat,lng}`` and ``geometry.location_type``. Each
     request is ``fetch(url, HTTP_TIMEOUT_S)``; ``fetch`` defaults to an HTTP
-    GET and returns ``(status code, body)``.
+    GET and returns ``(status code, body)``. A 429 answer or a quota status
+    is ``rate_limited``; any other answer but 200 is ``backend_error``, so
+    an error page never reads as a ``not_found`` that would be cached.
     """
 
     def __init__(
@@ -225,7 +282,7 @@ class HttpBackend:
         self._url_template = url_template
         if api_key is None:
             api_key = os.environ.get(API_KEY_ENV_VAR, "")
-        self._quoted_key = urllib.parse.quote(api_key)
+        self._quoted_key = _quote(api_key)
         self._min_interval = min_interval
         self._fetch = fetch or _default_fetch
         self._clock = clock
@@ -234,7 +291,7 @@ class HttpBackend:
         self._pace_lock = threading.Lock()
 
     def _build_url(self, query: str) -> str:
-        return self._url_template.format(query=urllib.parse.quote(query), key=self._quoted_key)
+        return self._url_template.format(query=_quote(query), key=self._quoted_key)
 
     def _pace(self) -> None:
         if not self._min_interval:  # fixed at construction: no spacing, no lock, no clock
@@ -255,14 +312,17 @@ class HttpBackend:
         if status_code == 429:
             return _RATE_LIMITED
         try:
-            payload = json.loads(body)
+            # An injected fetch may hand back bytes, which json.loads also reads.
+            payload = _decode_json(body) if isinstance(body, str) else json.loads(body)
             api_status = payload.get("status", "OK")
             if api_status in ("OVER_QUERY_LIMIT", "OVER_DAILY_LIMIT", "RESOURCE_EXHAUSTED"):
                 return _RATE_LIMITED
+            if status_code != 200:  # whatever the body says: not_found would be cached
+                return _BACKEND_ERROR
             results = payload.get("results", [])
             if api_status == "ZERO_RESULTS" or (api_status == "OK" and not results):
                 return _NOT_FOUND
-            if status_code != 200 or api_status != "OK":
+            if api_status != "OK":
                 return _BACKEND_ERROR
             location = results[0]["geometry"]["location"]
             precision = _PRECISION_BY_LOCATION_TYPE.get(
@@ -271,14 +331,13 @@ class HttpBackend:
             lng, lat = location["lng"], location["lat"]
             if isinstance(lng, bool) or isinstance(lat, bool):
                 raise TypeError  # float() would read true and false as 1.0 and 0.0
-            point = GeoPoint(float(lng), float(lat), precision)
+            return _new_ok_result(float(lng), float(lat), precision)
         # AttributeError: a body that is JSON but not an object; OverflowError: a
         # coordinate integer too large for a float; RecursionError: deep nesting.
         except (
             AttributeError, IndexError, KeyError, OverflowError, RecursionError, TypeError, ValueError
         ):
             return _BACKEND_ERROR
-        return GeocodeResult(point, GeocodeStatus.OK)
 
 
 _CACHED_STATUSES = (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
@@ -319,7 +378,7 @@ class Geocoder:
                     except Exception:
                         result = _BACKEND_ERROR
                     if result.status in _CACHED_STATUSES:
-                        self._cache[key] = GeocodeResult(result.point, result.status, True)
+                        self._cache[key] = _cached_copy(result)
                         del self._key_locks[key]  # later calls find the cache first
                     return result
                 self._key_locks.pop(key, None)  # re-added by a caller that missed the store

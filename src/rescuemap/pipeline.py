@@ -47,8 +47,10 @@ from .output import RescueRequest
 # benchmark's geocode_latency workload (2 ms fake service, nproc 2, Python
 # 3.11.7, 5 s runs): 6.8k records/s at 16 threads, 11.1k at 32, 13.9k at 48,
 # 14.8k at 64, 14.3k at 96 and 14.0k at 128. Past 64 the pass waits on the
-# GIL, not on the service. A live service is spared by http.min_interval,
-# not by this count.
+# GIL, not on the service, and at 64 the pass is already bound by CPU: 8 µs
+# of busy CPU added to each of a replay's 852 lookups made the replay 7 to
+# 9 ms slower (medians of 30 in-process replays), so each µs a lookup spends
+# in Python costs about 1 ms there. A live service is spared by http.min_interval, not by this count.
 GEOCODE_WORKERS = 64
 
 

@@ -52,6 +52,17 @@ class TestGeoPoint:
         with pytest.raises(ValueError):
             GeocodeResult(point=GeoPoint(0, 0), status=GeocodeStatus.NOT_FOUND)
 
+    def test_no_instance_dict(self):
+        # A per-instance __dict__ would add a dict to every point and result kept.
+        body = json.dumps({"results": [{"geometry": {"location": {"lat": 29.7, "lng": -95.4}}}]})
+        geocoder = Geocoder(HttpBackend("https://geo.example/?a={query}", fetch=lambda u, t: (200, body)))
+        point = GeoPoint(-95.4, 29.7)
+        results = [GeocodeResult(point, GeocodeStatus.OK), geocoder.geocode("1 Main St")]
+        results.append(geocoder.geocode("1 Main St"))
+        assert results[2].from_cache
+        for value in (point, results[1].point, *results):
+            assert not hasattr(value, "__dict__")
+
 
 class TestGazetteer:
     def test_two_row_file(self, gazetteer):
@@ -608,12 +619,17 @@ class TestHttpBackend:
             % ("9" * 400),
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": true, "lng": -95.4}}}]}',
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": false}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": -1e400}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": NaN, "lng": -95.4}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": 90.5, "lng": -95.4}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": -180.5}}}]}',
             "[" * 100_000 + "]" * 100_000,
         ],
         ids=[
             "array", "number", "string", "null", "results_object", "result_string",
             "location_array", "coordinate_1e400", "coordinate_400_digits", "lat_true",
-            "lng_false", "deep_nesting",
+            "lng_false", "coordinate_minus_1e400", "lat_nan", "lat_90_5", "lng_minus_180_5",
+            "deep_nesting",
         ],
     )
     def test_body_of_the_wrong_shape_is_backend_error(self, body):
@@ -632,6 +648,23 @@ class TestHttpBackend:
     def test_server_error_status(self):
         backend, _ = self.backend([(500, json.dumps({"status": "UNKNOWN_ERROR"}))])
         assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            (503, '{"error_message": "Service unavailable"}'),
+            (500, '{"status": "ZERO_RESULTS", "results": []}'),
+            (404, "{}"),
+        ],
+        ids=["503_no_status", "500_zero_results", "404_empty_object"],
+    )
+    def test_http_error_answer_is_a_backend_error_and_not_cached(self, answer):
+        # Read as not_found, such an answer would be cached for the life of the process.
+        backend, calls = self.backend([answer])
+        geocoder = Geocoder(backend)
+        for n in (1, 2):
+            assert geocoder.geocode("1 Main St") == GeocodeResult(None, GeocodeStatus.BACKEND_ERROR)
+            assert len(calls) == n
 
     def test_minimum_interval_enforced_with_virtual_clock(self):
         clock = FakeClock()
