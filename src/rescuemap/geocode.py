@@ -244,7 +244,8 @@ class HttpBackend:
     """Client for an HTTPS geocoding endpoint with a minimum request spacing.
 
     ``url_template`` must contain ``{query}``, may contain ``{key}`` and no
-    other field; the key is read from the environment (never from the
+    other field, and sets no conversion or format spec such as ``{query!r}``
+    or ``{query:>20}``; the key is read from the environment (never from the
     command line). The response is expected in the common maps-API shape: a
     ``status`` string plus a ``results`` list whose first entry carries
     ``geometry.location.{lat,lng}`` and ``geometry.location_type``. Each
@@ -272,11 +273,16 @@ class HttpBackend:
             raise ValueError(f"min_interval must be a finite number >= 0, got {min_interval!r}")
         import string  # only here: `import rescuemap` stays lean without it
         try:
-            fields = {name for _, name, _, _ in string.Formatter().parse(url_template)} - {None}
-            if fields <= {"query", "key"}:  # a bad conversion or format spec fails here
-                url_template.format(query="", key="")
+            parts = list(string.Formatter().parse(url_template))
         except ValueError as exc:
             raise ValueError(f"url does not parse as a template: {exc}") from None
+        # A conversion or spec would reach the URL after quoting: {query!r}
+        # adds quotes, {query:>20} raw spaces.
+        if any(spec or conversion for _, _, spec, conversion in parts):
+            raise ValueError(
+                f"url does not parse as a template: a field has a conversion or format spec: {url_template}"
+            )
+        fields = {name for _, name, _, _ in parts} - {None}
         if not {"query"} <= fields <= {"query", "key"}:
             raise ValueError(f"url may name only {{query}} (required) and {{key}}: {url_template}")
         self._url_template = url_template

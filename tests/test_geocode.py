@@ -728,11 +728,15 @@ class TestHttpBackend:
             ("https://geo.example/api?address={query.lower}", "may name only"),
             ("https://geo.example/api?address={query!x}", "does not parse"),
             ("https://geo.example/api?address={query:d}", "does not parse"),
+            ("https://geo.example/api?address={query!r}", "does not parse"),
+            ("https://geo.example/api?address={query:>20}", "does not parse"),
+            ("https://geo.example/api?address={query}&key={key!a}", "does not parse"),
             ("https://geo.example/api?key={key}", "may name only"),
         ],
         ids=[
             "misspelled_field", "unbalanced_open", "unbalanced_close", "positional_index",
-            "positional_empty", "attribute", "bad_conversion", "bad_format_spec", "no_query",
+            "positional_empty", "attribute", "bad_conversion", "bad_format_spec",
+            "repr_conversion", "padding_format_spec", "ascii_conversion_on_key", "no_query",
         ],
     )
     def test_bad_url_template_rejected_at_construction(self, template, message):

@@ -5,7 +5,7 @@ import dataclasses
 import json
 import re
 import types
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -251,7 +251,33 @@ class TestParseTweet:
             parse_tweet(form(raw), line_no=7)
         assert str(exc_info.value) == f"line 7: {message}"
 
-    @pytest.mark.parametrize("value", ["2017-08-29+05:00", "2017-08-29x11:00", "2017-08-29Z"])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "2017-08-29+05:00",
+            "2017-08-29x11:00",
+            "2017-08-29Z",
+            # Forms outside the written grammar that fromisoformat or strptime reads.
+            "20170829",
+            "20170829T111400Z",
+            "2017-W35-2",
+            "2017-08-29T1100",
+            "2017-08-29T11",
+            "2017-08-29T11Z",
+            "2017-08-29T11:00:00,5Z",
+            "2017-08-29T11:00:00.1234567Z",
+            "2017-08-29T11:00+05:30:15",
+            "Sun aug 27 12:00:00 +0000 2017",
+            "SUN AUG 27 12:00:00 +0000 2017",
+            "Sun Aug 7 12:00:00 +0000 2017",
+            "Sun Aug  7 12:00:00 +0000 2017",
+            "Sun Aug 27 2:00:00 +0000 2017",
+            "Sun Aug 27  12:00:00 +0000 2017",
+            "Sun Aug 27 12:00:00 Z 2017",
+            "Sun Aug 27 12:00:00 +05:30 2017",
+            "Sun Aug 27 12:00:00 +0000 \u0662\u0660\u0661\u0667",
+        ],
+    )
     def test_iso_date_and_time_need_a_separator(self, value):
         lines = [line(id=str(n), text="x", created_at=created) for n, created in enumerate(
             ["2017-08-29T11:00", value, "2017-08-29 11:00"]
@@ -516,22 +542,55 @@ def test_str_and_bytes_forms_of_a_stream_read_alike(lines):
     assert _replayed(lines) == _replayed([text.encode("utf-8") for text in lines])
 
 
-# --- created_at: ISO first against the strptime-first parser -----------------
+# --- created_at: the written grammar ----------------------------------------
 
 _EARLIEST_LOCAL_UTC = datetime.min.replace(tzinfo=US_CENTRAL).astimezone(UTC)
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _grammar(**patterns: str) -> tuple[str, str]:
+    """The ISO and Twitter-v1 branches of the created_at grammar the README
+    writes down, each field a named group. A keyword replaces the pattern of
+    the field it names, to draw that field from a narrower set."""
+
+    def field(name: str, pattern: str = "[0-9]{2}") -> str:
+        return f"(?P<{name}>{patterns.get(name, pattern)})"
+
+    year = field("y", "[0-9]{4}")
+    iso = (
+        rf"{year}-{field('m')}-{field('d')}(?:[Tt ]{field('H')}:{field('M')}(?::{field('S')})?"
+        rf"(?:\.(?P<f>[0-9]{{1,6}}))?(?:Z|(?P<sign>[+-]){field('oh')}(?::?{field('om')})?)?)?"
+    )
+    twitter = (
+        rf"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (?P<mon>{'|'.join(_MONTH_NAMES)}) {field('d')}"
+        rf" {field('H')}:{field('M')}:{field('S')} (?P<sign>[+-]){field('oh')}(?P<om>[0-5][0-9]) {year}"
+    )
+    return iso, twitter
+
+
+_GRAMMAR = _grammar()
+
+
+def _in_grammar(text: str) -> bool:
+    return any(re.fullmatch(pattern, text) for pattern in _GRAMMAR)
+
+
+# --- created_at: ISO first against the strptime-first parser -----------------
 
 
 def _strptime_first_created_at(value: str) -> datetime:
     """Reference: the string branch of the parser that tried strptime first."""
     text = value.strip()
     try:
+        # A deliberate difference: a value outside the written grammar is
+        # malformed, though strptime or fromisoformat reads it. So after a
+        # YYYY-MM-DD date only "T", "t" or a space may follow, where
+        # fromisoformat takes any character.
+        if not _in_grammar(text):
+            raise ValueError
         try:
             parsed = datetime.strptime(text, "%a %b %d %H:%M:%S %z %Y")
         except ValueError:
-            # A deliberate difference: after a YYYY-MM-DD date only "T", "t"
-            # or a space may follow, where fromisoformat takes any character.
-            if len(text) > 10 and text[10] not in "Tt " and re.match(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
-                raise
             parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
         if parsed.tzinfo is None:
             parsed = parsed.replace(tzinfo=UTC)
@@ -611,12 +670,18 @@ def test_iso_first_created_at_agrees_with_strptime_first(value):
     assert got.utcoffset() == expected.utcoffset()
 
 
-# --- created_at: the canonical Twitter-v1 fast path against strptime --------
+# --- created_at: the Twitter-v1 branch against strptime ---------------------
 
 
 def _strptime_created_at(value: str) -> datetime:
     """Reference: the Twitter-v1 branch read by strptime alone."""
     try:
+        # A deliberate difference: a value outside the written grammar is
+        # malformed, though strptime reads it: another letter case, a
+        # one-digit or space-padded field, a run of whitespace, a "Z" or
+        # "+HH:MM" offset, or digits other than ASCII.
+        if not _in_grammar(value.strip()):
+            raise ValueError
         parsed = datetime.strptime(value.strip(), "%a %b %d %H:%M:%S %z %Y").astimezone(UTC)
     except (ValueError, OverflowError):
         raise TweetParseError(f"unparseable created_at: {value!r}") from None
@@ -682,10 +747,10 @@ _V1_TIMES = st.builds(
 @example("Mon Jan 01 00:00:00 +0100 0001")
 @example("Fri Dec 31 23:59:59 +0000 9999")
 @example("Fri Dec 31 23:59:59 -2359 9999")
-@example("Sun aug 27 12:00:00 +0000 2017")  # lowercase month
-@example("Sun Aug 7 12:00:00 +0000 2017")  # one-digit day
-@example("Sun Aug 27  12:00:00 +0000 2017")  # double space
-@example("Sun Aug 27 12:00:00 +0000 \u0662\u0660\u0661\u0667")  # Arabic-Indic year
+@example("Sun aug 27 12:00:00 +0000 2017")  # lowercase month: malformed
+@example("Sun Aug 7 12:00:00 +0000 2017")  # one-digit day: malformed
+@example("Sun Aug 27  12:00:00 +0000 2017")  # double space: malformed
+@example("Sun Aug 27 12:00:00 +0000 \u0662\u0660\u0661\u0667")  # Arabic-Indic year: malformed
 @example("Sun Aug \u0662\u0667 12:00:00 +0000 2017")  # Arabic-Indic day
 def test_v1_fast_path_agrees_with_strptime(value):
     record = {"id": "1", "text": "x", "created_at": value}
@@ -695,6 +760,70 @@ def test_v1_fast_path_agrees_with_strptime(value):
         with pytest.raises(TweetParseError) as got_exc:
             parse_tweet(record)
         assert str(got_exc.value) == str(exc)
+        return
+    got = parse_tweet(record).created_at_utc
+    assert got == expected
+    assert got.utcoffset() == expected.utcoffset()
+
+
+# --- created_at: the grammar against datetime(...) of its digits ------------
+
+
+def _datetime_of_digits(text: str) -> datetime:
+    """Oracle: the UTC instant of ``datetime(...)`` built from the fields of a
+    value in the grammar, a value with no offset read as UTC. Raises ValueError
+    where the constructor does, OverflowError where the instant has no UTC
+    datetime."""
+    iso, twitter = _GRAMMAR
+    fields = (re.fullmatch(iso, text) or re.fullmatch(twitter, text)).groupdict()
+    month = _MONTH_NAMES.index(fields["mon"]) + 1 if fields.get("mon") else int(fields["m"])
+    offset = timedelta(hours=int(fields["oh"] or 0), minutes=int(fields["om"] or 0))
+    return datetime(
+        int(fields["y"]), month, int(fields["d"]),
+        int(fields["H"] or 0), int(fields["M"] or 0), int(fields["S"] or 0),
+        int((fields.get("f") or "0").ljust(6, "0")),
+        tzinfo=timezone(-offset if fields["sign"] == "-" else offset),
+    ).astimezone(UTC)
+
+
+# Each field in its range, to draw mostly valid values; the grammar's own
+# patterns draw mostly invalid ones.
+_IN_RANGE = _grammar(
+    y="20[0-9]{2}|0001|9999", m="0[1-9]|1[0-2]", d="0[1-9]|[12][0-9]|3[01]",
+    H="[01][0-9]|2[0-3]", M="[0-5][0-9]", S="[0-5][0-9]", oh="[01][0-9]|2[0-3]", om="[0-5][0-9]",
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of([st.from_regex(pattern, fullmatch=True) for pattern in (*_GRAMMAR, *_IN_RANGE)]).flatmap(
+        lambda v: st.sampled_from((v, f" {v}", f"{v}\n"))
+    )
+)
+@example("2017-08-29")
+@example("2017-08-29T11:00.5")
+@example("2017-08-29T11:00:00.123456+05")
+@example("2017-08-29t11:00-0530")
+@example("2017-13-29T11:00")
+@example("2016-02-29 23:59:59-23:59")
+@example("2017-02-29T00:00")
+@example("2017-08-29T24:00")
+@example("2017-08-29T11:00+24:00")
+@example("0001-01-01T05:50:35Z")
+@example("9999-12-31T23:59-00:01")
+def test_created_at_in_the_grammar_reads_as_datetime_of_its_digits(value):
+    record = {"id": "1", "text": "x", "created_at": value}
+    try:
+        expected = _datetime_of_digits(value.strip())
+    except (ValueError, OverflowError):
+        with pytest.raises(TweetParseError) as exc_info:
+            parse_tweet(record)
+        assert str(exc_info.value) == f"unparseable created_at: {value!r}"
+        return
+    if expected < _EARLIEST_LOCAL_UTC:
+        with pytest.raises(TweetParseError) as exc_info:
+            parse_tweet(record)
+        assert str(exc_info.value) == f"created_at has no US/Central time: {value!r}"
         return
     got = parse_tweet(record).created_at_utc
     assert got == expected

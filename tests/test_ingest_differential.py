@@ -22,6 +22,7 @@ from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_ingest import _in_grammar
 from test_pipeline_property import _any_value, _json_values
 
 from rescuemap import (
@@ -95,7 +96,6 @@ def test_folded_keywords_match_per_record_folding(keywords, text, extra_tags, co
 # a change to the module's tables or patterns cannot move the reference with it.
 _EARLIEST_LOCAL_UTC = datetime.min.replace(tzinfo=ZoneInfo("America/Chicago")).astimezone(timezone.utc)
 _HASHTAG_RE = re.compile(r"#(\w+)")
-_TWITTER_TIME_FORMAT = "%a %b %d %H:%M:%S %z %Y"
 _MONTHS = {
     name: number
     for number, name in enumerate(
@@ -142,9 +142,7 @@ def reference_parse_created_at(value: object, line_no: int | None) -> datetime:
             text = value.strip()
             # No string parses in both formats: ISO starts with a digit, the
             # Twitter format with a weekday name. The canonical Twitter form
-            # is read first, by one regex match; ISO comes next, and strptime
-            # last, for the Twitter forms the regex does not take (a
-            # lowercase month, a one-digit day, "Z" as the offset).
+            # is read first, by one regex match; ISO comes next.
             match = _TWITTER_TIME_RE.fullmatch(text)
             if match is not None:
                 month, day, hour, minute, second, offset, year = match.groups()
@@ -153,14 +151,13 @@ def reference_parse_created_at(value: object, line_no: int | None) -> datetime:
                     tzinfo=_fixed_offset(offset),
                 )
             else:
-                # A deliberate change: after a YYYY-MM-DD date only "T", "t" or
-                # a space may follow, where fromisoformat takes any character.
-                if len(text) > 10 and text[10] not in "Tt " and re.match(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+                # A deliberate change: a value outside the written grammar is
+                # malformed, though fromisoformat or strptime reads it. So
+                # strptime, which read the other Twitter forms, is gone, and
+                # after a YYYY-MM-DD date only "T", "t" or a space may follow.
+                if not _in_grammar(text):
                     raise ValueError
-                try:
-                    parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
-                except ValueError:
-                    parsed = datetime.strptime(text, _TWITTER_TIME_FORMAT)
+                parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
                 if parsed.tzinfo is None:
                     parsed = parsed.replace(tzinfo=timezone.utc)
             parsed = parsed.astimezone(timezone.utc)
@@ -332,7 +329,7 @@ def _assert_parses_as_reference(record) -> None:
     # always did, where the reference calls it invalid JSON; and a bytes line
     # reports a second BOM as its str form does, where the reference's
     # json.loads drops the first as "utf-8-sig" and then expects a value. The
-    # others, boolean coordinates and the ISO separator, are made in the
+    # others, boolean coordinates and the created_at grammar, are made in the
     # reference's own functions.
     if isinstance(record, str):
         reference_record = record.removeprefix("\ufeff")
