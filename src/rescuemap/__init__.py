@@ -38,7 +38,6 @@ from .geocode import (
     Geocoder,
     GeoPoint,
     HttpBackend,
-    Precision,
     normalize_query,
 )
 from .ingest import (
@@ -82,7 +81,6 @@ __all__ = [
     "LexiconConfig",
     "LexiconError",
     "Metrics",
-    "Precision",
     "RescueRequest",
     "RunSummary",
     "StreamConfig",

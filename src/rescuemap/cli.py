@@ -45,7 +45,7 @@ def _load_config(path: Optional[str]) -> dict:
     if not p.is_file():
         raise ConfigError(f"config: file not found: {p}")
     try:
-        config = json.loads(p.read_text(encoding="utf-8"))
+        config = json.loads(p.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {p}: invalid JSON ({exc.msg})") from None
     except UnicodeDecodeError:
@@ -150,7 +150,7 @@ def _input_lines(args, config: dict) -> Iterable[bytes]:
             raise ConfigError(f"input: manifest not found: {manifest_path}")
         base = manifest_path.parent
         try:
-            listing = manifest_path.read_text(encoding="utf-8")
+            listing = manifest_path.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             raise ConfigError(f"input: manifest {manifest_path}: not valid UTF-8") from None
         for _, line in data_lines(listing):

@@ -69,7 +69,7 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
     """
     path = Path(path)
     try:
-        content = path.read_bytes().decode("utf-8")
+        content = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise CorpusFormatError(f"{path}: not valid UTF-8") from None
     rows: list[LabelledTweet] = []

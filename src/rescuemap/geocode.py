@@ -15,7 +15,6 @@ lock, so concurrent callers get what calls made in turn would get.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import threading
@@ -32,13 +31,6 @@ from .lexicons import data_lines
 API_KEY_ENV_VAR = "RESCUEMAP_GEOCODER_KEY"
 # Seconds an HttpBackend request may wait to connect, and then for each read.
 HTTP_TIMEOUT_S = 10.0
-
-
-class Precision(Enum):
-    ROOFTOP = "rooftop"
-    STREET = "street"
-    LOCALITY = "locality"
-    UNKNOWN = "unknown"
 
 
 class GeocodeStatus(Enum):
@@ -60,7 +52,6 @@ def _check_coordinates(longitude: float, latitude: float) -> None:
 class GeoPoint:
     longitude: float
     latitude: float
-    precision: Precision = Precision.UNKNOWN
 
     def __post_init__(self) -> None:
         _check_coordinates(self.longitude, self.latitude)
@@ -80,21 +71,18 @@ class GeocodeResult:
 # HttpBackend.resolve and Geocoder.geocode fill each new point and result
 # through their slots' member descriptors: the same stores the generated
 # __init__ makes through object.__setattr__, at about half the cost.
-_set_longitude, _set_latitude, _set_precision = (
-    vars(GeoPoint)[field].__set__ for field in GeoPoint.__match_args__
-)
+_set_longitude, _set_latitude = (vars(GeoPoint)[field].__set__ for field in GeoPoint.__match_args__)
 _set_point, _set_status, _set_from_cache = (
     vars(GeocodeResult)[field].__set__ for field in GeocodeResult.__match_args__
 )
 
 
-def _new_ok_result(longitude: float, latitude: float, precision: Precision) -> GeocodeResult:
-    """``GeocodeResult(GeoPoint(longitude, latitude, precision), GeocodeStatus.OK)``."""
+def _new_ok_result(longitude: float, latitude: float) -> GeocodeResult:
+    """``GeocodeResult(GeoPoint(longitude, latitude), GeocodeStatus.OK)``."""
     _check_coordinates(longitude, latitude)
     point = object.__new__(GeoPoint)
     _set_longitude(point, longitude)
     _set_latitude(point, latitude)
-    _set_precision(point, precision)
     result = object.__new__(GeocodeResult)
     _set_point(result, point)
     _set_status(result, GeocodeStatus.OK)
@@ -154,7 +142,7 @@ class Gazetteer:
     def load(cls, path: str | Path) -> "Gazetteer":
         table: dict[str, GeoPoint] = {}
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError:
             raise GazetteerError(f"{path}: not valid UTF-8") from None
         for i, line in data_lines(text):
@@ -163,7 +151,7 @@ class Gazetteer:
                 raise GazetteerError(f"{path}: row {i}: expected 3 tab-separated columns")
             address, lon_text, lat_text = cols
             try:
-                point = GeoPoint(float(lon_text), float(lat_text), Precision.ROOFTOP)
+                point = GeoPoint(float(lon_text), float(lat_text))
             except ValueError as exc:
                 raise GazetteerError(f"{path}: row {i}: {exc}") from None
             key = normalize_query(address)
@@ -174,14 +162,6 @@ class Gazetteer:
 
     def resolve(self, query: str) -> GeocodeResult:
         return self._table.get(normalize_query(query), _NOT_FOUND)
-
-
-_PRECISION_BY_LOCATION_TYPE = {
-    "ROOFTOP": Precision.ROOFTOP,
-    "RANGE_INTERPOLATED": Precision.STREET,
-    "GEOMETRIC_CENTER": Precision.STREET,
-    "APPROXIMATE": Precision.LOCALITY,
-}
 
 
 # What urllib.parse.quote writes for each UTF-8 byte under its default safe="/":
@@ -198,7 +178,10 @@ def _quote(text: str) -> str:
 
 
 def _is_http(url: str) -> bool:
-    return urllib.parse.urlsplit(url).scheme in ("http", "https")
+    try:
+        return urllib.parse.urlsplit(url).scheme in ("http", "https")
+    except ValueError:  # a bracketed host that is not an IP address
+        return False
 
 
 @functools.cache
@@ -218,20 +201,17 @@ def _opener():
 
 
 def _default_fetch(url: str, timeout: float) -> tuple[int, str]:
-    """GET ``url`` over HTTP(S), following redirects to HTTP(S) URLs.
+    """GET the http(s) ``url``, following redirects to http(s) URLs only.
 
     A 2xx answer gives its status and its body as strict UTF-8, as JSON
     requires (RFC 8259). An error answer gives its status and its body with
     undecodable bytes replaced, so a 429 reads as rate limited whatever its
     body. Anything else raises: a timeout, a refused connection, a
-    non-UTF-8 2xx body, or a URL or redirect target whose scheme is not
-    http or https (``urlopen`` would read a ``file:`` URL, and follow a
-    redirect to ``ftp:``).
+    non-UTF-8 2xx body, or a redirect whose target's scheme is not http or
+    https (``urlopen`` would follow a redirect to ``ftp:`` or ``file:``).
     """
     from urllib.error import HTTPError
 
-    if not _is_http(url):
-        raise ValueError(f"not an http(s) URL: {url}")
     try:
         with _opener().open(url, timeout=timeout) as response:
             return response.status, response.read().decode("utf-8")
@@ -243,16 +223,18 @@ def _default_fetch(url: str, timeout: float) -> tuple[int, str]:
 class HttpBackend:
     """Client for an HTTPS geocoding endpoint with a minimum request spacing.
 
-    ``url_template`` must contain ``{query}``, may contain ``{key}`` and no
-    other field, and sets no conversion or format spec such as ``{query!r}``
-    or ``{query:>20}``; the key is read from the environment (never from the
-    command line). The response is expected in the common maps-API shape: a
-    ``status`` string plus a ``results`` list whose first entry carries
-    ``geometry.location.{lat,lng}`` and ``geometry.location_type``. Each
-    request is ``fetch(url, HTTP_TIMEOUT_S)``; ``fetch`` defaults to an HTTP
-    GET and returns ``(status code, body)``. A 429 answer or a quota status
-    is ``rate_limited``; any other answer but 200 is ``backend_error``, so
-    an error page never reads as a ``not_found`` that would be cached.
+    ``url_template`` is an http(s) URL (``urlopen`` would read a ``file:``
+    one) that must contain ``{query}``, may contain ``{key}`` and no other
+    field, and sets no conversion or format spec such as ``{query!r}``; the
+    key is read from the environment (never from the command line). A brace
+    cannot be part of a scheme, so no field comes before the scheme's ``:``
+    and each URL built has the template's scheme. The response is in the
+    common maps-API shape: a ``status`` string plus a ``results`` list whose
+    first entry carries ``geometry.location.{lat,lng}``. Each request is
+    ``fetch(url, HTTP_TIMEOUT_S)``; ``fetch`` defaults to an HTTP GET and
+    returns ``(status code, str body)``. A 429 answer or a quota status is
+    ``rate_limited``; any other answer but 200, or a body that is not a str,
+    is ``backend_error``, so an error page never reads as a ``not_found``.
     """
 
     def __init__(
@@ -285,6 +267,8 @@ class HttpBackend:
         fields = {name for _, name, _, _ in parts} - {None}
         if not {"query"} <= fields <= {"query", "key"}:
             raise ValueError(f"url may name only {{query}} (required) and {{key}}: {url_template}")
+        if not _is_http(url_template):
+            raise ValueError(f"url is not an http(s) URL: {url_template}")
         self._url_template = url_template
         if api_key is None:
             api_key = os.environ.get(API_KEY_ENV_VAR, "")
@@ -318,8 +302,7 @@ class HttpBackend:
         if status_code == 429:
             return _RATE_LIMITED
         try:
-            # An injected fetch may hand back bytes, which json.loads also reads.
-            payload = _decode_json(body) if isinstance(body, str) else json.loads(body)
+            payload = _decode_json(body)
             api_status = payload.get("status", "OK")
             if api_status in ("OVER_QUERY_LIMIT", "OVER_DAILY_LIMIT", "RESOURCE_EXHAUSTED"):
                 return _RATE_LIMITED
@@ -331,13 +314,10 @@ class HttpBackend:
             if api_status != "OK":
                 return _BACKEND_ERROR
             location = results[0]["geometry"]["location"]
-            precision = _PRECISION_BY_LOCATION_TYPE.get(
-                results[0]["geometry"].get("location_type", ""), Precision.UNKNOWN
-            )
             lng, lat = location["lng"], location["lat"]
             if isinstance(lng, bool) or isinstance(lat, bool):
                 raise TypeError  # float() would read true and false as 1.0 and 0.0
-            return _new_ok_result(float(lng), float(lat), precision)
+            return _new_ok_result(float(lng), float(lat))
         # AttributeError: a body that is JSON but not an object; OverflowError: a
         # coordinate integer too large for a float; RecursionError: deep nesting.
         except (

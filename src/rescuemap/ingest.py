@@ -36,8 +36,8 @@ _MONTHS = {
 #   "Tue Aug 29 11:16:11 +0000 2017", English names in this case, single
 #   spaces, offset minutes 00-59. The weekday is not checked against the date.
 # - ISO, no group: YYYY-MM-DD, then optionally "T", "t" or a space, HH:MM,
-#   optional :SS, an optional "." and 1-6 digits, and an optional Z, ±HH:MM,
-#   ±HHMM or ±HH offset.
+#   optional :SS with an optional "." and 1-6 digits, and an optional Z,
+#   ±HH:MM, ±HHMM or ±HH offset, offset minutes 00-59.
 # No part that follows an optional ISO part can match what it took, so the
 # optional parts are possessive (?+): the engine never gives their text back,
 # and matching an ISO value takes about 30% less time. fromisoformat, which
@@ -49,7 +49,7 @@ _CREATED_AT_RE = re.compile(
     r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (%s) ([0-9]{2}) ([0-9]{2}:[0-9]{2}:[0-9]{2})"
     r" ([+-][0-9]{2}[0-5][0-9]) ([0-9]{4})"
     r"|[0-9]{4}-[0-9]{2}-[0-9]{2}"
-    r"(?:[Tt ][0-9]{2}:[0-9]{2}(?::[0-9]{2})?+(?:\.[0-9]{1,6}+)?+(?:Z|[+-][0-9]{2}(?::?[0-9]{2})?+)?+)?+"
+    r"(?:[Tt ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,6}+)?+)?+(?:Z|[+-][0-9]{2}(?::?[0-5][0-9])?+)?+)?+"
     % "|".join(_MONTHS)
 )
 

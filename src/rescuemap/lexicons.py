@@ -186,7 +186,7 @@ def _load(directory: Path | None, spanish: bool) -> LexiconConfig:
             path = directory / _DATA_FILES[name]
             if path.is_file():
                 try:
-                    return path.read_text(encoding="utf-8"), str(path)
+                    return path.read_text(encoding="utf-8-sig"), str(path)
                 except UnicodeDecodeError:
                     raise LexiconError(f"{path}: not valid UTF-8") from None
         return _packaged(name), _DATA_FILES[name]

@@ -20,7 +20,6 @@ from rescuemap import (
     GeocodeStatus,
     Geocoder,
     GeoPoint,
-    Precision,
     StreamConfig,
     Verdict,
     classify,
@@ -185,7 +184,7 @@ def test_criterion_6_geocode_cache_soundness():
         def resolve(self, query):
             CountingBackend.calls += 1
             return GeocodeResult(
-                point=GeoPoint(-95.4, 29.7, Precision.ROOFTOP),
+                point=GeoPoint(-95.4, 29.7),
                 status=GeocodeStatus.OK,
             )
 

@@ -21,7 +21,6 @@ from rescuemap import (
     Geocoder,
     GeoPoint,
     HttpBackend,
-    Precision,
     normalize_query,
 )
 from rescuemap import geocode
@@ -153,7 +152,7 @@ def reference_normalize_query(query: str) -> str:
 
 
 class CountingBackend:
-    def __init__(self, point=GeoPoint(-95.4, 29.7, Precision.ROOFTOP), status=GeocodeStatus.OK):
+    def __init__(self, point=GeoPoint(-95.4, 29.7), status=GeocodeStatus.OK):
         self.calls = 0
         self.point = point
         self.status = status
@@ -296,7 +295,7 @@ class TestGeocoderCache:
                 with lock:
                     LockedCounting.calls += 1
                 return GeocodeResult(
-                    point=GeoPoint(-95.0, 29.0, Precision.ROOFTOP),
+                    point=GeoPoint(-95.0, 29.0),
                     status=GeocodeStatus.OK,
                 )
 
@@ -479,7 +478,7 @@ class ReferenceGeocoder:
         return result
 
 
-SCRIPTED_POINT = GeoPoint(-95.4, 29.7, Precision.STREET)
+SCRIPTED_POINT = GeoPoint(-95.4, 29.7)
 
 
 class ScriptedBackend:
@@ -588,7 +587,7 @@ class TestHttpBackend:
         backend, calls = self.backend([(200, OK_BODY)])
         result = backend.resolve("4055 South Braeswood Blvd, Houston, TX")
         assert result.status is GeocodeStatus.OK
-        assert result.point == GeoPoint(-95.4415, 29.6911, Precision.ROOFTOP)
+        assert result.point == GeoPoint(-95.4415, 29.6911)
         assert "address=4055%20South" in calls[0]
         assert "key=secret" in calls[0]
 
@@ -624,12 +623,14 @@ class TestHttpBackend:
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": 90.5, "lng": -95.4}}}]}',
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": -180.5}}}]}',
             "[" * 100_000 + "]" * 100_000,
+            OK_BODY.encode(),  # an injected fetch must return a str body
+            None,
         ],
         ids=[
             "array", "number", "string", "null", "results_object", "result_string",
             "location_array", "coordinate_1e400", "coordinate_400_digits", "lat_true",
             "lng_false", "coordinate_minus_1e400", "lat_nan", "lat_90_5", "lng_minus_180_5",
-            "deep_nesting",
+            "deep_nesting", "bytes", "none",
         ],
     )
     def test_body_of_the_wrong_shape_is_backend_error(self, body):
@@ -803,7 +804,7 @@ class TestDefaultFetch:
         assert result.status is status
         assert paths[0] == route + "?address=1%20Main%20St"
         if status is GeocodeStatus.OK:
-            assert result.point == GeoPoint(-95.4415, 29.6911, Precision.ROOFTOP)
+            assert result.point == GeoPoint(-95.4415, 29.6911)
 
     def test_server_slower_than_the_timeout_is_backend_error(self, loopback, monkeypatch):
         base, paths = self.serve(loopback)
@@ -837,9 +838,21 @@ class TestDefaultFetch:
             with pytest.raises(BlockingIOError):
                 ftp.accept()[0].close()  # the listener saw no connection
 
-    def test_other_schemes_are_not_read(self, tmp_path):
-        # urlopen would read this file, and its ZERO_RESULTS would be cached.
-        answer = tmp_path / "answer.json"
-        answer.write_text(EMPTY_BODY, encoding="utf-8")
-        backend = HttpBackend(answer.as_uri() + "#{query}")
-        assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "file:///answer.json#{query}",
+            "ftp://geo.example/answer.json?{query}",
+            "data:application/json,{query}",
+            "htps://geo.example/api?address={query}",
+            "geo.example/api?address={query}",
+            "{query}://geo.example/",
+            "http://[{query}]/",
+        ],
+        ids=["file", "ftp", "data", "htps", "no_scheme", "field_as_scheme", "bad_bracketed_host"],
+    )
+    def test_other_schemes_are_not_read(self, template):
+        # Refused at construction: urlopen would read a file: URL, and its
+        # ZERO_RESULTS would be cached.
+        with pytest.raises(ValueError, match=r"^url is not an http\(s\) URL: "):
+            HttpBackend(template)

@@ -3,6 +3,8 @@ replaced, kept here as the reference:
 
 - `_quote`, the table quote of a query, against `urllib.parse.quote`, and
   each URL `HttpBackend` sends against the URL `quote` would have built;
+- the scheme of each URL `HttpBackend` builds, against its template's, which
+  the constructor checks in place of a check on every request;
 - the points and results `HttpBackend.resolve` and `Geocoder.geocode` fill
   through their slots, against the ones the public constructors build.
 """
@@ -16,8 +18,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rescuemap import GeocodeResult, GeocodeStatus, Geocoder, GeoPoint, HttpBackend, Precision
-from rescuemap.geocode import API_KEY_ENV_VAR, _PRECISION_BY_LOCATION_TYPE, _quote
+from rescuemap import GeocodeResult, GeocodeStatus, Geocoder, GeoPoint, HttpBackend
+from rescuemap.geocode import API_KEY_ENV_VAR, _quote
 
 # Any code point of any plane but a lone surrogate, which UTF-8 cannot encode;
 # more often the characters a query string treats specially, and controls.
@@ -92,6 +94,49 @@ def test_every_url_sent_is_the_url_urllib_quote_builds(query):
             assert urls == [template.format(query=quote(query), key=quote(key))]
 
 
+# Templates: pieces that may or may not make a scheme, the two fields and escaped
+# braces; half of them after a head that gives or spoils an http(s) scheme. No
+# brackets: urlsplit refuses a bracketed host that is not an IP address, and
+# "[v1.{query}]" is one only for a non-empty query.
+_template_pieces = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["http", "HTTPS", "file", "htps", ":", "//", "/", "?", "#", "@", " ", "\t"]
+            + ["{query}", "{key}", "{{", "}}"]
+        ),
+        st.text(st.characters(exclude_categories=("Cs",), exclude_characters="{}[]"), max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+_templates = st.one_of(
+    _template_pieces,
+    st.tuples(
+        st.sampled_from(["http:", "https://", "HTTP://", "hTtPs:", " http://", "ht\ttp://", "http{{:"]),
+        _template_pieces,
+        _template_pieces,
+    ).map(lambda parts: parts[0] + parts[1] + "{query}" + parts[2]),
+)
+# A query or key with what a URL treats specially, braces and non-ASCII text.
+_url_texts = st.text(st.one_of(_query_chars, st.sampled_from(":/{}ü\u4e2d\U0001F6A8")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_templates, _url_texts, _url_texts)
+@example("https://geo.example/api?address={query}&key={key}", "http://x/{y}:\u00fc", "file:/{}")
+@example("http:{query}", "ftp://x", ":")
+@example("HTTP:{key}{query}", "//evil.example:80/", "\u00fc:\u00fc")
+@example("http{query}://x", "s", "")
+def test_every_url_built_has_the_scheme_of_its_template(template, query, key):
+    try:
+        backend = HttpBackend(template, api_key=key)
+    except ValueError as exc:
+        assert str(exc).startswith("url ")
+        return
+    scheme = urllib.parse.urlsplit(template).scheme
+    assert scheme in ("http", "https")
+    assert urllib.parse.urlsplit(backend._build_url(query)).scheme == scheme
+
+
 # Any float, in range or not, NaN and the infinities included; integers as JSON
 # writes them; and the range's edges.
 _coordinates = st.one_of(
@@ -100,7 +145,8 @@ _coordinates = st.one_of(
     st.integers(-200, 200),
     st.sampled_from([-180.0, 180.0, -90.0, 90.0, -0.0, 0.0, 90.5, -180.5]),
 )
-_location_types = st.one_of(st.sampled_from(sorted(_PRECISION_BY_LOCATION_TYPE)), st.just("OTHER"))
+# Maps APIs send a location_type, which the result leaves out.
+_location_types = st.sampled_from(["ROOFTOP", "RANGE_INTERPOLATED", "APPROXIMATE", "OTHER"])
 
 
 def _assert_same_value(got: object, want: object) -> None:
@@ -125,9 +171,8 @@ def test_fast_built_results_match_the_constructors(lng, lat, location_type):
     body = json.dumps({"status": "OK", "results": [{"geometry": geometry}]})
     backend = HttpBackend("https://geo.example/api?address={query}", fetch=lambda url, t: (200, body))
     geocoder = Geocoder(backend)
-    precision = _PRECISION_BY_LOCATION_TYPE.get(location_type or "", Precision.UNKNOWN)
     try:
-        point = GeoPoint(float(lng), float(lat), precision)
+        point = GeoPoint(float(lng), float(lat))
     except ValueError:  # out of range, or NaN: the constructor's rule refuses it
         assert backend.resolve("1 Main St").status is GeocodeStatus.BACKEND_ERROR
         return

@@ -267,6 +267,9 @@ class TestParseTweet:
             "2017-08-29T11:00:00,5Z",
             "2017-08-29T11:00:00.1234567Z",
             "2017-08-29T11:00+05:30:15",
+            "2017-08-29T11:00+05:60",
+            "2017-08-29T11:00+00:99",
+            "2017-08-29T11:00.5",
             "Sun aug 27 12:00:00 +0000 2017",
             "SUN AUG 27 12:00:00 +0000 2017",
             "Sun Aug 7 12:00:00 +0000 2017",
@@ -558,8 +561,9 @@ def _grammar(**patterns: str) -> tuple[str, str]:
 
     year = field("y", "[0-9]{4}")
     iso = (
-        rf"{year}-{field('m')}-{field('d')}(?:[Tt ]{field('H')}:{field('M')}(?::{field('S')})?"
-        rf"(?:\.(?P<f>[0-9]{{1,6}}))?(?:Z|(?P<sign>[+-]){field('oh')}(?::?{field('om')})?)?)?"
+        rf"{year}-{field('m')}-{field('d')}(?:[Tt ]{field('H')}:{field('M')}"
+        rf"(?::{field('S')}(?:\.(?P<f>[0-9]{{1,6}}))?)?"
+        rf"(?:Z|(?P<sign>[+-]){field('oh')}(?::?{field('om', '[0-5][0-9]')})?)?)?"
     )
     twitter = (
         rf"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (?P<mon>{'|'.join(_MONTH_NAMES)}) {field('d')}"
@@ -772,10 +776,13 @@ def test_v1_fast_path_agrees_with_strptime(value):
 def _datetime_of_digits(text: str) -> datetime:
     """Oracle: the UTC instant of ``datetime(...)`` built from the fields of a
     value in the grammar, a value with no offset read as UTC. Raises ValueError
-    where the constructor does, OverflowError where the instant has no UTC
-    datetime."""
+    outside the grammar and where the constructor does, OverflowError where the
+    instant has no UTC datetime."""
     iso, twitter = _GRAMMAR
-    fields = (re.fullmatch(iso, text) or re.fullmatch(twitter, text)).groupdict()
+    match = re.fullmatch(iso, text) or re.fullmatch(twitter, text)
+    if match is None:
+        raise ValueError("not in the grammar")
+    fields = match.groupdict()
     month = _MONTH_NAMES.index(fields["mon"]) + 1 if fields.get("mon") else int(fields["m"])
     offset = timedelta(hours=int(fields["oh"] or 0), minutes=int(fields["om"] or 0))
     return datetime(

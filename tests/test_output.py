@@ -7,7 +7,6 @@ from rescuemap import (
     GeocodeResult,
     GeocodeStatus,
     GeoPoint,
-    Precision,
     Tweet,
     complete_address,
     detect_address,
@@ -22,7 +21,7 @@ from rescuemap.output import RescueRequest
 def make_request(
     text="Please help! stranded at 4055 South Braeswood Blvd #HoustonFlood",
     tweet_id="t1",
-    point=GeoPoint(-95.44, 29.69, Precision.ROOFTOP),
+    point=GeoPoint(-95.44, 29.69),
     status=GeocodeStatus.OK,
 ) -> RescueRequest:
     tweet = Tweet(

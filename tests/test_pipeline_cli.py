@@ -848,6 +848,22 @@ class TestCliPipeline:
             arrivals = sorted(arrived for arrived, _ in service.requests)
             assert arrivals[-1] - arrivals[0] >= 0.5 * min_interval * (len(arrivals) - 1)
 
+    def test_http_url_of_another_scheme_exits_1_before_any_request(
+        self, loopback, data_dir, tmp_path, capsys
+    ):
+        service = GazetteerService(data_dir / "gazetteer.tsv")
+        url = "htps" + loopback(service.answer).removeprefix("http") + "/json?address={query}"
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"inputs": [str(data_dir / "replay_corpus.ndjson")], "http": {"url": url}}),
+            encoding="utf-8",
+        )
+        assert self.run_cli("pipeline", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rescuemap: config: http.url is not an http(s) URL: {url}\n"
+        assert service.requests == []
+
     def test_http_backend_without_url_exits_1(self, data_dir, capsys):
         code = self.run_cli(
             "pipeline",
@@ -1101,3 +1117,40 @@ def test_non_utf8_file_exits_1_with_one_line(case, data_dir, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert str(bad) in captured.err
     assert "UTF-8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["lexicon_override", "config", "gazetteer", "manifest", "labelled_csv"],
+)
+def test_file_with_a_leading_bom_reads_as_without_it(case, data_dir, tmp_path, capsys):
+    # Some editors start a UTF-8 file with a BOM. Without the BOM dropped, the
+    # file's first phrase, row or path never matches, or the file does not parse.
+    sample = str(data_dir / "harvey_sample.ndjson")
+    gazetteer = str(data_dir / "gazetteer_sample.tsv")
+    if case == "lexicon_override":
+        path, text = tmp_path / "help_keywords.txt", "rescue\n"
+        texts = tmp_path / "texts.txt"
+        texts.write_text("Need rescue at 12 Main St, Houston #Harvey\n", encoding="utf-8")
+        argv = ["classify", "--raw", "--lexicons", str(tmp_path), "--input", str(texts)]
+    elif case == "config":
+        path, text = tmp_path / "config.json", json.dumps({"inputs": [sample], "gazetteer": gazetteer})
+        argv = ["pipeline", "--config", str(path)]
+    elif case == "gazetteer":
+        path = tmp_path / "gazetteer.tsv"
+        rows = Path(gazetteer).read_text(encoding="utf-8").splitlines(keepends=True)
+        text = "".join(row for row in rows if not row.startswith("#"))  # a row comes first
+        argv = ["pipeline", "--input", sample, "--gazetteer", str(path)]
+    elif case == "manifest":
+        path, text = tmp_path / "manifest.txt", f"{sample}\n"
+        argv = ["pipeline", "--manifest", str(path), "--gazetteer", gazetteer]
+    else:
+        path = tmp_path / "labelled.csv"
+        text = (data_dir / "labelled_corpus.csv").read_text(encoding="utf-8")
+        argv = ["eval", "--input", str(path)]
+    captured = []
+    for bom in ("", "\ufeff"):
+        path.write_text(bom + text, encoding="utf-8")
+        assert main(argv) == 0
+        captured.append(capsys.readouterr())
+    assert captured[1] == captured[0]
