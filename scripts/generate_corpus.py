@@ -233,7 +233,7 @@ def build_rows() -> list[dict]:
             "created_at": moment.strftime("%Y-%m-%dT%H:%M:%SZ"),
         }
         wants_coords = rng.random() < 0.35
-        if label == 1 and not passes_stream_filter(parse_tweet({**record, "label": None}), keyword_cfg):
+        if label == 1 and not passes_stream_filter(parse_tweet(json.dumps(record)), keyword_cfg):
             wants_coords = True  # a streamed archive would only hold matching records
         if wants_coords:
             record["coordinates"] = [

@@ -36,6 +36,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_PATH_KEYS = ("manifest", "gazetteer", "lexicons", "out_geojson", "out_map")
+_CONFIG_KEYS = (*_CONFIG_PATH_KEYS, "inputs", "keywords", "bbox", "geocoder_backend", "spanish", "http")
+_HTTP_CONFIG_KEYS = ("url", "min_interval")
+
+
+def _check_keys(config: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    """Refuse a key not in ``known``: a misspelt key would otherwise be ignored."""
+    for key in config:
+        if key not in known:
+            import difflib  # only here: a valid config never needs it
+
+            message = f"config: unknown key {prefix + key!r}"
+            close = difflib.get_close_matches(key, known, n=1)
+            if close:
+                message += f" (did you mean {prefix + close[0]!r}?)"
+            raise ConfigError(message)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -52,6 +67,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config: {p}: not valid UTF-8") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config: {p}: top level must be an object")
+    _check_keys(config, _CONFIG_KEYS)
     for key in (*_CONFIG_PATH_KEYS, "geocoder_backend"):
         if not isinstance(config.get(key), (str, type(None))):
             raise ConfigError(f"config: {key} must be a string")
@@ -63,6 +79,7 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError("config: spanish must be true or false")
     if not isinstance(config.get("http", {}), dict):
         raise ConfigError("config: http must be an object")
+    _check_keys(config.get("http", {}), _HTTP_CONFIG_KEYS, "http.")
     # Paths in the config are relative to the config file, not the cwd.
     base = p.parent
 

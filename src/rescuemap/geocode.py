@@ -224,13 +224,14 @@ class HttpBackend:
     """Client for an HTTPS geocoding endpoint with a minimum request spacing.
 
     ``url_template`` is an http(s) URL (``urlopen`` would read a ``file:``
-    one) that must contain ``{query}``, may contain ``{key}`` and no other
-    field, and sets no conversion or format spec such as ``{query!r}``; the
-    key is read from the environment (never from the command line). A brace
-    cannot be part of a scheme, so no field comes before the scheme's ``:``
-    and each URL built has the template's scheme. The response is in the
-    common maps-API shape: a ``status`` string plus a ``results`` list whose
-    first entry carries ``geometry.location.{lat,lng}``. Each request is
+    one) that must contain the literal placeholder ``{query}``, may contain
+    ``{key}``, and holds no other brace, no space and no control character;
+    the key is read from the environment (never from the command line). A
+    brace cannot be part of a scheme, so no placeholder comes before the
+    scheme's ``:`` and each URL built has the template's scheme. The
+    response is in the common maps-API shape: a ``status`` string plus a
+    ``results`` list whose first entry carries
+    ``geometry.location.{lat,lng}``. Each request is
     ``fetch(url, HTTP_TIMEOUT_S)``; ``fetch`` defaults to an HTTP GET and
     returns ``(status code, str body)``. A 429 answer or a quota status is
     ``rate_limited``; any other answer but 200, or a body that is not a str,
@@ -253,26 +254,20 @@ class HttpBackend:
             or not 0 <= min_interval < math.inf
         ):
             raise ValueError(f"min_interval must be a finite number >= 0, got {min_interval!r}")
-        import string  # only here: `import rescuemap` stays lean without it
-        try:
-            parts = list(string.Formatter().parse(url_template))
-        except ValueError as exc:
-            raise ValueError(f"url does not parse as a template: {exc}") from None
-        # A conversion or spec would reach the URL after quoting: {query!r}
-        # adds quotes, {query:>20} raw spaces.
-        if any(spec or conversion for _, _, spec, conversion in parts):
-            raise ValueError(
-                f"url does not parse as a template: a field has a conversion or format spec: {url_template}"
-            )
-        fields = {name for _, name, _, _ in parts} - {None}
-        if not {"query"} <= fields <= {"query", "key"}:
+        if any(char <= " " or char == "\x7f" for char in url_template):
+            # urlsplit would delete a tab or newline that urlopen then sends.
+            raise ValueError(f"url holds a space or control character: {url_template!r}")
+        if api_key is None:
+            api_key = os.environ.get(API_KEY_ENV_VAR, "")
+        # Split first: a key put in before could join "{que" and "ry}". The
+        # key adds no brace, since _quote writes braces as %7B and %7D.
+        quoted_key = _quote(api_key)
+        parts = [part.replace("{key}", quoted_key) for part in url_template.split("{query}")]
+        if len(parts) == 1 or any("{" in part or "}" in part for part in parts):
             raise ValueError(f"url may name only {{query}} (required) and {{key}}: {url_template}")
         if not _is_http(url_template):
             raise ValueError(f"url is not an http(s) URL: {url_template}")
-        self._url_template = url_template
-        if api_key is None:
-            api_key = os.environ.get(API_KEY_ENV_VAR, "")
-        self._quoted_key = _quote(api_key)
+        self._url_parts = parts
         self._min_interval = min_interval
         self._fetch = fetch or _default_fetch
         self._clock = clock
@@ -281,7 +276,7 @@ class HttpBackend:
         self._pace_lock = threading.Lock()
 
     def _build_url(self, query: str) -> str:
-        return self._url_template.format(query=_quote(query), key=self._quoted_key)
+        return _quote(query).join(self._url_parts)
 
     def _pace(self) -> None:
         if not self._min_interval:  # fixed at construction: no spacing, no lock, no clock

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -175,9 +174,9 @@ def merge_hashtags(text: str, extra: Iterable[object]) -> tuple[str, ...]:
 
 def _shown(value: object) -> str:
     """``repr(value)`` for an error message, or the type's name when repr
-    raises. A mapping given to :func:`parse_tweet` can hold values that no
-    decoded line holds: an integer past int-to-str's digit limit (4300 by
-    default), or lists nested past the recursion limit."""
+    raises. The decoder refuses an integer past int-to-str's digit limit, but
+    a value nested deep enough to decode may still be too deep to print on a
+    Python that counts C recursion otherwise."""
     try:
         return repr(value)
     except (ValueError, RecursionError):
@@ -229,7 +228,7 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
 
 def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float]:
     # Accept [lon, lat] or the GeoJSON-style {"coordinates": [lon, lat]}.
-    if type(value) is dict or isinstance(value, Mapping):
+    if type(value) is dict:
         value = value.get("coordinates")
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise TweetParseError(f"coordinates must be a [lon, lat] pair: {_shown(value)}", line_no)
@@ -253,39 +252,32 @@ def _encodable(value: str) -> bool:
     return True
 
 
-def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tweet:
-    """Parse one newline-delimited JSON record into a :class:`Tweet`.
+def parse_tweet(record: str | bytes, line_no: int | None = None) -> Tweet:
+    """Parse one newline-delimited JSON line into a :class:`Tweet`.
 
-    Accepts either the raw line (UTF-8 when given as bytes) or an
-    already-decoded mapping. Twitter-v1 style field names (``id_str``,
-    ``full_text``, ``entities.hashtags``) are understood alongside the plain
-    schema; ``user_location`` and ``user.location`` are accepted and ignored.
+    The line is a str, or UTF-8 bytes; one leading BOM is dropped. Twitter-v1
+    style field names (``id_str``, ``full_text``, ``entities.hashtags``) are
+    understood alongside the plain schema; ``user_location`` and
+    ``user.location`` are accepted and ignored.
     """
-    if isinstance(record, (str, bytes)):
-        try:
-            # json.loads would guess UTF-16 or UTF-32 for bytes, and let an
-            # encoded surrogate through. Both forms drop one leading BOM.
-            text = record if isinstance(record, str) else record.decode("utf-8")
-            obj = _decode_json(text.removeprefix("\ufeff"))
-        except json.JSONDecodeError as exc:
-            raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
-        except UnicodeDecodeError:
-            raise TweetParseError("line is not UTF-8", line_no) from None
-        except (ValueError, RecursionError) as exc:  # e.g. too deep, or a huge integer
-            raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
-    else:
-        obj = record
-    # The decoder gives dicts; each exact type test skips an ABC check.
-    if type(obj) is not dict and not isinstance(obj, Mapping):
+    try:
+        # json.loads would guess UTF-16 or UTF-32 for bytes, and let an
+        # encoded surrogate through. Both forms drop one leading BOM.
+        text = record if isinstance(record, str) else record.decode("utf-8")
+        obj = _decode_json(text.removeprefix("\ufeff"))
+    except json.JSONDecodeError as exc:
+        raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
+    except UnicodeDecodeError:
+        raise TweetParseError("line is not UTF-8", line_no) from None
+    except (ValueError, RecursionError) as exc:  # e.g. too deep, or a huge integer
+        raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
+    if type(obj) is not dict:
         raise TweetParseError("record is not a JSON object", line_no)
 
     raw_id = obj.get("id_str") or obj.get("id")
     if type(raw_id) is not str and (isinstance(raw_id, bool) or not isinstance(raw_id, (str, int))):
         raise TweetParseError("missing id, or id is not a string or an integer", line_no)
-    try:
-        tweet_id = str(raw_id)
-    except ValueError:
-        raise TweetParseError("id is an integer of too many digits to print", line_no) from None
+    tweet_id = str(raw_id)  # the decoder refuses an integer too long to print
     if not tweet_id.strip():
         raise TweetParseError("missing id, or id is not a string or an integer", line_no)
     text = obj.get("text")
@@ -303,10 +295,10 @@ def parse_tweet(record: str | bytes | Mapping, line_no: int | None = None) -> Tw
     provided = obj.get("hashtags")
     if provided is None:
         entities = obj.get("entities")
-        if type(entities) is dict or isinstance(entities, Mapping):
+        if type(entities) is dict:
             entities = entities.get("hashtags")
             if isinstance(entities, list):
-                provided = [e.get("text") for e in entities if type(e) is dict or isinstance(e, Mapping)]
+                provided = [e.get("text") for e in entities if type(e) is dict]
     hashtags = merge_hashtags(text, provided if isinstance(provided, list) else ())
 
     coords = obj.get("coordinates")

@@ -2,16 +2,19 @@
 
 All phrase lists ship as editable data files under ``rescuemap/data/`` so the
 classifier stays auditable: one entry per line, UTF-8, lines starting with
-``#`` are comments. The region/disaster pair file is tab-separated.
+``#`` are comments. The region/disaster pair file is tab-separated. The files
+are read from the package's own directory, so the package must be installed
+unpacked, as pip installs it, not imported from a zip archive.
 """
 from __future__ import annotations
 
-import importlib.resources
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+_PACKAGED = Path(__file__).with_name("data")
 
 NEGATIVE_FEATURES = ("status_update", "offer_help", "news_report", "political", "ads")
 
@@ -56,18 +59,10 @@ def _parse_pairs(text: str, source: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def _packaged(name: str) -> str:
-    return (
-        importlib.resources.files("rescuemap.data")
-        .joinpath(_DATA_FILES[name])
-        .read_text(encoding="utf-8")
-    )
-
-
 def load_street_suffixes() -> frozenset[str]:
     """The shipped street-suffix lexicon (uppercased entries)."""
-    text = importlib.resources.files("rescuemap.data").joinpath("street_suffixes.txt")
-    return frozenset(s.upper() for _, s in data_lines(text.read_text(encoding="utf-8")))
+    text = (_PACKAGED / "street_suffixes.txt").read_text(encoding="utf-8")
+    return frozenset(s.upper() for _, s in data_lines(text))
 
 
 def _compile_phrases(phrases: Iterable[str]) -> re.Pattern:
@@ -189,7 +184,7 @@ def _load(directory: Path | None, spanish: bool) -> LexiconConfig:
                     return path.read_text(encoding="utf-8-sig"), str(path)
                 except UnicodeDecodeError:
                     raise LexiconError(f"{path}: not valid UTF-8") from None
-        return _packaged(name), _DATA_FILES[name]
+        return (_PACKAGED / _DATA_FILES[name]).read_text(encoding="utf-8"), _DATA_FILES[name]
 
     def phrases(name: str) -> tuple[str, ...]:
         return tuple(line for _, line in data_lines(read(name)[0]))

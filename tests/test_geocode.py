@@ -722,41 +722,41 @@ class TestHttpBackend:
         "template, message",
         [
             ("https://geo.example/api?address={adress}&key={key}", "may name only"),
-            ("https://geo.example/api?address={query}&key={key", "does not parse"),
-            ("https://geo.example/api?address={query}}", "does not parse"),
+            ("https://geo.example/api?address={query}&key={key", "may name only"),
+            ("https://geo.example/api?address={query}}", "may name only"),
             ("https://geo.example/api?address={0}&key={key}", "may name only"),
             ("https://geo.example/api?address={}", "may name only"),
             ("https://geo.example/api?address={query.lower}", "may name only"),
-            ("https://geo.example/api?address={query!x}", "does not parse"),
-            ("https://geo.example/api?address={query:d}", "does not parse"),
-            ("https://geo.example/api?address={query!r}", "does not parse"),
-            ("https://geo.example/api?address={query:>20}", "does not parse"),
-            ("https://geo.example/api?address={query}&key={key!a}", "does not parse"),
+            ("https://geo.example/api?address={query!x}", "may name only"),
+            ("https://geo.example/api?address={query:d}", "may name only"),
+            ("https://geo.example/api?address={query!r}", "may name only"),
+            ("https://geo.example/api?address={query:>20}", "may name only"),
+            ("https://geo.example/api?address={query}&key={key!a}", "may name only"),
             ("https://geo.example/api?key={key}", "may name only"),
+            ("https://geo.example/{{v1}}/api?address={query}", "may name only"),
+            ("https://geo.example/api?address={key{query}}", "may name only"),
+            ("ht\ttp://geo.example/api?address={query}", "space or control character"),
+            ("ht\ntp://geo.example/api?address={query}", "space or control character"),
+            ("ht\rtp://geo.example/api?address={query}", "space or control character"),
+            ("ht tp://geo.example/api?address={query}", "space or control character"),
+            ("https://geo.example/api?address={query}&\tkey={key}", "space or control character"),
+            ("https://geo.example/api?address={query}\n", "space or control character"),
+            ("https://geo.example/api\r?address={query}", "space or control character"),
+            ("https://geo.example/api?address= {query}", "space or control character"),
         ],
         ids=[
             "misspelled_field", "unbalanced_open", "unbalanced_close", "positional_index",
             "positional_empty", "attribute", "bad_conversion", "bad_format_spec",
             "repr_conversion", "padding_format_spec", "ascii_conversion_on_key", "no_query",
+            "escaped_braces", "key_around_query", "tab_in_scheme", "newline_in_scheme",
+            "return_in_scheme", "space_in_scheme", "tab_in_query_string", "newline_at_end",
+            "return_in_path", "space_before_query",
         ],
     )
     def test_bad_url_template_rejected_at_construction(self, template, message):
         with pytest.raises(ValueError, match="^url ") as exc_info:
             HttpBackend(template, api_key="secret", fetch=lambda url, timeout: (200, OK_BODY))
         assert exc_info.match(message)
-
-    def test_literal_braces_in_url_template(self):
-        calls = []
-
-        def fetch(url, timeout):
-            calls.append(url)
-            return (200, OK_BODY)
-
-        backend = HttpBackend(
-            "https://geo.example/{{v1}}/api?address={query}&key={key}", api_key="secret", fetch=fetch
-        )
-        assert backend.resolve("1 Main St").status is GeocodeStatus.OK
-        assert calls == ["https://geo.example/{v1}/api?address=1%20Main%20St&key=secret"]
 
 
 # An OK body with a Latin-1 "í": read as UTF-8 with replacement it would be `ok`.

@@ -4,7 +4,9 @@ replaced, kept here as the reference:
 - `_quote`, the table quote of a query, against `urllib.parse.quote`, and
   each URL `HttpBackend` sends against the URL `quote` would have built;
 - the scheme of each URL `HttpBackend` builds, against its template's, which
-  the constructor checks in place of a check on every request;
+  the constructor checks in place of a check on every request, and each URL
+  built from a template whose only braces are its placeholders, against
+  `str.format`, which built it before;
 - the points and results `HttpBackend.resolve` and `Geocoder.geocode` fill
   through their slots, against the ones the public constructors build.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import urllib.parse
 from unittest import mock
 
@@ -71,7 +74,6 @@ def test_lone_surrogate_is_backend_error_without_a_request(query):
 # and a key read from the environment (api_key None).
 _TEMPLATES_AND_KEYS = [
     ("https://geo.example/api?address={query}&key={key}", "secret"),
-    ("https://geo.example/{{v1}}/api?address={query}&key={key}", "secret"),
     ("https://geo.example/api?address={query}", "secret"),
     ("https://geo.example/api?q={query}&key={key}&again={query}", "s3cr/t+ü&=%"),
     ("https://geo.example/api?q={query}&key={key}", None),
@@ -94,15 +96,16 @@ def test_every_url_sent_is_the_url_urllib_quote_builds(query):
             assert urls == [template.format(query=quote(query), key=quote(key))]
 
 
-# Templates: pieces that may or may not make a scheme, the two fields and escaped
-# braces; half of them after a head that gives or spoils an http(s) scheme. No
-# brackets: urlsplit refuses a bracketed host that is not an IP address, and
-# "[v1.{query}]" is one only for a non-empty query.
+# Templates: pieces that may or may not make a scheme, spaces, controls and the
+# two placeholders; half of them after a head that gives or spoils an http(s)
+# scheme. No other brace, which test_only_the_two_placeholders_may_hold_a_brace
+# draws. No brackets: urlsplit refuses a bracketed host that is not an IP
+# address, and "[v1.{query}]" is one only for a non-empty query.
 _template_pieces = st.lists(
     st.one_of(
         st.sampled_from(
-            ["http", "HTTPS", "file", "htps", ":", "//", "/", "?", "#", "@", " ", "\t"]
-            + ["{query}", "{key}", "{{", "}}"]
+            ["http", "HTTPS", "file", "htps", ":", "//", "/", "?", "#", "@", " ", "\t", "\n", "\x7f"]
+            + ["{query}", "{key}"]
         ),
         st.text(st.characters(exclude_categories=("Cs",), exclude_characters="{}[]"), max_size=4),
     ),
@@ -111,7 +114,7 @@ _template_pieces = st.lists(
 _templates = st.one_of(
     _template_pieces,
     st.tuples(
-        st.sampled_from(["http:", "https://", "HTTP://", "hTtPs:", " http://", "ht\ttp://", "http{{:"]),
+        st.sampled_from(["http:", "https://", "HTTP://", "hTtPs:", " http://", "ht\ttp://", "ht\rtp:", "http{:"]),
         _template_pieces,
         _template_pieces,
     ).map(lambda parts: parts[0] + parts[1] + "{query}" + parts[2]),
@@ -126,15 +129,56 @@ _url_texts = st.text(st.one_of(_query_chars, st.sampled_from(":/{}ü\u4e2d\U0001
 @example("http:{query}", "ftp://x", ":")
 @example("HTTP:{key}{query}", "//evil.example:80/", "\u00fc:\u00fc")
 @example("http{query}://x", "s", "")
+@example("ht\ttp://x/?q={query}", "s", "")
 def test_every_url_built_has_the_scheme_of_its_template(template, query, key):
     try:
         backend = HttpBackend(template, api_key=key)
     except ValueError as exc:
         assert str(exc).startswith("url ")
         return
+    # urlsplit deletes a tab or newline anywhere and strips leading spaces and
+    # controls, so it reads the scheme of such a template as urlopen would not.
+    assert not any(char <= " " or char == "\x7f" for char in template)
     scheme = urllib.parse.urlsplit(template).scheme
     assert scheme in ("http", "https")
     assert urllib.parse.urlsplit(backend._build_url(query)).scheme == scheme
+
+
+# Templates made of braces, the placeholders, names and format syntax, after a
+# head that gives or spoils an http(s) scheme.
+_brace_templates = st.tuples(
+    st.sampled_from(["https://geo.example/?q=", "http:", "HTTP://x/", "file:///", "{query}:", "http{:"]),
+    st.lists(
+        st.sampled_from(["{query}", "{key}", "{", "}", "{{", "}}", "query", "key", "0", "!r", ":>2", ".", "a/"]),
+        max_size=10,
+    ).map("".join),
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_brace_templates, _url_texts, _url_texts)
+@example("https://geo.example/?q={query}&k={key}", "{key}", "{query}")
+@example("https://geo.example/?q={{query}}", "s", "")
+@example("https://geo.example/?q={key{query}}", "s", "")
+@example("https://geo.example/?q={que{key}ry}", "s", "")
+@example("https://geo.example/?q={query!r}", "s", "")
+def test_only_the_two_placeholders_may_hold_a_brace(template, query, key):
+    stray = re.sub(r"\{query\}|\{key\}", "", template)
+    try:
+        backend = HttpBackend(template, api_key=key)
+    except ValueError as exc:
+        if "{query}" not in template or "{" in stray or "}" in stray:
+            assert str(exc).startswith("url may name only {query}")
+        else:
+            assert str(exc).startswith("url is not an http(s) URL")
+        return
+    assert "{query}" in template and "{" not in stray and "}" not in stray
+    url = backend._build_url(query)
+    quote = urllib.parse.quote
+    assert url == template.format(query=quote(query), key=quote(key))
+    scheme = urllib.parse.urlsplit(template).scheme
+    assert scheme in ("http", "https")
+    assert urllib.parse.urlsplit(url).scheme == scheme
 
 
 # Any float, in range or not, NaN and the infinities included; integers as JSON

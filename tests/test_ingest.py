@@ -4,7 +4,6 @@ import codecs
 import dataclasses
 import json
 import re
-import types
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -30,13 +29,6 @@ UTC = timezone.utc
 
 def line(**fields) -> str:
     return json.dumps(fields)
-
-
-def _nested(depth: int) -> list:
-    value: list = []
-    for _ in range(depth):
-        value = [value]
-    return value
 
 
 class TestParseTweet:
@@ -79,20 +71,14 @@ class TestParseTweet:
         )
         assert tweet.hashtags == ("houstonflood", "harvey")
 
-    def test_mapping_that_is_not_a_dict_is_accepted(self):
-        record = types.MappingProxyType(
-            {"id": "1", "text": "x", "created_at": "Sun Aug 27 12:00:00 +0000 2017"}
-        )
-        assert parse_tweet(record).created_at_utc == datetime(2017, 8, 27, 12, tzinfo=UTC)
-
     def test_twitter_v1_style_fields(self):
-        record = {
-            "id_str": "905",
-            "full_text": "water rising #harvey",
-            "created_at": "Sun Aug 27 12:00:00 +0000 2017",
-            "coordinates": {"type": "Point", "coordinates": [-95.4, 29.7]},
-            "user": {"location": "Houston, TX"},
-        }
+        record = line(
+            id_str="905",
+            full_text="water rising #harvey",
+            created_at="Sun Aug 27 12:00:00 +0000 2017",
+            coordinates={"type": "Point", "coordinates": [-95.4, 29.7]},
+            user={"location": "Houston, TX"},
+        )
         tweet = parse_tweet(record)
         assert tweet.id == "905"
         assert tweet.coordinates == (-95.4, 29.7)
@@ -176,27 +162,11 @@ class TestParseTweet:
                 '{"id": "1\\udfff", "text": "x", "created_at": "2017-08-27T12:00:00Z"}',
                 id="id_lone_surrogate",
             ),
-            # Mappings only: json.loads rejects these values in a line.
+            # The decoder refuses an integer past int-to-str's digit limit, so
+            # parse_tweet never prints one.
             pytest.param(
-                {"id": "1", "text": "x", "created_at": 10**5000}, id="created_at_past_int_str_digit_limit"
-            ),
-            pytest.param(
-                {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": [10**5000, 29.7]},
-                id="coordinate_past_int_str_digit_limit",
-            ),
-            pytest.param(
-                {
-                    "id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z",
-                    "coordinates": {"coordinates": [10**5000, 29.7]},
-                },
-                id="point_coordinate_past_int_str_digit_limit",
-            ),
-            pytest.param(
-                {"id": 10**5000, "text": "x", "created_at": "2017-08-27T12:00:00Z"}, id="id_past_int_str_digit_limit"
-            ),
-            pytest.param(
-                {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": [_nested(100_000), 1]},
-                id="coordinate_nested_past_the_recursion_limit",
+                '{"id": ' + "9" * 5000 + ', "text": "x", "created_at": "2017-08-27T12:00:00Z"}',
+                id="id_past_int_str_digit_limit",
             ),
         ],
     )
@@ -662,7 +632,7 @@ _CREATED_AT = st.one_of(
 @example("2017-08-29x11:00")
 @example("2017-08-29Z")
 def test_iso_first_created_at_agrees_with_strptime_first(value):
-    record = {"id": "1", "text": "x", "created_at": value}
+    record = line(id="1", text="x", created_at=value)
     try:
         expected = _strptime_first_created_at(value)
     except TweetParseError:
@@ -757,7 +727,7 @@ _V1_TIMES = st.builds(
 @example("Sun Aug 27 12:00:00 +0000 \u0662\u0660\u0661\u0667")  # Arabic-Indic year: malformed
 @example("Sun Aug \u0662\u0667 12:00:00 +0000 2017")  # Arabic-Indic day
 def test_v1_fast_path_agrees_with_strptime(value):
-    record = {"id": "1", "text": "x", "created_at": value}
+    record = line(id="1", text="x", created_at=value)
     try:
         expected = _strptime_created_at(value)
     except TweetParseError as exc:
@@ -819,7 +789,7 @@ _IN_RANGE = _grammar(
 @example("0001-01-01T05:50:35Z")
 @example("9999-12-31T23:59-00:01")
 def test_created_at_in_the_grammar_reads_as_datetime_of_its_digits(value):
-    record = {"id": "1", "text": "x", "created_at": value}
+    record = line(id="1", text="x", created_at=value)
     try:
         expected = _datetime_of_digits(value.strip())
     except (ValueError, OverflowError):

@@ -305,15 +305,6 @@ _records = st.one_of(
     st.fixed_dictionaries({}, optional={key: _any_value[key] for key in _PLAIN_FIELDS}),
     _json_values,
 )
-# Integers past int-to-str's digit limit, which only a mapping can carry:
-# json.loads rejects them in a line.
-_HUGE = 10**5000
-_HUGE_RECORDS = [
-    {"id": "1", "text": "x", "created_at": _HUGE},
-    {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": [_HUGE, 29.7]},
-    {"id": "1", "text": "x", "created_at": "2017-08-27T12:00:00Z", "coordinates": {"coordinates": [_HUGE, 29.7]}},
-    {"id": _HUGE, "text": "x", "created_at": "2017-08-27T12:00:00Z"},
-]
 
 
 def _outcome(parse, record) -> object:
@@ -337,43 +328,27 @@ def _assert_parses_as_reference(record) -> None:
         reference_record = record.decode("utf-8")[1:]
     else:
         reference_record = record
-    try:
-        expected = _outcome(reference_parse_tweet, reference_record)
-    except ValueError as exc:
-        # The reference's one known fault: printing an integer past the limit.
-        assert "Exceeds the limit" in str(exc)
-        with pytest.raises(TweetParseError):
-            parse_tweet(record, 3)
-        return
-    assert _outcome(parse_tweet, record) == expected
+    assert _outcome(parse_tweet, record) == _outcome(reference_parse_tweet, reference_record)
 
 
 @settings(max_examples=500, deadline=None)
 @given(record=_records)
-@example(record=_HUGE_RECORDS[0])
-@example(record=_HUGE_RECORDS[1])
-@example(record=_HUGE_RECORDS[2])
-@example(record=_HUGE_RECORDS[3])
 @example(record={"id": "1", "text": "#A #a", "created_at": 0, "hashtags": ["#A", "b", "B", 7, "", "#"]})
 @example(record={"id": "1", "text": "x \ud800", "created_at": 0})
 @example(record={"id": "1\udfff", "text": "x", "created_at": 0})
 @example(record={"id": "1", "full_text": "x", "created_at": 0, "entities": {"hashtags": 5}})
-@example(record="\ufeff{}")
 @example(record={"id": "1", "text": "x", "created_at": 0, "coordinates": [-95, True]})
 @example(record={"id": "1", "text": "x", "created_at": True})
 @example(record={"id": True, "text": "x", "created_at": 0})
 def test_parse_tweet_matches_reference(record):
-    _assert_parses_as_reference(record)
-    try:
-        line = json.dumps(record)
-    except ValueError:  # an integer past the limit
-        return
+    line = json.dumps(record)
     _assert_parses_as_reference(line)
     _assert_parses_as_reference(line.encode())
 
 
-# Lines that are not one JSON object, around the decoder's edges.
+# Lines around the decoder's edges, all but one_bom not one JSON object.
 _MALFORMED_LINES = [
+    pytest.param("\ufeff{}", id="one_bom"),
     pytest.param("", id="empty"),
     pytest.param(" \t\r\n", id="json_whitespace"),
     pytest.param("\x0b{}", id="vertical_tab_first"),

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.parse
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rescuemap import (
     GeocodeResult,
@@ -29,7 +34,7 @@ from rescuemap import (
     to_map_document,
 )
 from rescuemap import pipeline
-from rescuemap.cli import main
+from rescuemap.cli import _CONFIG_KEYS, _HTTP_CONFIG_KEYS, main
 from rescuemap.pipeline import GEOCODE_WORKERS, run_pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -595,6 +600,22 @@ class TestRunPipeline:
         assert summary.geocoded_ok > 0
         assert threads and set(threads) == {threading.current_thread().name}
 
+    def test_lexicon_and_http_backend_leave_importlib_resources_and_string_unloaded(self):
+        # Under -S, as no site hook has imported either before rescuemap runs.
+        probe = "\n".join([
+            "import sys, rescuemap",
+            "rescuemap.default_lexicon(spanish=True)",
+            "rescuemap.load_street_suffixes()",
+            f"rescuemap.HttpBackend({SERVICE_URL!r}, api_key='test')",
+            "print(sorted({'importlib.resources', 'string'} & sys.modules.keys()))",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_import_leaves_concurrent_futures_unloaded(self):
         # Neither `import rescuemap`, nor a run whose gazetteer lookups stay
         # inline, nor a pooled run over HttpBackend with an injected fetch
@@ -863,6 +884,81 @@ class TestCliPipeline:
         assert captured.out == ""
         assert captured.err == f"rescuemap: config: http.url is not an http(s) URL: {url}\n"
         assert service.requests == []
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", " "], ids=["tab", "newline", "return", "space"])
+    @pytest.mark.parametrize("where", ["scheme", "query"])
+    def test_http_url_with_a_space_or_control_character_exits_1_before_any_request(
+        self, loopback, data_dir, tmp_path, capsys, char, where
+    ):
+        # urlsplit deletes a tab or newline, so without this check the run
+        # would exit 0 with every lookup a backend_error.
+        service = GazetteerService(data_dir / "gazetteer.tsv")
+        base = loopback(service.answer)
+        if where == "scheme":
+            url = "ht" + char + base.removeprefix("ht") + "/json?address={query}"
+        else:
+            url = base + "/json?address=" + char + "{query}"
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"inputs": [str(data_dir / "replay_corpus.ndjson")], "http": {"url": url}}),
+            encoding="utf-8",
+        )
+        assert self.run_cli("pipeline", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rescuemap: config: http.url holds a space or control character: {url!r}\n"
+        assert service.requests == []
+
+    def test_every_config_key_in_the_readme_is_accepted(self, data_dir, tmp_path, capsys):
+        readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")
+        sentence = " ".join(readme[readme.index("The config keys are"):].split("\n\n")[0].split())
+        top, http = sentence.split("; `http` holds ")
+        values = {
+            "inputs": [],
+            "manifest": str(tmp_path / "manifest.txt"),
+            "keywords": ["#HurricaneHarvey", "#Harvey", "Hurricane", "flooding"],
+            "bbox": [-99.0, 27.6, -90.8, 33.5],
+            "geocoder_backend": "gazetteer",
+            "gazetteer": str(data_dir / "gazetteer.tsv"),
+            "lexicons": str(tmp_path),  # no override file: every list keeps its default
+            "spanish": False,
+            "http": {"url": SERVICE_URL, "min_interval": 0.5},
+            "out_geojson": str(tmp_path / "out.geojson"),
+            "out_map": str(tmp_path / "map.html"),
+        }
+        assert set(re.findall(r"`(\w+)`", top)) == values.keys()
+        assert set(re.findall(r"`(\w+)`", http.split(".")[0])) == values["http"].keys()
+        (tmp_path / "manifest.txt").write_text(str(data_dir / "replay_corpus.ndjson"), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values), encoding="utf-8")
+        assert self.run_cli("pipeline", "--config", str(config)) == 0
+        assert capsys.readouterr().err == ""
+        shipped = data_dir.parent / "out"
+        assert (tmp_path / "out.geojson").read_bytes() == (shipped / "rescue_requests.geojson").read_bytes()
+        assert (tmp_path / "map.html").read_bytes() == (shipped / "rescue_map.html").read_bytes()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"out_gejson": "x.geojson"}, "unknown key 'out_gejson' (did you mean 'out_geojson'?)"),
+            ({"spansh": True}, "unknown key 'spansh' (did you mean 'spanish'?)"),
+            ({"_comment": "x"}, "unknown key '_comment'"),
+            (
+                {"http": {"url": SERVICE_URL, "min_intreval": 1}},
+                "unknown key 'http.min_intreval' (did you mean 'http.min_interval'?)",
+            ),
+        ],
+        ids=["out_geojson", "spanish", "underscore_is_no_comment", "http_min_interval"],
+    )
+    def test_misspelt_config_key_is_named_with_the_nearest_known_key(
+        self, data_dir, tmp_path, capsys, fields, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"inputs": [str(data_dir / "harvey_sample.ndjson")], **fields}), encoding="utf-8"
+        )
+        assert self.run_cli("pipeline", "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"rescuemap: config: {message}\n"
 
     def test_http_backend_without_url_exits_1(self, data_dir, capsys):
         code = self.run_cli(
@@ -1154,3 +1250,45 @@ def test_file_with_a_leading_bom_reads_as_without_it(case, data_dir, tmp_path, c
         assert main(argv) == 0
         captured.append(capsys.readouterr())
     assert captured[1] == captured[0]
+
+
+# Any text, and near misses of the known keys: case, a letter off, a "_" prefix.
+_unknown_keys = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(_CONFIG_KEYS + _HTTP_CONFIG_KEYS).flatmap(
+        lambda key: st.sampled_from([key.upper(), key[:-1], key + "s", "_" + key, key.replace("_", "")])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=_unknown_keys,
+    value=st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    in_http=st.booleans(),
+)
+def test_unknown_config_key_exits_1_before_any_request_or_output(key, value, in_http):
+    assume(key not in (_HTTP_CONFIG_KEYS if in_http else _CONFIG_KEYS))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.geojson"
+        http = {"url": SERVICE_URL, "min_interval": 0}
+        config = {"inputs": [str(SRC.parent / "data" / "harvey_sample.ndjson")], "out_geojson": str(out)}
+        if in_http:
+            http[key] = value
+        else:
+            config[key] = value
+        config["http"] = http
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        requests = []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch("rescuemap.geocode._default_fetch", lambda url, timeout: requests.append(url)):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["pipeline", "--config", str(path)])
+        assert code == 1
+        assert stdout.getvalue() == ""
+        name = f"http.{key}" if in_http else key
+        assert stderr.getvalue().startswith(f"rescuemap: config: unknown key {name!r}")
+        assert stderr.getvalue().count("\n") == 1
+        assert requests == []
+        assert not out.exists()
