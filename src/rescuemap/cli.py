@@ -18,7 +18,7 @@ from .evaluate import (
     load_labelled,
 )
 from .features import classify, extract_features
-from .geocode import Gazetteer, GazetteerError, Geocoder, HttpBackend
+from .geocode import API_KEY_ENV_VAR, Gazetteer, GazetteerError, Geocoder, HttpBackend
 from .ingest import BoundingBox, StreamConfig, read_stream
 from .lexicons import LexiconConfig, LexiconError, data_lines, default_lexicon, lexicon_from_dir
 from .output import to_geojson, to_map_document
@@ -150,8 +150,9 @@ def _build_geocoder(args, config: dict) -> Geocoder:
             raise ConfigError("geocoder: http backend needs config {\"http\": {\"url\": ...}}")
         try:
             backend = HttpBackend(url, min_interval=http_config.get("min_interval", 0.0))
-        except ValueError as exc:
-            raise ConfigError(f"config: http.{exc}") from None
+        except ValueError as exc:  # names an "http" key, or the key's environment variable
+            where = "" if str(exc).startswith(API_KEY_ENV_VAR) else "http."
+            raise ConfigError(f"config: {where}{exc}") from None
         return Geocoder(backend)
     raise ConfigError("geocoder: select a backend via --geocoder/--gazetteer or config")
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .address import detect_address
 from .features import is_rescue_request
-from .ingest import Tweet, merge_hashtags
 from .lexicons import LexiconConfig
 
 
@@ -19,7 +18,8 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabelledTweet:
-    tweet: Tweet
+    id: str
+    text: str
     label: bool  # True = rescue request
 
 
@@ -50,22 +50,14 @@ class Metrics:
     degenerate: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "mcc": self.mcc,
-            "f1": self.f1,
-            "degenerate": list(self.degenerate),
-        }
+        return asdict(self)
 
 
 def load_labelled(path: str | Path) -> list[LabelledTweet]:
     """Load a labelled CSV corpus with header columns id, text, label.
 
-    ``label`` must be exactly 0 or 1. An optional ``hashtags`` column holds
-    space-separated extra tags; tags are always also extracted from the text.
-    Quoted fields may contain embedded newlines.
+    ``label`` must be exactly 0 or 1. Other columns are ignored. Quoted
+    fields may contain embedded newlines.
     """
     path = Path(path)
     try:
@@ -83,14 +75,7 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
             raise CorpusFormatError(
                 f"{path}: row {i}: label must be 0 or 1, got {raw_label!r}"
             )
-        text = row["text"] or ""
-        hashtags = merge_hashtags(text, (row.get("hashtags") or "").split())
-        rows.append(
-            LabelledTweet(
-                tweet=Tweet(id=str(row["id"]), text=text, hashtags=hashtags),
-                label=raw_label == "1",
-            )
-        )
+        rows.append(LabelledTweet(str(row["id"]), row["text"] or "", raw_label == "1"))
     return rows
 
 
@@ -100,7 +85,7 @@ def evaluate(corpus: list[LabelledTweet], lex: LexiconConfig) -> ConfusionMatrix
         raise ValueError("empty corpus")
     tp = fp = fn = tn = 0
     for item in corpus:
-        text = item.tweet.text
+        text = item.text
         predicted = detect_address(text) is not None and is_rescue_request(text, lex)
         if predicted and item.label:
             tp += 1

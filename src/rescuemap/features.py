@@ -6,8 +6,8 @@ features (status update, help offer, news report, political commentary,
 advertisement) fire.
 
 :func:`extract_features` and :func:`classify` compute all eight features,
-which ``rescuemap classify`` and ``rescuemap eval`` report. The pipeline
-needs only the verdict, so it calls :func:`is_rescue_request`, which decides
+which ``rescuemap classify`` reports. The pipeline and ``rescuemap eval``
+need only the verdict, so they call :func:`is_rescue_request`, which decides
 the rule for a text that carries an address with one search of the lexicon's
 positive union, the region pairs only when that fails, and one search of its
 negative union: two searches on most texts instead of up to fourteen.

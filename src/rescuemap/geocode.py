@@ -225,12 +225,12 @@ class HttpBackend:
 
     ``url_template`` is an http(s) URL (``urlopen`` would read a ``file:``
     one) that must contain the literal placeholder ``{query}``, may contain
-    ``{key}``, and holds no other brace, no space and no control character;
-    the key is read from the environment (never from the command line). A
-    brace cannot be part of a scheme, so no placeholder comes before the
-    scheme's ``:`` and each URL built has the template's scheme. The
-    response is in the common maps-API shape: a ``status`` string plus a
-    ``results`` list whose first entry carries
+    ``{key}``, and holds no other brace and only printable ASCII (a host in
+    its ``xn--`` form); the key, valid UTF-8, is read from the environment,
+    never from the command line. A brace cannot be part of a scheme, so no
+    placeholder comes before the scheme's ``:`` and each URL built has the
+    template's scheme. The response is in the common maps-API shape: a
+    ``status`` string plus a ``results`` list whose first entry carries
     ``geometry.location.{lat,lng}``. Each request is
     ``fetch(url, HTTP_TIMEOUT_S)``; ``fetch`` defaults to an HTTP GET and
     returns ``(status code, str body)``. A 429 answer or a quota status is
@@ -254,14 +254,19 @@ class HttpBackend:
             or not 0 <= min_interval < math.inf
         ):
             raise ValueError(f"min_interval must be a finite number >= 0, got {min_interval!r}")
-        if any(char <= " " or char == "\x7f" for char in url_template):
-            # urlsplit would delete a tab or newline that urlopen then sends.
-            raise ValueError(f"url holds a space or control character: {url_template!r}")
+        if any(char <= " " or char >= "\x7f" for char in url_template):
+            # urlsplit would delete a tab or newline that urlopen then sends, and
+            # http.client writes the request line as ASCII.
+            raise ValueError(f"url holds a space, control or non-ASCII character: {url_template!r}")
+        key_source = "api_key"
         if api_key is None:
-            api_key = os.environ.get(API_KEY_ENV_VAR, "")
+            api_key, key_source = os.environ.get(API_KEY_ENV_VAR, ""), API_KEY_ENV_VAR
+        try:
+            quoted_key = _quote(api_key)
+        except UnicodeEncodeError:  # a lone surrogate: os.environ's stand-in for a non-UTF-8 byte
+            raise ValueError(f"{key_source} is not valid UTF-8") from None
         # Split first: a key put in before could join "{que" and "ry}". The
         # key adds no brace, since _quote writes braces as %7B and %7D.
-        quoted_key = _quote(api_key)
         parts = [part.replace("{key}", quoted_key) for part in url_template.split("{query}")]
         if len(parts) == 1 or any("{" in part or "}" in part for part in parts):
             raise ValueError(f"url may name only {{query}} (required) and {{key}}: {url_template}")

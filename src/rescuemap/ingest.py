@@ -75,13 +75,11 @@ class Tweet:
 
     ``hashtags`` always includes every ``#`` token found in ``text``
     (casefolded, ``#`` stripped). ``coordinates`` is (longitude, latitude).
-    ``created_at_utc`` is required for records coming from :func:`parse_tweet`;
-    it may be None for labelled evaluation rows that carry no timestamp.
     """
 
     id: str
     text: str
-    created_at_utc: Optional[datetime] = None
+    created_at_utc: datetime
     hashtags: tuple[str, ...] = ()
     coordinates: Optional[tuple[float, float]] = None
 

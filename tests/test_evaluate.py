@@ -9,7 +9,6 @@ from rescuemap import (
     ConfusionMatrix,
     CorpusFormatError,
     LabelledTweet,
-    Tweet,
     Verdict,
     classify,
     compute_metrics,
@@ -35,7 +34,6 @@ class TestLoadLabelled:
         assert len(rows) == 3
         assert rows[0].label is True
         assert rows[1].label is False
-        assert rows[2].tweet.hashtags == ("harvey",)
 
     def test_bad_label_is_fatal_and_names_the_row(self, tmp_path):
         path = write_corpus(tmp_path, ['a,"x",1', 'b,"y",2'])
@@ -45,24 +43,29 @@ class TestLoadLabelled:
     def test_embedded_newline_with_quotes_loads_intact(self, tmp_path):
         path = write_corpus(tmp_path, ['a,"line one\nline two",0'])
         rows = load_labelled(path)
-        assert rows[0].tweet.text == "line one\nline two"
+        assert rows[0].text == "line one\nline two"
 
     def test_missing_header_column_is_fatal(self, tmp_path):
         path = write_corpus(tmp_path, ["a,hello"], header="id,text")
         with pytest.raises(CorpusFormatError, match="header"):
             load_labelled(path)
 
-    def test_hashtags_column_merges(self, tmp_path):
-        path = write_corpus(
-            tmp_path, ['a,"no tags in text",1,#Harvey houstonflood'],
-            header="id,text,label,hashtags",
+    def test_other_columns_are_ignored(self, tmp_path, lex):
+        rows = ['a,"Please help, stuck at 4055 Braeswood Blvd",1', 'b,"nice day #Harvey",0']
+        plain = load_labelled(write_corpus(tmp_path, rows))
+        wide = tmp_path / "wide.csv"
+        wide.write_text(
+            "hashtags,id,text,source,label\n"
+            '#Harvey houstonflood,a,"Please help, stuck at 4055 Braeswood Blvd",web,1\n'
+            ',b,"nice day #Harvey",,0\n',
+            encoding="utf-8",
         )
-        rows = load_labelled(path)
-        assert rows[0].tweet.hashtags == ("harvey", "houstonflood")
+        assert load_labelled(wide) == plain
+        assert evaluate(load_labelled(wide), lex) == evaluate(plain, lex)
 
 
 def labelled(text: str, label: bool, tweet_id="t") -> LabelledTweet:
-    return LabelledTweet(tweet=Tweet(id=tweet_id, text=text), label=label)
+    return LabelledTweet(tweet_id, text, label)
 
 
 class TestEvaluate:

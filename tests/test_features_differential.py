@@ -76,7 +76,7 @@ def test_evaluate_tallies_the_eight_feature_verdicts(name, data_dir):
     corpus = load_labelled(data_dir / "labelled_corpus.csv")
     counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     for item in corpus:
-        predicted = _reference(item.tweet.text, lex)
+        predicted = _reference(item.text, lex)
         counts[("t" if predicted == item.label else "f") + ("p" if predicted else "n")] += 1
     assert evaluate(corpus, lex) == ConfusionMatrix(**counts)
 

@@ -656,8 +656,9 @@ class TestHttpBackend:
             (503, '{"error_message": "Service unavailable"}'),
             (500, '{"status": "ZERO_RESULTS", "results": []}'),
             (404, "{}"),
+            (200, '{"status": "REQUEST_DENIED", "results": []}'),
         ],
-        ids=["503_no_status", "500_zero_results", "404_empty_object"],
+        ids=["503_no_status", "500_zero_results", "404_empty_object", "200_request_denied"],
     )
     def test_http_error_answer_is_a_backend_error_and_not_cached(self, answer):
         # Read as not_found, such an answer would be cached for the life of the process.
@@ -718,6 +719,20 @@ class TestHttpBackend:
         backend.resolve("1 Main St")
         assert "key=from-env" in calls[0]
 
+    @pytest.mark.parametrize("from_env", [False, True], ids=["argument", "environment"])
+    def test_key_that_is_not_utf8_is_named(self, monkeypatch, from_env):
+        from rescuemap.geocode import API_KEY_ENV_VAR
+
+        # os.environ reads a byte that is not UTF-8 as a lone surrogate.
+        monkeypatch.setenv(API_KEY_ENV_VAR, "ab\udcff")
+        name = API_KEY_ENV_VAR if from_env else "api_key"
+        with pytest.raises(ValueError, match=f"^{name} is not valid UTF-8$"):
+            HttpBackend(
+                "https://geo.example/api?q={query}&key={key}",
+                api_key=None if from_env else "\udcff",
+                fetch=lambda url, timeout: (200, OK_BODY),
+            )
+
     @pytest.mark.parametrize(
         "template, message",
         [
@@ -735,14 +750,18 @@ class TestHttpBackend:
             ("https://geo.example/api?key={key}", "may name only"),
             ("https://geo.example/{{v1}}/api?address={query}", "may name only"),
             ("https://geo.example/api?address={key{query}}", "may name only"),
-            ("ht\ttp://geo.example/api?address={query}", "space or control character"),
-            ("ht\ntp://geo.example/api?address={query}", "space or control character"),
-            ("ht\rtp://geo.example/api?address={query}", "space or control character"),
-            ("ht tp://geo.example/api?address={query}", "space or control character"),
-            ("https://geo.example/api?address={query}&\tkey={key}", "space or control character"),
-            ("https://geo.example/api?address={query}\n", "space or control character"),
-            ("https://geo.example/api\r?address={query}", "space or control character"),
-            ("https://geo.example/api?address= {query}", "space or control character"),
+            ("ht\ttp://geo.example/api?address={query}", "space, control or non-ASCII character"),
+            ("ht\ntp://geo.example/api?address={query}", "space, control or non-ASCII character"),
+            ("ht\rtp://geo.example/api?address={query}", "space, control or non-ASCII character"),
+            ("ht tp://geo.example/api?address={query}", "space, control or non-ASCII character"),
+            ("https://geo.example/api?address={query}&\tkey={key}", "space, control or non-ASCII character"),
+            ("https://geo.example/api?address={query}\n", "space, control or non-ASCII character"),
+            ("https://geo.example/api\r?address={query}", "space, control or non-ASCII character"),
+            ("https://geo.example/api?address= {query}", "space, control or non-ASCII character"),
+            ("https://geo.example/caf\u00e9/api?address={query}", "space, control or non-ASCII character"),
+            ("https://g\u00e9o.example/api?address={query}", "space, control or non-ASCII character"),
+            ("https://geo.example/api?address=\u00a0{query}", "space, control or non-ASCII character"),
+            ("https://geo.example/api?address={query}\x85", "space, control or non-ASCII character"),
         ],
         ids=[
             "misspelled_field", "unbalanced_open", "unbalanced_close", "positional_index",
@@ -750,7 +769,8 @@ class TestHttpBackend:
             "repr_conversion", "padding_format_spec", "ascii_conversion_on_key", "no_query",
             "escaped_braces", "key_around_query", "tab_in_scheme", "newline_in_scheme",
             "return_in_scheme", "space_in_scheme", "tab_in_query_string", "newline_at_end",
-            "return_in_path", "space_before_query",
+            "return_in_path", "space_before_query", "non_ascii_path", "non_ascii_host",
+            "no_break_space", "c1_control",
         ],
     )
     def test_bad_url_template_rejected_at_construction(self, template, message):

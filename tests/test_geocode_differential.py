@@ -130,6 +130,7 @@ _url_texts = st.text(st.one_of(_query_chars, st.sampled_from(":/{}ü\u4e2d\U0001
 @example("HTTP:{key}{query}", "//evil.example:80/", "\u00fc:\u00fc")
 @example("http{query}://x", "s", "")
 @example("ht\ttp://x/?q={query}", "s", "")
+@example("http://caf\u00e9.example/?q={query}", "s", "")
 def test_every_url_built_has_the_scheme_of_its_template(template, query, key):
     try:
         backend = HttpBackend(template, api_key=key)
@@ -137,8 +138,9 @@ def test_every_url_built_has_the_scheme_of_its_template(template, query, key):
         assert str(exc).startswith("url ")
         return
     # urlsplit deletes a tab or newline anywhere and strips leading spaces and
-    # controls, so it reads the scheme of such a template as urlopen would not.
-    assert not any(char <= " " or char == "\x7f" for char in template)
+    # controls, so it reads the scheme of such a template as urlopen would not;
+    # and http.client sends only ASCII.
+    assert all(" " < char < "\x7f" for char in template)
     scheme = urllib.parse.urlsplit(template).scheme
     assert scheme in ("http", "https")
     assert urllib.parse.urlsplit(backend._build_url(query)).scheme == scheme

@@ -134,6 +134,7 @@ class TestParseTweet:
             ),
             pytest.param(line(id=False, text="x", created_at="2017-08-27T12:00:00Z"), id="id_false"),
             pytest.param(line(id=[1, 2], text="x", created_at="2017-08-27T12:00:00Z"), id="id_list"),
+            pytest.param(line(id=" \t", text="x", created_at="2017-08-27T12:00:00Z"), id="id_only_whitespace"),
             # float() reads true and false as 1.0 and 0.0.
             pytest.param(
                 line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=[True, False]),
@@ -307,8 +308,14 @@ class TestTweet:
 
     def test_no_instance_dict(self):
         # A per-instance __dict__ would add a dict to every Tweet kept.
-        for tweet in (self.parsed(), Tweet(**self.FIELDS), Tweet(id="1", text="x")):
+        minimal = Tweet(id="1", text="x", created_at_utc=self.FIELDS["created_at_utc"])
+        for tweet in (self.parsed(), Tweet(**self.FIELDS), minimal):
             assert not hasattr(tweet, "__dict__")
+
+    def test_time_is_required(self):
+        # parse_tweet always sets it, so a Tweet without one is a mistake.
+        with pytest.raises(TypeError, match="created_at_utc"):
+            Tweet(id="1", text="x")
 
 
 class TestReadStream:

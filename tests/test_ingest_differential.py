@@ -64,6 +64,8 @@ _coordinates = st.one_of(
     st.none(),
     st.tuples(st.floats(-100.0, -90.0), st.floats(27.0, 34.0)),
 )
+# The stream filter reads no time; every Tweet needs one.
+_NOON = datetime(2017, 8, 27, 12, tzinfo=timezone.utc)
 
 
 @settings(max_examples=500, deadline=None)
@@ -83,7 +85,7 @@ def test_folded_keywords_match_per_record_folding(keywords, text, extra_tags, co
         bbox = HARVEY_BBOX
     cfg = StreamConfig(track_keywords=tuple(keywords), bbox=bbox)
     hashtags = extract_hashtags(text) + tuple(tag.lower() for tag in extra_tags)
-    tweet = Tweet(id="1", text=text, hashtags=hashtags, coordinates=coordinates)
+    tweet = Tweet(id="1", text=text, created_at_utc=_NOON, hashtags=hashtags, coordinates=coordinates)
     assert passes_stream_filter(tweet, cfg) is reference_passes_stream_filter(tweet, cfg)
     # The folds are cached on the instance but are not a field.
     fresh = StreamConfig(track_keywords=tuple(keywords), bbox=bbox)

@@ -137,6 +137,8 @@ def _coordinate(limit: int) -> st.SearchStrategy:
 
 
 _POINT = st.builds(GeoPoint, _coordinate(180), _coordinate(90))
+# Every Tweet needs a time; the output reads local_time, passed on its own.
+_NOON = datetime(2017, 8, 27, 12, tzinfo=timezone.utc)
 # Any fixed offset that datetime allows, sub-minute ones included.
 _LOCAL_TIME = st.datetimes(
     min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
@@ -154,7 +156,7 @@ def _request(draw, statuses=st.sampled_from(GeocodeStatus)) -> RescueRequest:
     status = draw(statuses)
     completed = draw(_TEXT)
     return RescueRequest(
-        tweet=Tweet(id=draw(_TEXT), text=draw(_TEXT)),
+        tweet=Tweet(id=draw(_TEXT), text=draw(_TEXT), created_at_utc=_NOON),
         address=FullAddress(
             house_number="1",
             street="Main St",
@@ -170,14 +172,14 @@ def _request(draw, statuses=st.sampled_from(GeocodeStatus)) -> RescueRequest:
 
 
 _OK = RescueRequest(
-    tweet=Tweet(id="t1", text='say "help"\\ \u2028 \U0001F30A'),
+    tweet=Tweet(id="t1", text='say "help"\\ \u2028 \U0001F30A', created_at_utc=_NOON),
     address=FullAddress(house_number="5", street="Elm St", completed="5 Elm St, Texas",
                         completion_rule=CompletionRule.TEXAS_DEFAULT),
     geocode=GeocodeResult(point=GeoPoint(5, 6), status=GeocodeStatus.OK),
     local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
 )
 _FAILED = RescueRequest(
-    tweet=Tweet(id="t2", text="\x00\x1f"),
+    tweet=Tweet(id="t2", text="\x00\x1f", created_at_utc=_NOON),
     address=FullAddress(house_number="7", street="Oak Rd", completed="7 Oak Rd"),
     geocode=GeocodeResult(point=None, status=GeocodeStatus.RATE_LIMITED),
     local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
@@ -200,7 +202,7 @@ _REQUEST_LISTS = st.one_of(
     st.lists(_request(st.sampled_from([s for s in GeocodeStatus if s is not GeocodeStatus.OK])), max_size=4),
 )
 _HOSTILE = RescueRequest(
-    tweet=Tweet(id="</script><script>", text="</script> & <b \u2028 'x' \"y\" <"),
+    tweet=Tweet(id="</script><script>", text="</script> & <b \u2028 'x' \"y\" <", created_at_utc=_NOON),
     address=FullAddress(house_number="1", street="Main St", completed="1 Main St <", completion_rule=None),
     geocode=GeocodeResult(point=GeoPoint(-0.0, 3), status=GeocodeStatus.OK),
     local_time=datetime(2017, 8, 27, 7, tzinfo=timezone(timedelta(hours=5, minutes=30, seconds=1))),

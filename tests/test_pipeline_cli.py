@@ -35,6 +35,7 @@ from rescuemap import (
 )
 from rescuemap import pipeline
 from rescuemap.cli import _CONFIG_KEYS, _HTTP_CONFIG_KEYS, main
+from rescuemap.geocode import API_KEY_ENV_VAR
 from rescuemap.pipeline import GEOCODE_WORKERS, run_pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -247,7 +248,7 @@ class TestRunPipeline:
         assert sequential_summary.as_dict() == concurrent_summary.as_dict()
 
     def test_positives_are_exactly_the_classified_texts(self, data_dir, lex, pooled_geocoder):
-        texts = [row.tweet.text for row in load_labelled(data_dir / "labelled_corpus.csv")]
+        texts = [row.text for row in load_labelled(data_dir / "labelled_corpus.csv")]
         # Lexicon-positive but address-less: never rescue requests.
         texts += [
             "please help we are trapped #Harvey",
@@ -885,29 +886,56 @@ class TestCliPipeline:
         assert captured.err == f"rescuemap: config: http.url is not an http(s) URL: {url}\n"
         assert service.requests == []
 
-    @pytest.mark.parametrize("char", ["\t", "\n", "\r", " "], ids=["tab", "newline", "return", "space"])
+    @pytest.mark.parametrize(
+        "char", ["\t", "\n", "\r", " ", "\u00e9"], ids=["tab", "newline", "return", "space", "non_ascii"]
+    )
     @pytest.mark.parametrize("where", ["scheme", "query"])
     def test_http_url_with_a_space_or_control_character_exits_1_before_any_request(
         self, loopback, data_dir, tmp_path, capsys, char, where
     ):
-        # urlsplit deletes a tab or newline, so without this check the run
-        # would exit 0 with every lookup a backend_error.
+        # urlsplit deletes a tab or newline, and http.client refuses to write a
+        # non-ASCII request line, so without this check the run would exit 0
+        # with every lookup a backend_error.
         service = GazetteerService(data_dir / "gazetteer.tsv")
         base = loopback(service.answer)
         if where == "scheme":
             url = "ht" + char + base.removeprefix("ht") + "/json?address={query}"
         else:
             url = base + "/json?address=" + char + "{query}"
+        out = tmp_path / "out.geojson"
         config = tmp_path / "config.json"
+        corpus = str(data_dir / "replay_corpus.ndjson")
         config.write_text(
-            json.dumps({"inputs": [str(data_dir / "replay_corpus.ndjson")], "http": {"url": url}}),
-            encoding="utf-8",
+            json.dumps({"inputs": [corpus], "http": {"url": url}, "out_geojson": str(out)}), encoding="utf-8"
         )
         assert self.run_cli("pipeline", "--config", str(config)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"rescuemap: config: http.url holds a space or control character: {url!r}\n"
+        assert captured.err == (
+            f"rescuemap: config: http.url holds a space, control or non-ASCII character: {url!r}\n"
+        )
         assert service.requests == []
+        assert not out.exists()
+
+    def test_geocoder_key_that_is_not_utf8_exits_1_before_any_request(
+        self, loopback, data_dir, tmp_path, capsys
+    ):
+        service = GazetteerService(data_dir / "gazetteer.tsv")
+        url = loopback(service.answer) + "/json?address={query}&key={key}"
+        out = tmp_path / "out.geojson"
+        config = tmp_path / "config.json"
+        corpus = str(data_dir / "replay_corpus.ndjson")
+        config.write_text(
+            json.dumps({"inputs": [corpus], "http": {"url": url}, "out_geojson": str(out)}), encoding="utf-8"
+        )
+        # os.environ reads the byte 0xff, not UTF-8, as the lone surrogate U+DCFF.
+        with mock.patch.dict(os.environ, {API_KEY_ENV_VAR: "key\udcff"}):
+            assert self.run_cli("pipeline", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rescuemap: config: {API_KEY_ENV_VAR} is not valid UTF-8\n"
+        assert service.requests == []
+        assert not out.exists()
 
     def test_every_config_key_in_the_readme_is_accepted(self, data_dir, tmp_path, capsys):
         readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")
@@ -980,6 +1008,7 @@ class TestCliPipeline:
             pytest.param({"bbox": [False, False, True, True]}, id="bbox_bools"),
             pytest.param({"bbox": [-99, 27.6, -90.8, "33.5"]}, id="bbox_numeric_string"),
             pytest.param({"bbox": [-99, 27.6, 10**400, 33.5]}, id="bbox_int_too_large"),
+            pytest.param({"bbox": [-99, 27.6, -90.8]}, id="bbox_three_values"),
             pytest.param({"http": {"url": SERVICE_URL, "min_interval": "fast"}}, id="min_interval"),
             pytest.param(
                 {"http": {"url": SERVICE_URL, "min_interval": float("inf")}},
@@ -1009,6 +1038,91 @@ class TestCliPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(("rescuemap: config: ", "rescuemap: geocoder: http"))
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            pytest.param(None, "config: file not found: {dir}/config.json", id="missing_file"),
+            pytest.param(
+                "{",
+                "config: {dir}/config.json: invalid JSON (Expecting property name enclosed in double quotes)",
+                id="invalid_json",
+            ),
+            pytest.param("[]", "config: {dir}/config.json: top level must be an object", id="top_level_array"),
+            pytest.param(
+                {"keywords": [], "bbox": None},
+                "stream config: stream config needs keywords or a bounding box",
+                id="no_keywords_and_no_bbox",
+            ),
+            pytest.param(
+                {"geocoder_backend": "gazetteer", "gazetteer": None},
+                "geocoder: gazetteer backend needs --gazetteer PATH",
+                id="gazetteer_without_path",
+            ),
+            pytest.param(
+                {"gazetteer": "missing.tsv"},
+                "geocoder: gazetteer file not found: {dir}/missing.tsv",
+                id="missing_gazetteer",
+            ),
+            pytest.param(
+                {"inputs": [], "manifest": "missing.txt"},
+                "input: manifest not found: {dir}/missing.txt",
+                id="missing_manifest",
+            ),
+            pytest.param(
+                {"inputs": []},
+                "input: give --input FILE (or '-' for stdin), --manifest, or config inputs",
+                id="no_input",
+            ),
+        ],
+    )
+    def test_config_that_leaves_nothing_to_run_exits_1_naming_why(
+        self, data_dir, tmp_path, capsys, fields, message
+    ):
+        # fields: the config file's text, None for no file, or keys over a runnable config.
+        config = tmp_path / "config.json"
+        if isinstance(fields, str):
+            config.write_text(fields, encoding="utf-8")
+        elif fields is not None:
+            runnable = {
+                "inputs": [str(data_dir / "harvey_sample.ndjson")],
+                "gazetteer": str(data_dir / "gazetteer_sample.tsv"),
+            }
+            config.write_text(json.dumps({**runnable, **fields}), encoding="utf-8")
+        assert self.run_cli("pipeline", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rescuemap: {message.format(dir=tmp_path)}\n"
+
+    def test_bbox_null_turns_the_box_off(self, data_dir, tmp_path, capsys):
+        # Inside the Harvey box, with none of the track keywords in its text.
+        record = {"id": "1", "text": "water at 12 Clay Rd", "created_at": "2017-08-27T14:03:00Z",
+                  "coordinates": [-95.4, 29.7]}
+        replay = tmp_path / "replay.ndjson"
+        replay.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        passed = []
+        for box in ({}, {"bbox": None}):
+            fields = {"inputs": [str(replay)], "gazetteer": str(data_dir / "gazetteer_sample.tsv"), **box}
+            config.write_text(json.dumps(fields), encoding="utf-8")
+            assert self.run_cli("pipeline", "--config", str(config)) == 0
+            summary = json.loads(capsys.readouterr().out)
+            passed.append((summary["stream_passed"], summary["stream_rejected"]))
+        assert passed == [(1, 0), (0, 1)]
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, which fails every write")
+    def test_write_error_exits_2_with_one_line(self, data_dir, capsys):
+        code = self.run_cli(
+            "pipeline",
+            "--input", str(data_dir / "harvey_sample.ndjson"),
+            "--gazetteer", str(data_dir / "gazetteer_sample.tsv"),
+            "--out-geojson", "/dev/full",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rescuemap: io error: [Errno 28] ")
         assert captured.err.count("\n") == 1
 
     def test_stdin_input_matches_shipped_outputs(self, data_dir, tmp_path, capsys, monkeypatch):
@@ -1141,6 +1255,12 @@ class TestCliEval:
 
     def test_missing_corpus_exits_2(self, capsys):
         assert main(["eval", "--input", "/nonexistent.csv"]) == 2
+
+    def test_no_corpus_and_no_counts_exits_1(self, capsys):
+        assert main(["eval"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rescuemap: eval: give a labelled corpus with --input or counts with --counts\n"
 
     @pytest.mark.parametrize(
         "counts",
