@@ -270,10 +270,10 @@ def write_outputs(rows: list[dict], out_dir: Path) -> None:
     completed: list[str] = []
     seen = set()
     for request in requests:
-        key = normalize_query(request.address.completed)
+        key = normalize_query(request.completed)
         if key not in seen:
             seen.add(key)
-            completed.append(request.address.completed)
+            completed.append(request.completed)
 
     gazetteer_path = out_dir / "gazetteer.tsv"
     with gazetteer_path.open("w", encoding="utf-8") as handle:

@@ -204,8 +204,9 @@ def _write_outputs(requests: Sequence[RescueRequest], outputs: list[tuple[str, _
     then renamed over it, so an interrupted or failed run leaves every old
     output as it was and no temporary file behind. The temporary file gets
     the old file's permission bits, or for a new path those ``open`` gives.
-    Any other target (a device, a FIFO, /dev/stdout on a terminal or pipe)
-    is written in place.
+    Any other target (a device or a FIFO) is written in place. The caller
+    refuses an output that is stdout's file, such as /dev/stdout, since the
+    summary goes there.
     No fsync: surviving a power loss is out of scope.
     """
     staged: list[tuple[str, str]] = []  # (temporary, real path), renamed at the end
@@ -238,6 +239,13 @@ def _write_outputs(requests: Sequence[RescueRequest], outputs: list[tuple[str, _
         raise
 
 
+def _is_file_of(path: str, status: os.stat_result) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), status)
+    except FileNotFoundError:  # not there yet, so written as a new file
+        return False
+
+
 def _cmd_pipeline(args) -> int:
     config = _load_config(args.config)
     lex = _build_lexicon(args, config)
@@ -249,11 +257,17 @@ def _cmd_pipeline(args) -> int:
     # Checked before the replay, so a typo costs no geocoding requests.
     if out_geojson and out_map and os.path.realpath(out_geojson) == os.path.realpath(out_map):
         raise ConfigError(f"output: the GeoJSON and the map name one file: {out_map}")
+    try:
+        stdout = os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # no descriptor, as under pytest's capsys
+        stdout = None
     for out in (out_geojson, out_map):
         if out and not Path(out).parent.is_dir():
             raise FileNotFoundError(f"output directory not found: {Path(out).parent}")
         if out and Path(out).is_dir():
             raise IsADirectoryError(f"output path is a directory: {out}")
+        if out and stdout is not None and _is_file_of(out, stdout):
+            raise ConfigError(f"output: {out} is stdout, where the summary goes")
 
     requests, summary = run_pipeline(
         lines,

@@ -18,23 +18,32 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .address import FullAddress
+from .address import CompletionRule
 from .geocode import GeocodeResult, GeocodeStatus
-from .ingest import HARVEY_BBOX, Tweet
+from .ingest import HARVEY_BBOX
 
 
 @dataclass(frozen=True, slots=True)
 class RescueRequest:
-    """A classified-positive tweet joined with its completed address and geocode."""
+    """A classified-positive tweet's six values that the outputs write.
 
-    tweet: Tweet
-    address: FullAddress
-    geocode: GeocodeResult
+    ``id`` and ``text`` are the tweet's, ``completed`` and ``completion_rule``
+    its completed address's, ``local_time`` its time in US/Central, and
+    ``geocode`` the lookup of ``completed``. The tweet and the address's
+    components are not kept: call ``extract_full_address`` and
+    ``complete_address`` for those.
+    """
+
+    id: str
+    text: str
+    completed: str
+    completion_rule: CompletionRule | None
     local_time: datetime
+    geocode: GeocodeResult
 
 
 def _completion_rule(request: RescueRequest) -> str | None:
-    rule = request.address.completion_rule
+    rule = request.completion_rule
     return rule.value if rule else None
 
 
@@ -105,15 +114,14 @@ def _features(requests: Iterable[RescueRequest]) -> Iterator[str]:
     for request in requests:
         geocode = request.geocode
         if geocode.status is GeocodeStatus.OK:
-            tweet = request.tweet
             yield _FEATURE % (
                 _number(geocode.point.longitude),
                 _number(geocode.point.latitude),
-                _string(request.address.completed),
+                _string(request.completed),
                 _nullable_string(_completion_rule(request)),
-                _string(tweet.id),
+                _string(request.id),
                 _string(request.local_time.isoformat()),
-                _string(tweet.text),
+                _string(request.text),
             )
 
 
@@ -122,11 +130,11 @@ def _ungeocoded(requests: Iterable[RescueRequest]) -> Iterator[str]:
         geocode = request.geocode
         if geocode.status is not GeocodeStatus.OK:
             yield _UNGEOCODED % (
-                _string(request.address.completed),
+                _string(request.completed),
                 _nullable_string(_completion_rule(request)),
-                _string(request.tweet.id),
+                _string(request.id),
                 _string(geocode.status.value),
-                _string(request.tweet.text),
+                _string(request.text),
             )
 
 
@@ -237,12 +245,12 @@ def _markers(requests: Iterable[RescueRequest], lons: list, lats: list) -> Itera
         lats.append(lat)
         # An ISO time holds none of the characters _escape replaces.
         popup = (
-            f"<b>{_escape(request.tweet.text)}</b><br>"
-            f"{_escape(request.address.completed)}<br>"
+            f"<b>{_escape(request.text)}</b><br>"
+            f"{_escape(request.completed)}<br>"
             f"{request.local_time.isoformat()}"
         )
         yield _script_safe(
-            _MARKER % (_string(request.tweet.id), _number(lat), _number(lon), _string(popup))
+            _MARKER % (_string(request.id), _number(lat), _number(lon), _string(popup))
         )
 
 
@@ -250,16 +258,16 @@ def _map_ungeocoded(requests: Iterable[RescueRequest]) -> Iterator[str]:
     for request in requests:
         geocode = request.geocode
         if geocode.status is not GeocodeStatus.OK:
-            completed, status = request.address.completed, geocode.status.value
+            completed, status = request.completed, geocode.status.value
             yield _script_safe(
                 _MAP_UNGEOCODED
                 % (
                     _string(completed),
                     _nullable_string(_completion_rule(request)),
-                    _string(request.tweet.id),
+                    _string(request.id),
                     _string(status),
                     _string(_escape(f"{completed} ({status})")),
-                    _string(_escape(request.tweet.text)),  # escaped as in a popup
+                    _string(_escape(request.text)),  # escaped as in a popup
                 )
             )
 

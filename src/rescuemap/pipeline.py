@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .address import FullAddress, complete_address, detect_address, extract_full_address
+from .address import complete_address, detect_address, extract_full_address
 from .features import is_rescue_request
 # Not called here: benchmark/run.py --trace 1 wraps classify and extract_features
 # by name on this module.
@@ -35,7 +35,6 @@ from .geocode import Gazetteer, Geocoder, GeocodeResult, GeocodeStatus, normaliz
 from .ingest import (
     IngestStats,
     StreamConfig,
-    Tweet,
     passes_stream_filter,
     read_stream,
     to_local_time,
@@ -145,7 +144,9 @@ def run_pipeline(
     """
     summary = RunSummary()
     stats = IngestStats()
-    found: list[tuple[Tweet, FullAddress]] = []
+    # Per positive, the five values of its RescueRequest that precede the
+    # geocode; the Tweet and the FullAddress are freed once it is completed.
+    found: list[tuple] = []
     for tweet in read_stream(lines, stats):
         if not passes_stream_filter(tweet, stream_cfg):
             summary.stream_rejected += 1
@@ -155,27 +156,26 @@ def run_pipeline(
         # The rule needs an address: skip the lexicon without one, and parse
         # the address's components only for a rescue request.
         if match is not None and is_rescue_request(tweet.text, lex):
-            found.append((tweet, complete_address(extract_full_address(match), tweet.hashtags)))
+            address = complete_address(extract_full_address(match), tweet.hashtags)
+            found.append((
+                tweet.id,
+                tweet.text,
+                address.completed,
+                address.completion_rule,
+                to_local_time(tweet.created_at_utc),
+            ))
     summary.read = stats.parsed
     summary.malformed = stats.malformed
     summary.duplicates = stats.duplicates
     summary.classified_positive = len(found)
 
-    queries = [address.completed for _, address in found]
+    queries = [completed for _, _, completed, _, _ in found]
     if sequential or isinstance(geocoder.backend, Gazetteer):
         results = [geocoder.geocode(query) for query in queries]
     else:
         results = _geocode_pooled(queries, geocoder)
 
-    requests = [
-        RescueRequest(
-            tweet=tweet,
-            address=address,
-            geocode=result,
-            local_time=to_local_time(tweet.created_at_utc),
-        )
-        for (tweet, address), result in zip(found, results)
-    ]
+    requests = [RescueRequest(*entry, result) for entry, result in zip(found, results)]
     summary.geocoded_ok = sum(r.geocode.status is GeocodeStatus.OK for r in requests)
     summary.geocode_failed = len(requests) - summary.geocoded_ok
     return requests, summary

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import gc
 import json
 from datetime import datetime, timezone
 
 from rescuemap import (
+    FullAddress,
+    Gazetteer,
+    Geocoder,
     GeocodeResult,
     GeocodeStatus,
     GeoPoint,
+    StreamConfig,
     Tweet,
     complete_address,
     detect_address,
     extract_full_address,
+    run_pipeline,
     to_geojson,
     to_local_time,
     to_map_document,
@@ -24,22 +30,17 @@ def make_request(
     point=GeoPoint(-95.44, 29.69),
     status=GeocodeStatus.OK,
 ) -> RescueRequest:
-    tweet = Tweet(
+    address = complete_address(extract_full_address(detect_address(text)), ("houstonflood",))
+    return RescueRequest(
         id=tweet_id,
         text=text,
-        created_at_utc=datetime(2017, 8, 27, 12, 0, 0, tzinfo=timezone.utc),
-        hashtags=("houstonflood",),
-    )
-    address = complete_address(extract_full_address(detect_address(text)), tweet.hashtags)
-    geocode = GeocodeResult(
-        point=point if status is GeocodeStatus.OK else None,
-        status=status,
-    )
-    return RescueRequest(
-        tweet=tweet,
-        address=address,
-        geocode=geocode,
-        local_time=to_local_time(tweet.created_at_utc),
+        completed=address.completed,
+        completion_rule=address.completion_rule,
+        local_time=to_local_time(datetime(2017, 8, 27, 12, 0, 0, tzinfo=timezone.utc)),
+        geocode=GeocodeResult(
+            point=point if status is GeocodeStatus.OK else None,
+            status=status,
+        ),
     )
 
 
@@ -104,6 +105,22 @@ class TestRescueRequest:
         # A per-instance __dict__ would add a dict to every request kept.
         for request in (make_request(), make_request(status=GeocodeStatus.NOT_FOUND)):
             assert not hasattr(request, "__dict__")
+        assert RescueRequest.__slots__ == (
+            "id", "text", "completed", "completion_rule", "local_time", "geocode",
+        )
+
+    def test_keeps_no_tweet_or_address(self, data_dir, lex):
+        # The pipeline keeps each positive's values, not its Tweet, its FullAddress
+        # or the tuple its classify loop held them in.
+        with (data_dir / "replay_corpus.ndjson").open("rb") as lines:
+            requests, _ = run_pipeline(
+                lines, stream_cfg=StreamConfig(), lex=lex,
+                geocoder=Geocoder(Gazetteer.load(data_dir / "gazetteer.tsv")),
+            )
+        assert requests
+        for request in requests:
+            for value in gc.get_referents(request):
+                assert not isinstance(value, (Tweet, FullAddress, tuple)), value
 
 
 class TestMapDocument:
@@ -115,7 +132,7 @@ class TestMapDocument:
     def test_embedded_data_contains_tweet_text(self):
         request = make_request()
         doc = to_map_document([request])
-        assert request.tweet.text in doc
+        assert request.text in doc
 
     def test_marker_time_is_cdt_offset_string(self):
         doc = to_map_document([make_request()])

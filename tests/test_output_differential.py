@@ -14,11 +14,9 @@ from hypothesis import example, given, strategies as st
 
 from rescuemap import (
     CompletionRule,
-    FullAddress,
     GeocodeResult,
     GeocodeStatus,
     GeoPoint,
-    Tweet,
     to_geojson,
     to_local_time,
     to_map_document,
@@ -33,7 +31,7 @@ from rescuemap.output import _MAP_TEMPLATE, RescueRequest, _escape
 
 def reference_to_geojson(requests: list[RescueRequest]) -> str:
     def rule(request: RescueRequest):
-        return request.address.completion_rule.value if request.address.completion_rule else None
+        return request.completion_rule.value if request.completion_rule else None
 
     features = []
     ungeocoded = []
@@ -48,9 +46,9 @@ def reference_to_geojson(requests: list[RescueRequest]) -> str:
                         "coordinates": [point.longitude, point.latitude],
                     },
                     "properties": {
-                        "id": request.tweet.id,
-                        "text": request.tweet.text,
-                        "completed_address": request.address.completed,
+                        "id": request.id,
+                        "text": request.text,
+                        "completed_address": request.completed,
                         "local_time": request.local_time.isoformat(),
                         "completion_rule": rule(request),
                     },
@@ -59,9 +57,9 @@ def reference_to_geojson(requests: list[RescueRequest]) -> str:
         else:
             ungeocoded.append(
                 {
-                    "id": request.tweet.id,
-                    "text": request.tweet.text,
-                    "completed_address": request.address.completed,
+                    "id": request.id,
+                    "text": request.text,
+                    "completed_address": request.completed,
                     "completion_rule": rule(request),
                     "status": request.geocode.status.value,
                 }
@@ -80,27 +78,27 @@ def reference_to_map_document(requests: list[RescueRequest]) -> str:
         if request.geocode.status is GeocodeStatus.OK and request.geocode.point is not None:
             markers.append(
                 {
-                    "id": request.tweet.id,
+                    "id": request.id,
                     "lon": request.geocode.point.longitude,
                     "lat": request.geocode.point.latitude,
                     "popup": (
-                        f"<b>{html.escape(request.tweet.text)}</b><br>"
-                        f"{html.escape(request.address.completed)}<br>"
+                        f"<b>{html.escape(request.text)}</b><br>"
+                        f"{html.escape(request.completed)}<br>"
                         f"{html.escape(request.local_time.isoformat())}"
                     ),
                 }
             )
         else:
-            rule = request.address.completion_rule
+            rule = request.completion_rule
             ungeocoded.append(
                 {
-                    "id": request.tweet.id,
-                    "text": html.escape(request.tweet.text),
-                    "completed_address": request.address.completed,
+                    "id": request.id,
+                    "text": html.escape(request.text),
+                    "completed_address": request.completed,
                     "completion_rule": rule.value if rule else None,
                     "status": request.geocode.status.value,
                     "summary": html.escape(
-                        f"{request.address.completed} ({request.geocode.status.value})"
+                        f"{request.completed} ({request.geocode.status.value})"
                     ),
                 }
             )
@@ -142,8 +140,6 @@ def _coordinate(limit: int) -> st.SearchStrategy:
 
 
 _POINT = st.builds(GeoPoint, _coordinate(180), _coordinate(90))
-# Every Tweet needs a time; the output reads local_time, passed on its own.
-_NOON = datetime(2017, 8, 27, 12, tzinfo=timezone.utc)
 # Any fixed offset that datetime allows, sub-minute ones included.
 _LOCAL_TIME = st.datetimes(
     min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
@@ -159,35 +155,34 @@ _LOCAL_TIME = st.datetimes(
 @st.composite
 def _request(draw, statuses=st.sampled_from(GeocodeStatus)) -> RescueRequest:
     status = draw(statuses)
-    completed = draw(_TEXT)
     return RescueRequest(
-        tweet=Tweet(id=draw(_TEXT), text=draw(_TEXT), created_at_utc=_NOON),
-        address=FullAddress(
-            house_number="1",
-            street="Main St",
-            completed=completed,
-            completion_rule=draw(st.sampled_from([None, *CompletionRule])),
-        ),
+        id=draw(_TEXT),
+        text=draw(_TEXT),
+        completed=draw(_TEXT),
+        completion_rule=draw(st.sampled_from([None, *CompletionRule])),
+        local_time=draw(_LOCAL_TIME),
         geocode=GeocodeResult(
             point=draw(_POINT) if status is GeocodeStatus.OK else None,
             status=status,
         ),
-        local_time=draw(_LOCAL_TIME),
     )
 
 
 _OK = RescueRequest(
-    tweet=Tweet(id="t1", text='say "help"\\ \u2028 \U0001F30A', created_at_utc=_NOON),
-    address=FullAddress(house_number="5", street="Elm St", completed="5 Elm St, Texas",
-                        completion_rule=CompletionRule.TEXAS_DEFAULT),
-    geocode=GeocodeResult(point=GeoPoint(5, 6), status=GeocodeStatus.OK),
+    id="t1",
+    text='say "help"\\ \u2028 \U0001F30A',
+    completed="5 Elm St, Texas",
+    completion_rule=CompletionRule.TEXAS_DEFAULT,
     local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
+    geocode=GeocodeResult(point=GeoPoint(5, 6), status=GeocodeStatus.OK),
 )
 _FAILED = RescueRequest(
-    tweet=Tweet(id="t2", text="\x00\x1f", created_at_utc=_NOON),
-    address=FullAddress(house_number="7", street="Oak Rd", completed="7 Oak Rd"),
-    geocode=GeocodeResult(point=None, status=GeocodeStatus.RATE_LIMITED),
+    id="t2",
+    text="\x00\x1f",
+    completed="7 Oak Rd",
+    completion_rule=None,
     local_time=to_local_time(datetime(2017, 8, 27, 12, tzinfo=timezone.utc)),
+    geocode=GeocodeResult(point=None, status=GeocodeStatus.RATE_LIMITED),
 )
 
 
@@ -215,10 +210,12 @@ _REQUEST_LISTS = st.one_of(
     st.lists(_request(st.sampled_from([s for s in GeocodeStatus if s is not GeocodeStatus.OK])), max_size=4),
 )
 _HOSTILE = RescueRequest(
-    tweet=Tweet(id="</script><script>", text="</script> & <b \u2028 'x' \"y\" <", created_at_utc=_NOON),
-    address=FullAddress(house_number="1", street="Main St", completed="1 Main St <", completion_rule=None),
-    geocode=GeocodeResult(point=GeoPoint(-0.0, 3), status=GeocodeStatus.OK),
+    id="</script><script>",
+    text="</script> & <b \u2028 'x' \"y\" <",
+    completed="1 Main St <",
+    completion_rule=None,
     local_time=datetime(2017, 8, 27, 7, tzinfo=timezone(timedelta(hours=5, minutes=30, seconds=1))),
+    geocode=GeocodeResult(point=GeoPoint(-0.0, 3), status=GeocodeStatus.OK),
 )
 
 

@@ -159,7 +159,7 @@ class TestRunPipeline:
             "geocoded_ok": 2,
             "geocode_failed": 0,
         }
-        assert [r.tweet.id for r in requests] == ["h0001", "h0002"]
+        assert [r.id for r in requests] == ["h0001", "h0002"]
         doc = json.loads(to_geojson(requests))
         assert len(doc["features"]) == 2
 
@@ -283,8 +283,8 @@ class TestRunPipeline:
 
         sequential_requests, summary = run(True)
         concurrent_requests, concurrent_summary = run(False)
-        assert [r.tweet.id for r in sequential_requests] == expected
-        assert [r.tweet.id for r in concurrent_requests] == expected
+        assert [r.id for r in sequential_requests] == expected
+        assert [r.id for r in concurrent_requests] == expected
         assert concurrent_summary == summary
         assert summary.read == summary.stream_passed == len(texts)
         assert summary.classified_positive == len(expected)
@@ -347,7 +347,7 @@ class TestRunPipeline:
         # of a key; an error, retried, never does.
         seen: set[str] = set()
         for r in pooled_requests:
-            key = normalize_query(r.address.completed)
+            key = normalize_query(r.completed)
             cacheable = r.geocode.status in (GeocodeStatus.OK, GeocodeStatus.NOT_FOUND)
             assert r.geocode.from_cache == (cacheable and key in seen)
             seen.add(key)
@@ -1264,6 +1264,37 @@ class TestCliPipeline:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert written == (data_dir.parent / "out" / "rescue_map.html").read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["map.fifo", "requests.geojson"]
+
+    @pytest.mark.parametrize("option", ["--out-geojson", "--out-map"])
+    @pytest.mark.parametrize("kind", ["file", "pipe"])
+    def test_output_that_is_stdout_exits_1_before_reading_input(self, kind, option, data_dir, tmp_path):
+        # The summary goes to stdout: an output there would be renamed over it
+        # (a file) or run into it (a pipe). Refused before stdin is read.
+        source = tmp_path / "input.ndjson"
+        source.write_bytes((data_dir / "replay_corpus.ndjson").read_bytes())
+        argv = [
+            sys.executable, "-m", "rescuemap.cli", "pipeline", "--input", "-",
+            "--gazetteer", str(data_dir / "gazetteer.tsv"), option, "/dev/stdout",
+        ]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with source.open("rb") as stdin:
+            if kind == "file":
+                summary = tmp_path / "summary.json"
+                summary.write_bytes(b"known bytes\n")
+                with summary.open("r+b") as stdout:  # opened without truncation
+                    done = subprocess.run(
+                        argv, stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+                    )
+                assert summary.read_bytes() == b"known bytes\n"
+            else:
+                done = subprocess.run(argv, stdin=stdin, capture_output=True, env=env, timeout=60)
+                assert done.stdout == b""
+            assert os.lseek(stdin.fileno(), 0, os.SEEK_CUR) == 0  # the offset the child shares
+        assert done.returncode == 1
+        assert done.stderr.decode().splitlines() == [
+            "rescuemap: output: /dev/stdout is stdout, where the summary goes"
+        ]
+        assert not list(tmp_path.glob(".*.tmp"))
 
     def test_output_keeps_its_permission_bits_and_a_new_one_gets_the_umask(
         self, data_dir, tmp_path, capsys

@@ -1,5 +1,6 @@
 """Whole-pipeline property: no generated input line aborts a replay, every
-count is conserved, the geocode pool writes the CLI's bytes, and the outputs parse."""
+count is conserved, the geocode pool writes the CLI's bytes, the outputs parse,
+and each rescue request holds what the public stages give, run one by one."""
 from __future__ import annotations
 
 import json
@@ -7,7 +8,24 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rescuemap import StreamConfig, default_lexicon, run_pipeline, to_geojson, to_map_document
+from rescuemap import (
+    Gazetteer,
+    Geocoder,
+    StreamConfig,
+    Verdict,
+    classify,
+    complete_address,
+    default_lexicon,
+    detect_address,
+    extract_features,
+    extract_full_address,
+    passes_stream_filter,
+    read_stream,
+    run_pipeline,
+    to_geojson,
+    to_local_time,
+    to_map_document,
+)
 from rescuemap.cli import main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -102,6 +120,26 @@ _lines = st.lists(
 )
 
 
+def _reference_requests(lines: list[bytes]) -> list[tuple]:
+    """Each rescue request's six values, from the public stages one by one:
+    the rule by all eight features, and a fresh sequential geocoder."""
+    lex, stream_cfg = default_lexicon(), StreamConfig()
+    geocoder = Geocoder(Gazetteer.load(GAZETTEER))
+    expected = []
+    for tweet in read_stream(lines):
+        if not passes_stream_filter(tweet, stream_cfg):
+            continue
+        match = detect_address(tweet.text)
+        if match is None or classify(extract_features(tweet.text, lex)) is not Verdict.RESCUE_REQUEST:
+            continue
+        address = complete_address(extract_full_address(match), tweet.hashtags)
+        expected.append((
+            tweet.id, tweet.text, address.completed, address.completion_rule,
+            to_local_time(tweet.created_at_utc).isoformat(), geocoder.geocode(address.completed),
+        ))
+    return expected
+
+
 def _run(tmp: Path, input_path: Path, capsys) -> tuple[dict, str, str]:
     geojson, map_doc = tmp / "out.geojson", tmp / "out.html"
     code = main([
@@ -120,6 +158,16 @@ def _run(tmp: Path, input_path: Path, capsys) -> tuple[dict, str, str]:
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=_lines)
 @example(lines=[b"\x1c", "\u3000".encode(), b"\xc2\x85"])
+# A request completed by its hashtag, a post with an address that the rule
+# rejects, and a request without an address: three branches of the classify loop.
+@example(lines=[
+    json.dumps({"id": i, "text": text, "created_at": "2017-08-27T14:03:00Z"}).encode()
+    for i, text in enumerate([
+        "Please help, trapped at 12 Clay Rd #Harvey #HoustonFlood",
+        "We can help, boats at 12 Clay Rd #Harvey",
+        "Please help, trapped on roof #Harvey",
+    ])
+])
 def test_any_input_lines_replay_with_conserved_counts(lines, tmp_path, capsys, pooled_geocoder):
     input_path = tmp_path / "input.ndjson"
     input_path.write_bytes(b"\n".join(lines) + b"\n")
@@ -132,6 +180,12 @@ def test_any_input_lines_replay_with_conserved_counts(lines, tmp_path, capsys, p
         )
     pooled = (pooled_summary.as_dict(), to_geojson(requests), to_map_document(requests))
     assert pooled == (summary, geojson, map_doc)
+    # The classify loop keeps five values per positive; they and the geocode
+    # must be those of the stages run one by one. isoformat keeps the offset.
+    assert [
+        (r.id, r.text, r.completed, r.completion_rule, r.local_time.isoformat(), r.geocode)
+        for r in requests
+    ] == _reference_requests(lines)
 
     assert summary["read"] == summary["stream_passed"] + summary["stream_rejected"]
     assert summary["classified_positive"] == summary["geocoded_ok"] + summary["geocode_failed"]
