@@ -67,6 +67,8 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config: {p}: invalid JSON ({exc.msg})") from None
     except UnicodeDecodeError:
         raise ConfigError(f"config: {p}: not valid UTF-8") from None
+    except (ValueError, RecursionError) as exc:  # e.g. too deep, or a huge integer
+        raise ConfigError(f"config: {p}: invalid JSON ({type(exc).__name__})") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config: {p}: top level must be an object")
     _check_keys(config, _CONFIG_KEYS)

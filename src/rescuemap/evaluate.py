@@ -67,15 +67,20 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
     rows: list[LabelledTweet] = []
     reader = csv.DictReader(io.StringIO(content, newline=""))
     required = {"id", "text", "label"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise CorpusFormatError(f"{path}: header must contain columns {sorted(required)}")
-    for i, row in enumerate(reader, start=2):
-        raw_label = (row["label"] or "").strip()
-        if raw_label not in ("0", "1"):
-            raise CorpusFormatError(
-                f"{path}: row {i}: label must be 0 or 1, got {raw_label!r}"
-            )
-        rows.append(LabelledTweet(str(row["id"]), row["text"] or "", raw_label == "1"))
+    try:
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise CorpusFormatError(f"{path}: header must contain columns {sorted(required)}")
+        for i, row in enumerate(reader, start=2):
+            raw_label = (row["label"] or "").strip()
+            if raw_label not in ("0", "1"):
+                raise CorpusFormatError(
+                    f"{path}: row {i}: label must be 0 or 1, got {raw_label!r}"
+                )
+            rows.append(LabelledTweet(str(row["id"]), row["text"] or "", raw_label == "1"))
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        # The reader's line_num counts the lines of the records it returned,
+        # so the failing record starts on the next line.
+        raise CorpusFormatError(f"{path}: line {reader.line_num + 1}: {exc}") from None
     return rows
 
 

@@ -62,12 +62,6 @@ _scan_json = json.JSONDecoder().scan_once
 class TweetParseError(ValueError):
     """A single record could not be parsed; ingestion continues."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
 
 @dataclass(frozen=True, slots=True)
 class Tweet:
@@ -125,7 +119,7 @@ class StreamConfig:
     bbox: Optional[BoundingBox] = HARVEY_BBOX
 
     def __post_init__(self) -> None:
-        if not self.track_keywords and self.bbox is None:
+        if not any(self.track_keywords) and self.bbox is None:
             raise ValueError("stream config needs keywords or a bounding box")
 
     @cached_property
@@ -197,9 +191,9 @@ def _decode_json(s: str) -> object:
     return obj
 
 
-def _parse_created_at(value: object, line_no: int | None) -> datetime:
+def _parse_created_at(value: object) -> datetime:
     if type(value) is not str and (isinstance(value, bool) or not isinstance(value, (int, float, str))):
-        raise TweetParseError(f"unsupported created_at type: {type(value).__name__}", line_no)
+        raise TweetParseError(f"unsupported created_at type: {type(value).__name__}")
     # Out-of-range instants (1e20, NaN, year 1 with an offset) raise
     # ValueError, OverflowError or OSError from the datetime functions.
     try:
@@ -218,26 +212,26 @@ def _parse_created_at(value: object, line_no: int | None) -> datetime:
                 parsed = parsed.replace(tzinfo=timezone.utc)
             parsed = parsed.astimezone(timezone.utc)
     except (ValueError, OverflowError, OSError):
-        raise TweetParseError(f"unparseable created_at: {_shown(value)}", line_no) from None
+        raise TweetParseError(f"unparseable created_at: {_shown(value)}") from None
     if parsed < _EARLIEST_LOCAL_UTC:
-        raise TweetParseError(f"created_at has no US/Central time: {_shown(value)}", line_no)
+        raise TweetParseError(f"created_at has no US/Central time: {_shown(value)}")
     return parsed
 
 
-def _parse_coordinates(value: object, line_no: int | None) -> tuple[float, float]:
+def _parse_coordinates(value: object) -> tuple[float, float]:
     # Accept [lon, lat] or the GeoJSON-style {"coordinates": [lon, lat]}.
     if type(value) is dict:
         value = value.get("coordinates")
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise TweetParseError(f"coordinates must be a [lon, lat] pair: {_shown(value)}", line_no)
+        raise TweetParseError(f"coordinates must be a [lon, lat] pair: {_shown(value)}")
     try:
         if isinstance(value[0], bool) or isinstance(value[1], bool):
             raise TypeError  # float() would read true and false as 1.0 and 0.0
         lon, lat = float(value[0]), float(value[1])
     except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
-        raise TweetParseError(f"non-numeric coordinates: {_shown(value)}", line_no) from None
+        raise TweetParseError(f"non-numeric coordinates: {_shown(value)}") from None
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-        raise TweetParseError(f"coordinates out of range: ({lon}, {lat})", line_no)
+        raise TweetParseError(f"coordinates out of range: ({lon}, {lat})")
     return (lon, lat)
 
 
@@ -250,7 +244,7 @@ def _encodable(value: str) -> bool:
     return True
 
 
-def parse_tweet(record: str | bytes, line_no: int | None = None) -> Tweet:
+def parse_tweet(record: str | bytes) -> Tweet:
     """Parse one newline-delimited JSON line into a :class:`Tweet`.
 
     The line is a str, or UTF-8 bytes; one leading BOM is dropped. Twitter-v1
@@ -264,31 +258,31 @@ def parse_tweet(record: str | bytes, line_no: int | None = None) -> Tweet:
         text = record if isinstance(record, str) else record.decode("utf-8")
         obj = _decode_json(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
-        raise TweetParseError(f"invalid JSON ({exc.msg})", line_no) from None
+        raise TweetParseError(f"invalid JSON ({exc.msg})") from None
     except UnicodeDecodeError:
-        raise TweetParseError("line is not UTF-8", line_no) from None
+        raise TweetParseError("line is not UTF-8") from None
     except (ValueError, RecursionError) as exc:  # e.g. too deep, or a huge integer
-        raise TweetParseError(f"invalid JSON ({type(exc).__name__})", line_no) from None
+        raise TweetParseError(f"invalid JSON ({type(exc).__name__})") from None
     if type(obj) is not dict:
-        raise TweetParseError("record is not a JSON object", line_no)
+        raise TweetParseError("record is not a JSON object")
 
     raw_id = obj.get("id_str") or obj.get("id")
     if type(raw_id) is not str and (isinstance(raw_id, bool) or not isinstance(raw_id, (str, int))):
-        raise TweetParseError("missing id, or id is not a string or an integer", line_no)
+        raise TweetParseError("missing id, or id is not a string or an integer")
     tweet_id = str(raw_id)  # the decoder refuses an integer too long to print
     if not tweet_id.strip():
-        raise TweetParseError("missing id, or id is not a string or an integer", line_no)
+        raise TweetParseError("missing id, or id is not a string or an integer")
     text = obj.get("text")
     if text is None:
         text = obj.get("full_text")
     if not isinstance(text, str):
-        raise TweetParseError("missing text", line_no)
+        raise TweetParseError("missing text")
     # Both are written to the UTF-8 outputs; the decoder lets "\ud800" through.
     if not _encodable(text) or (isinstance(raw_id, str) and not _encodable(raw_id)):
-        raise TweetParseError("id or text holds a lone surrogate", line_no)
+        raise TweetParseError("id or text holds a lone surrogate")
     if "created_at" not in obj:
-        raise TweetParseError("missing created_at", line_no)
-    created = _parse_created_at(obj["created_at"], line_no)
+        raise TweetParseError("missing created_at")
+    created = _parse_created_at(obj["created_at"])
 
     provided = obj.get("hashtags")
     if provided is None:
@@ -301,7 +295,7 @@ def parse_tweet(record: str | bytes, line_no: int | None = None) -> Tweet:
 
     coords = obj.get("coordinates")
     if coords is not None:
-        coords = _parse_coordinates(coords, line_no)
+        coords = _parse_coordinates(coords)
 
     tweet = object.__new__(Tweet)
     _set_id(tweet, tweet_id)
@@ -324,12 +318,12 @@ def read_stream(
     if stats is None:
         stats = IngestStats()
     seen: set[str] = set()
-    for line_no, line in enumerate(source, start=1):
+    for line in source:
         # The same test as `not line.strip()`, for str and bytes, without the copy.
         if not line or line.isspace():
             continue
         try:
-            tweet = parse_tweet(line, line_no)
+            tweet = parse_tweet(line)
         except TweetParseError:
             # bytes.isspace knows only ASCII whitespace. A bytes line that
             # decodes to other whitespace ("\u3000", "\x85") is blank, as its

@@ -50,6 +50,23 @@ class TestLoadLabelled:
         with pytest.raises(CorpusFormatError, match="header"):
             load_labelled(path)
 
+    @pytest.mark.parametrize(
+        "header, rows, line",
+        [
+            pytest.param("id,text,label" + "x" * 200_000, ['a,"x",1'], 1, id="header"),
+            pytest.param("id,text,label", ['a,"x",1', "b," + "x" * 200_000 + ",0"], 3, id="row"),
+            # A quoted field's embedded newlines: the line the record starts on.
+            pytest.param("id,text,label", ['a,"x",1', 'b,"one\ntwo\n' + "x" * 200_000 + '",0'], 3,
+                         id="multiline_row"),
+        ],
+    )
+    def test_field_past_the_csv_field_limit_is_fatal_and_names_the_line(self, tmp_path, header, rows, line):
+        # csv.field_size_limit() is process-wide, so load_labelled leaves it as it is.
+        path = write_corpus(tmp_path, rows, header=header)
+        with pytest.raises(CorpusFormatError) as exc_info:
+            load_labelled(path)
+        assert str(exc_info.value).startswith(f"{path}: line {line}: field larger than field limit")
+
     def test_other_columns_are_ignored(self, tmp_path, lex):
         rows = ['a,"Please help, stuck at 4055 Braeswood Blvd",1', 'b,"nice day #Harvey",0']
         plain = load_labelled(write_corpus(tmp_path, rows))

@@ -173,7 +173,7 @@ class TestParseTweet:
     )
     def test_malformed_records_raise(self, bad):
         with pytest.raises(TweetParseError):
-            parse_tweet(bad, line_no=7)
+            parse_tweet(bad)
 
     def test_earliest_instant_with_a_us_central_time_is_accepted(self):
         # US/Central is UTC-5:50:36 (local mean time) before 1883.
@@ -219,8 +219,8 @@ class TestParseTweet:
     )
     def test_invalid_json_messages(self, raw, message, form):
         with pytest.raises(TweetParseError) as exc_info:
-            parse_tweet(form(raw), line_no=7)
-        assert str(exc_info.value) == f"line 7: {message}"
+            parse_tweet(form(raw))
+        assert str(exc_info.value) == message
 
     @pytest.mark.parametrize(
         "value",
@@ -262,12 +262,6 @@ class TestParseTweet:
         with pytest.raises(TweetParseError) as exc_info:
             parse_tweet(lines[1])
         assert str(exc_info.value) == f"unparseable created_at: {value!r}"
-
-    def test_parse_error_carries_line_number(self):
-        with pytest.raises(TweetParseError) as exc_info:
-            parse_tweet("{", line_no=42)
-        assert exc_info.value.line_no == 42
-        assert "42" in str(exc_info.value)
 
 
 class TestTweet:
@@ -416,9 +410,10 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(-99.0, 33.5, -90.8, 27.6)
 
-    def test_stream_config_requires_some_criterion(self):
+    @pytest.mark.parametrize("keywords", [(), ("",), ("", "")])
+    def test_stream_config_requires_some_criterion(self, keywords):
         with pytest.raises(ValueError):
-            StreamConfig(track_keywords=(), bbox=None)
+            StreamConfig(track_keywords=keywords, bbox=None)
 
 
 class TestToLocalTime:
@@ -484,7 +479,7 @@ def test_every_byte_line_is_parsed_malformed_duplicate_or_blank(lines):
 
 def _parsed(record: str | bytes) -> object:
     try:
-        return parse_tweet(record, 3)
+        return parse_tweet(record)
     except TweetParseError as exc:
         return ("TweetParseError", str(exc))
 

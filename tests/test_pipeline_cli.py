@@ -1051,11 +1051,26 @@ class TestCliPipeline:
                 "config: {dir}/config.json: invalid JSON (Expecting property name enclosed in double quotes)",
                 id="invalid_json",
             ),
+            pytest.param(
+                "[" * 100_000 + "]" * 100_000,
+                "config: {dir}/config.json: invalid JSON (RecursionError)",
+                id="nested_too_deep",
+            ),
+            pytest.param(
+                '{"bbox": ' + "9" * 5000 + "}",
+                "config: {dir}/config.json: invalid JSON (ValueError)",
+                id="integer_past_int_str_digit_limit",
+            ),
             pytest.param("[]", "config: {dir}/config.json: top level must be an object", id="top_level_array"),
             pytest.param(
                 {"keywords": [], "bbox": None},
                 "stream config: stream config needs keywords or a bounding box",
                 id="no_keywords_and_no_bbox",
+            ),
+            pytest.param(
+                {"keywords": [""], "bbox": None},
+                "stream config: stream config needs keywords or a bounding box",
+                id="empty_keywords_and_no_bbox",
             ),
             pytest.param(
                 {"geocoder_backend": "gazetteer", "gazetteer": None},
@@ -1442,6 +1457,15 @@ class TestCliEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("rescuemap: eval: ")
+        assert captured.err.count("\n") == 1
+
+    def test_field_past_the_csv_field_limit_exits_1_with_one_line(self, tmp_path, capsys):
+        corpus = tmp_path / "labelled.csv"
+        corpus.write_text(f"id,text,label\na,{'x' * 200_000},1\n", encoding="utf-8")
+        assert main(["eval", "--input", str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rescuemap: {corpus}: line 2: field larger than field limit")
         assert captured.err.count("\n") == 1
 
 
