@@ -139,19 +139,6 @@ _STATE_NAMES_BY_ABBREV = {
     "UT": "Utah", "VT": "Vermont", "VA": "Virginia", "WA": "Washington",
     "WV": "West Virginia", "WI": "Wisconsin", "WY": "Wyoming",
 }
-_STATE_NAMES = frozenset(name.lower() for name in _STATE_NAMES_BY_ABBREV.values())
-_STATE_ABBREV_ALT = _trie_alternation(frozenset(_STATE_NAMES_BY_ABBREV))
-# A state name in any case, with any whitespace run between its words.
-_STATE_NAME_ALT = _trie_alternation(_STATE_NAMES).replace(r"\ ", r"\s+")
-# A whole city word that is a state word: a one-word state name in any ASCII
-# case (city words are ASCII letters, so "Texa" before "ſ" is none) or an
-# uppercase code, '#'-prefixed or not ("texas", "#TX").
-_ONE_WORD_STATE_NAME_ALT = _trie_alternation(frozenset(n for n in _STATE_NAMES if " " not in n))
-_STATE_WORD = rf"#?(?:(?ai:{_ONE_WORD_STATE_NAME_ALT})|{_STATE_ABBREV_ALT})(?![A-Za-z])"
-# A state name of two or more words where the state would read one.
-_MULTI_WORD_STATE_NAME = (
-    rf"(?i:{_trie_alternation(frozenset(n for n in _STATE_NAMES if ' ' in n))})(?![A-Za-z])"
-).replace(r"\ ", r"\s+")
 
 _TEXAS_RE = re.compile(r"texas|\btx\b", re.IGNORECASE)
 
@@ -178,36 +165,60 @@ _ZIP = r"\d{5}(?:-\d{4})?(?![0-9A-Za-z])"
 # before it. A component is the first match of its own pattern, judged once:
 # where a rule can reject that match, an atomic group, ``(?>...)``, keeps the
 # engine from backtracking into a shorter match the rule would accept. A
-# rejected component leaves the position for the next one.
-_CHAIN_RE = re.compile(
-    # Unit: a key word and a designator ("Apt 4B", "Suite A"), or '#' and a
-    # designator ("#4B", "#B"). The lookbehinds reject a bare designator of
-    # two to six letters and hyphens, so that "#Houston" is no unit.
-    rf"(?:{_connector_run('unit_comma')}(?P<unit>"
-    r"(?i:apartment|suite|unit|apt|ste)\b\.?[ \t]*#?\s?[A-Za-z0-9][A-Za-z0-9-]{0,5}(?![A-Za-z0-9])"
-    r"|#\s?(?>[A-Za-z0-9][A-Za-z0-9-]{0,5}(?![A-Za-z0-9]))"
-    + "".join(rf"(?<![#\s][A-Za-z-]{{{n}}})" for n in range(2, 7))
-    + "))?"
-    # City: the first match of one or two words (city_1, city_2) gives both
-    # words unless the second is a state word, else the first alone unless
-    # it is a state word. A second word never starts a state name of two or
-    # more words: "Fargo North Dakota" is "Fargo", then "North Dakota". The
-    # final condition asks a city for a comma before it or a state or zip
-    # right after it.
-    + rf"(?:{_connector_run('city_comma')}"
-    rf"(?P<city>(?>(?=(?P<city_1>{_CITY_WORD})"
-    rf"(?: (?!{_MULTI_WORD_STATE_NAME})(?P<city_2>{_CITY_WORD}))?(?![A-Za-z0-9]))"
-    rf"(?:(?P=city_1) (?=(?P=city_2)))?(?!{_STATE_WORD})#?[A-Za-z]+)))?"
-    # State: a full name, or an uppercase code that is TX, follows a comma
-    # or has a zip after it (bare codes collide with "IN", "OR", "OK").
-    rf"(?:{_connector_run('state_comma')}(?P<state>(?i:(?:{_STATE_NAME_ALT})(?![A-Za-z]))"
-    rf"|(?:{_STATE_ABBREV_ALT})(?![A-Za-z0-9])"
-    rf"(?(state_comma)|(?:(?<=TX)|(?=[ \t\n\r\f,.]+{_ZIP})))))?"
-    rf"(?:{_connector_run('zip_comma')}(?P<zip>{_ZIP}))?"
-    # Failing here drops the city, and the state and zip are read again
-    # from where the city started.
-    r"(?(city)(?(city_comma)|(?(state)|(?(zip)|(?!)))))"
-)
+# rejected component leaves the position for the next one. Only extraction
+# reads the pattern, so extract_full_address builds it on its first call. Two
+# threads may both build it; each gets the same pattern.
+_CHAIN_RE: Optional[re.Pattern] = None
+
+
+def _compile_chain() -> re.Pattern:
+    """Build and keep ``_CHAIN_RE``, with the state alternations only it reads."""
+    global _CHAIN_RE
+    state_names = frozenset(name.lower() for name in _STATE_NAMES_BY_ABBREV.values())
+    state_abbrev_alt = _trie_alternation(frozenset(_STATE_NAMES_BY_ABBREV))
+    # A state name in any case, with any whitespace run between its words.
+    state_name_alt = _trie_alternation(state_names).replace(r"\ ", r"\s+")
+    # A whole city word that is a state word: a one-word state name in any ASCII
+    # case (city words are ASCII letters, so "Texa" before "ſ" is none) or an
+    # uppercase code, '#'-prefixed or not ("texas", "#TX").
+    one_word_state_name_alt = _trie_alternation(frozenset(n for n in state_names if " " not in n))
+    state_word = rf"#?(?:(?ai:{one_word_state_name_alt})|{state_abbrev_alt})(?![A-Za-z])"
+    # A state name of two or more words where the state would read one.
+    multi_word_state_name = (
+        rf"(?i:{_trie_alternation(frozenset(n for n in state_names if ' ' in n))})(?![A-Za-z])"
+    ).replace(r"\ ", r"\s+")
+    _CHAIN_RE = re.compile(
+        # Unit: a key word and a designator ("Apt 4B", "Suite A"), or '#' and a
+        # designator ("#4B", "#B"). The lookbehinds reject a bare designator of
+        # two to six letters and hyphens, so that "#Houston" is no unit.
+        rf"(?:{_connector_run('unit_comma')}(?P<unit>"
+        r"(?i:apartment|suite|unit|apt|ste)\b\.?[ \t]*#?\s?[A-Za-z0-9][A-Za-z0-9-]{0,5}(?![A-Za-z0-9])"
+        r"|#\s?(?>[A-Za-z0-9][A-Za-z0-9-]{0,5}(?![A-Za-z0-9]))"
+        + "".join(rf"(?<![#\s][A-Za-z-]{{{n}}})" for n in range(2, 7))
+        + "))?"
+        # City: the first match of one or two words (city_1, city_2) gives both
+        # words unless the second is a state word, else the first alone unless
+        # it is a state word. A second word never starts a state name of two or
+        # more words: "Fargo North Dakota" is "Fargo", then "North Dakota". The
+        # final condition asks a city for a comma before it or a state or zip
+        # right after it.
+        + rf"(?:{_connector_run('city_comma')}"
+        rf"(?P<city>(?>(?=(?P<city_1>{_CITY_WORD})"
+        rf"(?: (?!{multi_word_state_name})(?P<city_2>{_CITY_WORD}))?(?![A-Za-z0-9]))"
+        rf"(?:(?P=city_1) (?=(?P=city_2)))?(?!{state_word})#?[A-Za-z]+)))?"
+        # State: a full name, or an uppercase code that is TX, follows a comma
+        # or has a zip after it (bare codes collide with "IN", "OR", "OK").
+        rf"(?:{_connector_run('state_comma')}(?P<state>(?i:(?:{state_name_alt})(?![A-Za-z]))"
+        rf"|(?:{state_abbrev_alt})(?![A-Za-z0-9])"
+        rf"(?(state_comma)|(?:(?<=TX)|(?=[ \t\n\r\f,.]+{_ZIP})))))?"
+        rf"(?:{_connector_run('zip_comma')}(?P<zip>{_ZIP}))?"
+        # Failing here drops the city, and the state and zip are read again
+        # from where the city started.
+        r"(?(city)(?(city_comma)|(?(state)|(?(zip)|(?!)))))"
+    )
+    return _CHAIN_RE
+
+
 _CHAIN_GROUPS = (
     "unit_comma", "unit", "city_comma", "city", "state_comma", "state", "zip_comma", "zip",
 )
@@ -250,9 +261,9 @@ def extract_full_address(match: re.Match) -> FullAddress:
     result is uncompleted: run :func:`complete_address` to obtain the final
     search string.
     """
-    unit_comma, unit, city_comma, city, state_comma, state, zip_comma, zip_code = _CHAIN_RE.match(
-        match.string, match.end()
-    ).group(*_CHAIN_GROUPS)
+    unit_comma, unit, city_comma, city, state_comma, state, zip_comma, zip_code = (
+        _CHAIN_RE or _compile_chain()
+    ).match(match.string, match.end()).group(*_CHAIN_GROUPS)
     house_number, street = match.group("num", match.lastgroup)
     street = _normalize_ws(street)
     # The number holds no whitespace and `\s+` follows it, so this is the

@@ -1,6 +1,10 @@
 """Command-line interface: per-stage subcommands over the same pipeline.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 runtime IO error.
+
+Each subcommand imports the stages it runs where it runs them, so ``eval``
+loads no ingest, geocode, output or pipeline module, and ``classify`` loads
+no geocode, output or pipeline module.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TextIO
 
 from .evaluate import (
     ConfusionMatrix,
@@ -20,11 +24,12 @@ from .evaluate import (
     load_labelled,
 )
 from .features import classify, extract_features
-from .geocode import API_KEY_ENV_VAR, Gazetteer, GazetteerError, Geocoder, HttpBackend
-from .ingest import BoundingBox, StreamConfig, read_stream
 from .lexicons import LexiconConfig, LexiconError, data_lines, default_lexicon, lexicon_from_dir
-from .output import RescueRequest, write_geojson, write_map_document
-from .pipeline import run_pipeline
+
+if TYPE_CHECKING:
+    from .geocode import Geocoder
+    from .ingest import StreamConfig
+    from .output import RescueRequest
 
 
 class ConfigError(ValueError):
@@ -110,6 +115,8 @@ def _build_lexicon(args, config: dict) -> LexiconConfig:
 
 
 def _build_stream_config(config: dict) -> StreamConfig:
+    from .ingest import BoundingBox, StreamConfig
+
     kwargs = {}
     if "keywords" in config:
         kwargs["track_keywords"] = tuple(config["keywords"])
@@ -133,6 +140,8 @@ def _build_stream_config(config: dict) -> StreamConfig:
 
 
 def _build_geocoder(args, config: dict) -> Geocoder:
+    from .geocode import API_KEY_ENV_VAR, Gazetteer, GazetteerError, Geocoder, HttpBackend
+
     choice = args.geocoder or config.get("geocoder_backend")
     gazetteer_path = args.gazetteer or config.get("gazetteer")
     http_config = config.get("http", {})
@@ -195,7 +204,7 @@ def _input_lines(args, config: dict) -> Iterable[bytes]:
     return generate()
 
 
-_Writer = Callable[[Sequence[RescueRequest], TextIO], None]
+_Writer = Callable[[Sequence["RescueRequest"], TextIO], None]
 
 
 def _write_outputs(requests: Sequence[RescueRequest], outputs: list[tuple[str, _Writer]]) -> None:
@@ -249,6 +258,9 @@ def _is_file_of(path: str, status: os.stat_result) -> bool:
 
 
 def _cmd_pipeline(args) -> int:
+    from .output import write_geojson, write_map_document
+    from .pipeline import run_pipeline
+
     config = _load_config(args.config)
     lex = _build_lexicon(args, config)
     stream_cfg = _build_stream_config(config)
@@ -307,6 +319,8 @@ def _raw_texts(args, config):
 
 
 def _parsed_texts(args, config):
+    from .ingest import read_stream
+
     for tweet in read_stream(_input_lines(args, config)):
         yield tweet.id, tweet.text
 

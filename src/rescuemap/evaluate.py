@@ -1,7 +1,6 @@
 """Evaluation harness: confusion matrix and derived metrics over a labelled corpus."""
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import asdict, dataclass
@@ -59,6 +58,8 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
     ``label`` must be exactly 0 or 1. Other columns are ignored. Quoted
     fields may contain embedded newlines.
     """
+    import csv  # only here: classification never needs it
+
     path = Path(path)
     try:
         content = path.read_bytes().decode("utf-8-sig")
@@ -67,20 +68,23 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
     rows: list[LabelledTweet] = []
     reader = csv.DictReader(io.StringIO(content, newline=""))
     required = {"id", "text", "label"}
+    # The line the next record, first the header, starts on: the reader's
+    # line_num counts the lines of the records it has returned.
+    line = 1
     try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise CorpusFormatError(f"{path}: header must contain columns {sorted(required)}")
-        for i, row in enumerate(reader, start=2):
+        line = reader.line_num + 1
+        for row in reader:
             raw_label = (row["label"] or "").strip()
             if raw_label not in ("0", "1"):
                 raise CorpusFormatError(
-                    f"{path}: row {i}: label must be 0 or 1, got {raw_label!r}"
+                    f"{path}: line {line}: label must be 0 or 1, got {raw_label!r}"
                 )
             rows.append(LabelledTweet(str(row["id"]), row["text"] or "", raw_label == "1"))
+            line = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-        # The reader's line_num counts the lines of the records it returned,
-        # so the failing record starts on the next line.
-        raise CorpusFormatError(f"{path}: line {reader.line_num + 1}: {exc}") from None
+        raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
     return rows
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
-from .ingest import _decode_json
+from ._jsondecode import _decode_json
 from .lexicons import data_lines
 
 API_KEY_ENV_VAR = "RESCUEMAP_GEOCODER_KEY"

@@ -14,6 +14,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 from zoneinfo import ZoneInfo
 
+from ._jsondecode import _decode_json
+
 US_CENTRAL = ZoneInfo("America/Chicago")
 # US/Central is behind UTC, so only instants before this one overflow when
 # converted by to_local_time.
@@ -51,13 +53,6 @@ _CREATED_AT_RE = re.compile(
     r"(?:[Tt ][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{1,6}+)?+)?+(?:Z|[+-][0-9]{2}(?::?[0-5][0-9])?+)?+)?+"
     % "|".join(_MONTHS)
 )
-
-# parse_tweet decodes a line with the one scan_once call that json.loads makes
-# through JSONDecoder.decode, and does inline what loads and decode do around
-# it: the BOM check, the two [ \t\n\r] skips, "Expecting value" and "Extra data".
-_JSON_WHITESPACE = " \t\n\r"
-_scan_json = json.JSONDecoder().scan_once
-
 
 class TweetParseError(ValueError):
     """A single record could not be parsed; ingestion continues."""
@@ -173,22 +168,6 @@ def _shown(value: object) -> str:
         return repr(value)
     except (ValueError, RecursionError):
         return f"<unprintable {type(value).__name__}>"
-
-
-def _decode_json(s: str) -> object:
-    """``json.loads(s)`` for a str: the same value, or the same exception with
-    the same message and position."""
-    if s.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", s, 0)
-    try:
-        obj, end = _scan_json(s, len(s) - len(s.lstrip(_JSON_WHITESPACE)))
-    except StopIteration as err:
-        raise json.JSONDecodeError("Expecting value", s, err.value) from None
-    # No JSON value ends in whitespace, so the line's end stripped of
-    # whitespace is the value's end exactly when nothing else follows it.
-    if len(s.rstrip(_JSON_WHITESPACE)) != end:
-        raise json.JSONDecodeError("Extra data", s, len(s) - len(s[end:].lstrip(_JSON_WHITESPACE)))
-    return obj
 
 
 def _parse_created_at(value: object) -> datetime:

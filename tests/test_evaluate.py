@@ -37,8 +37,15 @@ class TestLoadLabelled:
 
     def test_bad_label_is_fatal_and_names_the_row(self, tmp_path):
         path = write_corpus(tmp_path, ['a,"x",1', 'b,"y",2'])
-        with pytest.raises(CorpusFormatError, match="row 3"):
+        with pytest.raises(CorpusFormatError, match="line 3"):
             load_labelled(path)
+
+    def test_bad_label_names_the_line_its_record_starts_on(self, tmp_path):
+        # Record 2 spans lines 2-3, so the record with the bad label starts on line 4.
+        path = write_corpus(tmp_path, ['a,"one\ntwo",1', 'b,"y",2'])
+        with pytest.raises(CorpusFormatError) as exc_info:
+            load_labelled(path)
+        assert str(exc_info.value) == f"{path}: line 4: label must be 0 or 1, got '2'"
 
     def test_embedded_newline_with_quotes_loads_intact(self, tmp_path):
         path = write_corpus(tmp_path, ['a,"line one\nline two",0'])
