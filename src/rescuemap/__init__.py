@@ -9,7 +9,8 @@ harness reproduces confusion-matrix metrics over a labelled corpus.
 Each public name but the evaluation harness's loads its module on first use
 (PEP 562), so ``import rescuemap`` and each CLI subcommand load only the
 modules they run. A submodule read off the package, such as
-``rescuemap.pipeline``, loads the same way.
+``rescuemap.pipeline``, loads the same way. ``__all__`` is built from the
+``_LAZY`` table, so adding a public name means one ``_LAZY`` entry.
 """
 from importlib import import_module
 
@@ -26,59 +27,6 @@ from .evaluate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundingBox",
-    "CompletionRule",
-    "ConfusionMatrix",
-    "CorpusFormatError",
-    "FeatureVector",
-    "FullAddress",
-    "Gazetteer",
-    "GazetteerError",
-    "GeoPoint",
-    "GeocodeResult",
-    "GeocodeStatus",
-    "Geocoder",
-    "HARVEY_BBOX",
-    "HARVEY_KEYWORDS",
-    "HttpBackend",
-    "IngestStats",
-    "LabelledTweet",
-    "LexiconConfig",
-    "LexiconError",
-    "Metrics",
-    "RescueRequest",
-    "RunSummary",
-    "StreamConfig",
-    "Tweet",
-    "TweetParseError",
-    "Verdict",
-    "classify",
-    "complete_address",
-    "compute_metrics",
-    "contains_texas",
-    "default_lexicon",
-    "detect_address",
-    "evaluate",
-    "extract_features",
-    "extract_full_address",
-    "extract_hashtags",
-    "is_rescue_request",
-    "lexicon_from_dir",
-    "load_labelled",
-    "load_street_suffixes",
-    "normalize_query",
-    "parse_tweet",
-    "passes_stream_filter",
-    "read_stream",
-    "run_pipeline",
-    "to_geojson",
-    "to_local_time",
-    "to_map_document",
-    "write_geojson",
-    "write_map_document",
-]
 
 # The modules whose names load on first use, each with the names it defines.
 # cli defines none, but reads off the package as the others do.
@@ -105,6 +53,11 @@ _LAZY = {
     "pipeline": ("RunSummary", "run_pipeline"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted([
+    "ConfusionMatrix", "CorpusFormatError", "LabelledTweet", "Metrics", "compute_metrics",
+    "evaluate", "load_labelled", *_MODULE_OF,
+])
 
 
 def __getattr__(name: str):

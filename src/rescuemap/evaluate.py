@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from .address import detect_address
@@ -66,22 +67,28 @@ def load_labelled(path: str | Path) -> list[LabelledTweet]:
     except UnicodeDecodeError:
         raise CorpusFormatError(f"{path}: not valid UTF-8") from None
     rows: list[LabelledTweet] = []
-    reader = csv.DictReader(io.StringIO(content, newline=""))
+    reader = csv.reader(io.StringIO(content, newline=""))
     required = {"id", "text", "label"}
     # The line the next record, first the header, starts on: the reader's
-    # line_num counts the lines of the records it has returned.
+    # line_num counts the lines it has read, blank ones too.
     line = 1
     try:
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        header = next(reader, [])
+        if not required.issubset(header):
             raise CorpusFormatError(f"{path}: header must contain columns {sorted(required)}")
         line = reader.line_num + 1
-        for row in reader:
-            raw_label = (row["label"] or "").strip()
-            if raw_label not in ("0", "1"):
-                raise CorpusFormatError(
-                    f"{path}: line {line}: label must be 0 or 1, got {raw_label!r}"
-                )
-            rows.append(LabelledTweet(str(row["id"]), row["text"] or "", raw_label == "1"))
+        for record in reader:
+            if record:  # a blank line holds no record
+                # As csv.DictReader reads it: a missing field reads as None,
+                # then the last of a repeated column wins; extra fields go
+                # under the key None.
+                row = dict(zip_longest(header, record))
+                raw_label = (row["label"] or "").strip()
+                if raw_label not in ("0", "1"):
+                    raise CorpusFormatError(
+                        f"{path}: line {line}: label must be 0 or 1, got {raw_label!r}"
+                    )
+                rows.append(LabelledTweet(str(row["id"]), row["text"] or "", raw_label == "1"))
             line = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         raise CorpusFormatError(f"{path}: line {line}: {exc}") from None

@@ -351,7 +351,10 @@ class Geocoder:
     def geocode(self, query: str) -> GeocodeResult:
         if not query:
             raise ValueError("empty geocode query")
-        key = normalize_query(query)
+        return self._lookup(normalize_query(query), query)
+
+    def _lookup(self, key: str, query: str) -> GeocodeResult:
+        """``geocode(query)`` for a non-empty ``query`` whose normalized form is ``key``."""
         hit = self._cache.get(key)
         if hit is None:
             # dict.get, setdefault, pop and item assignment are each atomic. A key

@@ -74,31 +74,32 @@ def _geocode_pooled(queries: list[str], geocoder: Geocoder) -> list[GeocodeResul
     """Geocode ``queries`` in order on up to GEOCODE_WORKERS threads.
 
     The queries are grouped by normalized key, and each thread pops groups
-    until none is left. A group's queries are geocoded in input order, as the
-    inline pass does, and each result goes to its query's slot of the
-    returned list: a repeat after ``ok`` or ``not_found`` is a cache hit, and
-    a repeat after an error is looked up again. No two groups hold the same
-    key, so no two threads write the same slot. On an error in a worker, or
-    an interrupt while the caller joins, groups not yet started are dropped,
-    started ones finish, and the first error is re-raised.
+    until none is left. A group's queries are looked up by that key, so each
+    is normalized once, and in input order, as the inline pass does. Each
+    result goes to its query's slot of the returned list: a repeat after
+    ``ok`` or ``not_found`` is a cache hit, and a repeat after an error is
+    looked up again. No two groups hold the same key, so no two threads write
+    the same slot. On an error in a worker, or an interrupt while the caller
+    joins, groups not yet started are dropped, started ones finish, and the
+    first error is re-raised.
     """
     groups: dict[str, list[int]] = {}  # key -> indices of its queries, in input order
     for index, query in enumerate(queries):
         groups.setdefault(normalize_query(query), []).append(index)
 
     results: list = [None] * len(queries)
-    pending = deque(groups.values())  # deque.popleft and clear are thread-safe
+    pending = deque(groups.items())  # deque.popleft and clear are thread-safe
     errors: list[BaseException] = []
 
     def drain() -> None:
         try:
             while True:
                 try:
-                    indices = pending.popleft()
+                    key, indices = pending.popleft()
                 except IndexError:
                     return
                 for index in indices:
-                    results[index] = geocoder.geocode(queries[index])
+                    results[index] = geocoder._lookup(key, queries[index])
         except BaseException as exc:
             pending.clear()
             errors.append(exc)

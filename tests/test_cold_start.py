@@ -98,6 +98,19 @@ def test_star_import_and_dir_give_every_public_name():
     assert out == ["[]"] * 4
 
 
+def test_each_public_name_is_listed_once():
+    out = probe("\n".join([
+        "import collections, rescuemap",
+        # _MODULE_OF would keep only the last module of a name listed under two.
+        "lazy = collections.Counter(n for names in rescuemap._LAZY.values() for n in names)",
+        "print(sorted(n for n, count in lazy.items() if count > 1))",
+        # A lazy name is bound on first use; one bound at import is also an eager name.
+        "print(sorted(n for n in rescuemap._MODULE_OF if n in vars(rescuemap)))",
+        "print(sorted(n for n, count in collections.Counter(rescuemap.__all__).items() if count > 1))",
+    ]))
+    assert out == ["[]"] * 3
+
+
 EVALUATE_NAME_ORDERS = {
     "import_submodule": "import rescuemap.evaluate",
     "from_submodule": "from rescuemap.evaluate import load_labelled",

@@ -40,9 +40,17 @@ class TestLoadLabelled:
         with pytest.raises(CorpusFormatError, match="line 3"):
             load_labelled(path)
 
-    def test_bad_label_names_the_line_its_record_starts_on(self, tmp_path):
-        # Record 2 spans lines 2-3, so the record with the bad label starts on line 4.
-        path = write_corpus(tmp_path, ['a,"one\ntwo",1', 'b,"y",2'])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Record 2 spans lines 2-3, so the record with the bad label starts on line 4.
+            pytest.param(['a,"one\ntwo",1', 'b,"y",2'], id="multiline_record"),
+            # A blank line 3 holds no record, and csv reads past it.
+            pytest.param(['a,"x",1', "", 'b,"y",2'], id="after_blank_line"),
+        ],
+    )
+    def test_bad_label_names_the_line_its_record_starts_on(self, tmp_path, rows):
+        path = write_corpus(tmp_path, rows)
         with pytest.raises(CorpusFormatError) as exc_info:
             load_labelled(path)
         assert str(exc_info.value) == f"{path}: line 4: label must be 0 or 1, got '2'"
@@ -65,6 +73,8 @@ class TestLoadLabelled:
             # A quoted field's embedded newlines: the line the record starts on.
             pytest.param("id,text,label", ['a,"x",1', 'b,"one\ntwo\n' + "x" * 200_000 + '",0'], 3,
                          id="multiline_row"),
+            pytest.param("id,text,label", ['a,"x",1', "", "b," + "x" * 200_000 + ",0"], 4,
+                         id="row_after_blank_line"),
         ],
     )
     def test_field_past_the_csv_field_limit_is_fatal_and_names_the_line(self, tmp_path, header, rows, line):

@@ -424,9 +424,9 @@ class TestRunPipeline:
         class CountingGeocoder(Geocoder):
             calls = 0
 
-            def geocode(self, query: str) -> GeocodeResult:
+            def _lookup(self, key: str, query: str) -> GeocodeResult:
                 CountingGeocoder.calls += 1
-                return super().geocode(query)
+                return super()._lookup(key, query)
 
         lines = [rescue_line(f"r{i}", 100) for i in range(20)]
         requests, _ = run_pipeline(
@@ -460,6 +460,28 @@ class TestRunPipeline:
         assert [r.geocode.status for r in requests] == [rl, rl, nf, nf, nf, nf]
         assert [r.geocode.from_cache for r in requests] == [False, False, False, True, True, True]
         assert sorted(backend.calls) == ["100", "100", "200"]
+
+    @pytest.mark.parametrize("sequential", [True, False], ids=["sequential", "pool"])
+    def test_each_positive_is_normalized_once(self, lex, sequential):
+        class NotFoundBackend:
+            def resolve(self, query: str) -> GeocodeResult:
+                return GeocodeResult(point=None, status=GeocodeStatus.NOT_FOUND)
+
+        calls = []
+
+        def counting_normalize_query(query: str) -> str:
+            calls.append(query)
+            return normalize_query(query)
+
+        lines = [rescue_line(f"r{i}", n) for i, n in enumerate([100, 200, 100, 300, 100])]
+        with mock.patch("rescuemap.geocode.normalize_query", counting_normalize_query), \
+                mock.patch("rescuemap.pipeline.normalize_query", counting_normalize_query):
+            requests, _ = run_pipeline(
+                lines, stream_cfg=StreamConfig(), lex=lex,
+                geocoder=Geocoder(NotFoundBackend()), sequential=sequential,
+            )
+        assert len(requests) == len(lines)
+        assert sorted(calls) == sorted(r.completed for r in requests)
 
     def test_sequential_mode_retries_a_failing_repeated_address(self, lex):
         class FailingBackend:
