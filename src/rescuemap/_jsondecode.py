@@ -9,6 +9,8 @@ import json
 # it: the BOM check, the two [ \t\n\r] skips, "Expecting value" and "Extra data".
 _JSON_WHITESPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
+# The exact types the decoder gives a JSON number: a bool is an int, but not a number.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _decode_json(s: str) -> object:

@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _CONFIG_PATH_KEYS = ("manifest", "gazetteer", "lexicons", "out_geojson", "out_map")
-_CONFIG_KEYS = (*_CONFIG_PATH_KEYS, "inputs", "keywords", "bbox", "geocoder_backend", "spanish", "http")
+_CONFIG_KEYS = (*_CONFIG_PATH_KEYS, "inputs", "keywords", "bbox", "spanish", "http")
 _HTTP_CONFIG_KEYS = ("url", "min_interval")
 
 
@@ -77,7 +77,7 @@ def _load_config(path: Optional[str]) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"config: {p}: top level must be an object")
     _check_keys(config, _CONFIG_KEYS)
-    for key in (*_CONFIG_PATH_KEYS, "geocoder_backend"):
+    for key in _CONFIG_PATH_KEYS:
         if not isinstance(config.get(key), (str, type(None))):
             raise ConfigError(f"config: {key} must be a string")
     for key in ("inputs", "keywords"):
@@ -142,14 +142,12 @@ def _build_stream_config(config: dict) -> StreamConfig:
 def _build_geocoder(args, config: dict) -> Geocoder:
     from .geocode import API_KEY_ENV_VAR, Gazetteer, GazetteerError, Geocoder, HttpBackend
 
-    choice = args.geocoder or config.get("geocoder_backend")
+    http = config.get("http")  # an object when given: _load_config checked it
+    # --gazetteer wins over the config; a config names one backend, never two.
+    if config.get("gazetteer") and http is not None:
+        raise ConfigError("geocoder: the config gives both a gazetteer and an http block; give one")
     gazetteer_path = args.gazetteer or config.get("gazetteer")
-    http_config = config.get("http", {})
-    if choice is None:
-        choice = "gazetteer" if gazetteer_path else ("http" if http_config else None)
-    if choice == "gazetteer":
-        if not gazetteer_path:
-            raise ConfigError("geocoder: gazetteer backend needs --gazetteer PATH")
+    if gazetteer_path:
         path = Path(gazetteer_path)
         if not path.is_file():
             raise ConfigError(f"geocoder: gazetteer file not found: {path}")
@@ -157,17 +155,17 @@ def _build_geocoder(args, config: dict) -> Geocoder:
             return Geocoder(Gazetteer.load(path))
         except GazetteerError as exc:
             raise ConfigError(f"geocoder: {exc}") from None
-    if choice == "http":
-        url = http_config.get("url")
-        if not url or not isinstance(url, str):
-            raise ConfigError("geocoder: http backend needs config {\"http\": {\"url\": ...}}")
-        try:
-            backend = HttpBackend(url, min_interval=http_config.get("min_interval", 0.0))
-        except ValueError as exc:  # names an "http" key, or the key's environment variable
-            where = "" if str(exc).startswith(API_KEY_ENV_VAR) else "http."
-            raise ConfigError(f"config: {where}{exc}") from None
-        return Geocoder(backend)
-    raise ConfigError("geocoder: select a backend via --geocoder/--gazetteer or config")
+    if http is None:
+        raise ConfigError("geocoder: give --gazetteer PATH, or a gazetteer or an http block in the config")
+    url = http.get("url")
+    if not url or not isinstance(url, str):
+        raise ConfigError("geocoder: http backend needs config {\"http\": {\"url\": ...}}")
+    try:
+        backend = HttpBackend(url, min_interval=http.get("min_interval", 0.0))
+    except ValueError as exc:  # names an "http" key, or the key's environment variable
+        where = "" if str(exc).startswith(API_KEY_ENV_VAR) else "http."
+        raise ConfigError(f"config: {where}{exc}") from None
+    return Geocoder(backend)
 
 
 def _input_lines(args, config: dict) -> Iterable[bytes]:
@@ -380,7 +378,6 @@ def _build_parser() -> _Parser:
     p_pipe.add_argument("--input", action="append", help="NDJSON file, repeatable; '-' for stdin")
     p_pipe.add_argument("--manifest", help="file listing NDJSON inputs, one per line")
     p_pipe.add_argument("--gazetteer", help="offline gazetteer TSV")
-    p_pipe.add_argument("--geocoder", choices=("gazetteer", "http"), help="backend selection")
     p_pipe.add_argument("--out-geojson", help="write the GeoJSON feature collection here")
     p_pipe.add_argument("--out-map", help="write the interactive map document here")
     p_pipe.set_defaults(func=_cmd_pipeline)

@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol
 
-from ._jsondecode import _decode_json
+from ._jsondecode import _NUMBER_TYPES, _decode_json
 from .lexicons import data_lines
 
 API_KEY_ENV_VAR = "RESCUEMAP_GEOCODER_KEY"
@@ -317,8 +317,8 @@ class HttpBackend:
                 return _BACKEND_ERROR
             location = results[0]["geometry"]["location"]
             lng, lat = location["lng"], location["lat"]
-            if isinstance(lng, bool) or isinstance(lat, bool):
-                raise TypeError  # float() would read true and false as 1.0 and 0.0
+            if type(lng) not in _NUMBER_TYPES or type(lat) not in _NUMBER_TYPES:
+                raise TypeError  # float() would read "29.7" and " 2_9.7", and true as 1.0
             return _new_ok_result(float(lng), float(lat))
         # AttributeError: a body that is JSON but not an object; OverflowError: a
         # coordinate integer too large for a float; RecursionError: deep nesting.

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 from zoneinfo import ZoneInfo
 
-from ._jsondecode import _decode_json
+from ._jsondecode import _NUMBER_TYPES, _decode_json
 
 US_CENTRAL = ZoneInfo("America/Chicago")
 # US/Central is behind UTC, so only instants before this one overflow when
@@ -204,10 +204,10 @@ def _parse_coordinates(value: object) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise TweetParseError(f"coordinates must be a [lon, lat] pair: {_shown(value)}")
     try:
-        if isinstance(value[0], bool) or isinstance(value[1], bool):
-            raise TypeError  # float() would read true and false as 1.0 and 0.0
+        if type(value[0]) not in _NUMBER_TYPES or type(value[1]) not in _NUMBER_TYPES:
+            raise TypeError  # float() would read "29.7" and " 2_9.7", and true as 1.0
         lon, lat = float(value[0]), float(value[1])
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
+    except (TypeError, OverflowError):  # OverflowError: an integer of 309+ digits
         raise TweetParseError(f"non-numeric coordinates: {_shown(value)}") from None
     if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
         raise TweetParseError(f"coordinates out of range: ({lon}, {lat})")

@@ -189,9 +189,9 @@ _MAP_TEMPLATE = """<!DOCTYPE html>
 <link rel="stylesheet" href="https://unpkg.com/leaflet@1.9.4/dist/leaflet.css">
 <script src="https://unpkg.com/leaflet@1.9.4/dist/leaflet.js"></script>
 <style>
-  html, body {{ height: 100%; margin: 0; }}
-  #map {{ height: 92%; }}
-  #ungeocoded {{ font: 13px/1.4 sans-serif; padding: 4px 10px; overflow: auto; height: 8%; }}
+  html, body { height: 100%; margin: 0; }
+  #map { height: 92%; }
+  #ungeocoded { font: 13px/1.4 sans-serif; padding: 4px 10px; overflow: auto; height: 8%; }
 </style>
 </head>
 <body>
@@ -200,28 +200,28 @@ _MAP_TEMPLATE = """<!DOCTYPE html>
 <script>
 var PAYLOAD = {payload};
 var map = L.map("map");
-L.tileLayer("https://{{s}}.tile.openstreetmap.org/{{z}}/{{x}}/{{y}}.png", {{
+L.tileLayer("https://{s}.tile.openstreetmap.org/{z}/{x}/{y}.png", {
   maxZoom: 19,
   attribution: "&copy; OpenStreetMap contributors"
-}}).addTo(map);
+}).addTo(map);
 map.fitBounds([[PAYLOAD.viewport[1], PAYLOAD.viewport[0]],
                [PAYLOAD.viewport[3], PAYLOAD.viewport[2]]]);
-PAYLOAD.markers.forEach(function (m) {{
+PAYLOAD.markers.forEach(function (m) {
   L.marker([m.lat, m.lon]).addTo(map).bindPopup(m.popup);
-}});
+});
 var box = document.getElementById("ungeocoded");
-if (PAYLOAD.ungeocoded.length === 0) {{
+if (PAYLOAD.ungeocoded.length === 0) {
   box.textContent = PAYLOAD.markers.length + " rescue request(s) mapped; none ungeocoded.";
-}} else {{
+} else {
   box.innerHTML = "<b>" + PAYLOAD.ungeocoded.length +
     " request(s) could not be geocoded:</b> " +
-    PAYLOAD.ungeocoded.map(function (u) {{ return u.summary; }}).join(" | ");
-}}
+    PAYLOAD.ungeocoded.map(function (u) { return u.summary; }).join(" | ");
+}
 </script>
 </body>
 </html>
 """
-_MAP_HEAD, _MAP_TAIL = _MAP_TEMPLATE.format(payload="\0").split("\0")
+_MAP_HEAD, _MAP_TAIL = _MAP_TEMPLATE.split("{payload}")
 
 # The payload is json.dumps(payload, sort_keys=True, ensure_ascii=False) of
 # {"markers": [...], "ungeocoded": [...], "viewport": [...]}, written in that

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rescuemap import (
     ConfusionMatrix,
@@ -96,6 +100,72 @@ class TestLoadLabelled:
         )
         assert load_labelled(wide) == plain
         assert evaluate(load_labelled(wide), lex) == evaluate(plain, lex)
+
+
+# --- load_labelled against the csv.DictReader loader it replaced --------------------
+
+
+def reference_load_labelled(path: str | Path) -> list[LabelledTweet]:
+    """The loader before load_labelled read with csv.reader and zip_longest."""
+    path = Path(path)
+    try:
+        content = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{path}: not valid UTF-8") from None
+    rows: list[LabelledTweet] = []
+    reader = csv.DictReader(io.StringIO(content, newline=""))
+    required = {"id", "text", "label"}
+    line = 1
+    try:
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise CorpusFormatError(f"{path}: header must contain columns {sorted(required)}")
+        line = reader.line_num + 1
+        for row in reader:
+            raw_label = (row["label"] or "").strip()
+            if raw_label not in ("0", "1"):
+                raise CorpusFormatError(
+                    f"{path}: line {line}: label must be 0 or 1, got {raw_label!r}"
+                )
+            rows.append(LabelledTweet(str(row["id"]), row["text"] or "", raw_label == "1"))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{path}: line {line}: {exc}") from None
+    return rows
+
+
+def _loaded(load, path: Path) -> object:
+    try:
+        return load(path)
+    except CorpusFormatError as exc:
+        # A deliberate change: an error after a blank line names the line its
+        # record starts on, where the reference named the first blank line.
+        return ("CorpusFormatError", re.sub(r"line \d+", "line N", str(exc)))
+
+
+_column = st.sampled_from(["id", "text", "label", "extra"])
+# Mostly headers with every required column, in any order, with repeats or extras.
+_full_header = st.lists(_column, max_size=2).flatmap(lambda more: st.permutations(["id", "text", "label", *more]))
+_header = st.one_of(_full_header, _full_header, _full_header, st.lists(_column, max_size=5)).map(",".join)
+_cell = st.one_of(st.sampled_from(["0", "1"]), st.sampled_from([" 1 ", "2", ""]), st.text(',"\r\n 012', max_size=4))
+_row = st.lists(_cell, max_size=5).map(",".join)
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("differential") / "corpus.csv"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    header=_header,
+    rows=st.lists(st.one_of(_row, st.just("")), max_size=6),
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_labelled_matches_the_dict_reader_loader(corpus_path, header, rows, bom, newline):
+    text = ("\ufeff" if bom else "") + newline.join([header, *rows])
+    corpus_path.write_bytes(text.encode("utf-8"))
+    assert _loaded(load_labelled, corpus_path) == _loaded(reference_load_labelled, corpus_path)
 
 
 def labelled(text: str, label: bool, tweet_id="t") -> LabelledTweet:

@@ -622,6 +622,8 @@ class TestHttpBackend:
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": NaN, "lng": -95.4}}}]}',
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": 90.5, "lng": -95.4}}}]}',
             '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": -180.5}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": "29.7", "lng": "-9_5.4"}}}]}',
+            '{"status": "OK", "results": [{"geometry": {"location": {"lat": 29.7, "lng": " -95.4"}}}]}',
             "[" * 100_000 + "]" * 100_000,
             OK_BODY.encode(),  # an injected fetch must return a str body
             None,
@@ -630,7 +632,7 @@ class TestHttpBackend:
             "array", "number", "string", "null", "results_object", "result_string",
             "location_array", "coordinate_1e400", "coordinate_400_digits", "lat_true",
             "lng_false", "coordinate_minus_1e400", "lat_nan", "lat_90_5", "lng_minus_180_5",
-            "deep_nesting", "bytes", "none",
+            "strings", "lng_padded_string", "deep_nesting", "bytes", "none",
         ],
     )
     def test_body_of_the_wrong_shape_is_backend_error(self, body):

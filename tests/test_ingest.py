@@ -151,6 +151,22 @@ class TestParseTweet:
                 ),
                 id="point_coordinates_latitude_true",
             ),
+            # float() reads numeric strings, underscores and padding too.
+            pytest.param(
+                line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=["-95.3", "29.7"]),
+                id="coordinates_strings",
+            ),
+            pytest.param(
+                line(id="1", text="x", created_at="2017-08-27T12:00:00Z", coordinates=[-95.3, " 2_9.7"]),
+                id="coordinates_latitude_padded_string",
+            ),
+            pytest.param(
+                line(
+                    id="1", text="x", created_at="2017-08-27T12:00:00Z",
+                    coordinates={"type": "Point", "coordinates": [" -95.3", "2_9.7"]},
+                ),
+                id="point_coordinates_strings",
+            ),
             pytest.param(
                 line(id="1", text="x", created_at="0001-01-01T00:30:00Z"),
                 id="created_at_before_year_1_in_us_central",

@@ -181,6 +181,10 @@ def reference_parse_coordinates(value: object) -> tuple[float, float]:
         # reference read true and false as 1.0 and 0.0.
         if isinstance(value[0], bool) or isinstance(value[1], bool):
             raise TypeError
+        # A deliberate change: a string member is non-numeric, where the
+        # reference read "29.7" and " 2_9.7" with float().
+        if isinstance(value[0], str) or isinstance(value[1], str):
+            raise TypeError
         lon, lat = float(value[0]), float(value[1])
     except (TypeError, ValueError, OverflowError):  # OverflowError: an integer of 309+ digits
         raise TweetParseError(f"non-numeric coordinates: {value!r}") from None
@@ -322,8 +326,8 @@ def _assert_parses_as_reference(record) -> None:
     # always did, where the reference calls it invalid JSON; and a bytes line
     # reports a second BOM as its str form does, where the reference's
     # json.loads drops the first as "utf-8-sig" and then expects a value. The
-    # others, boolean coordinates and the created_at grammar, are made in the
-    # reference's own functions.
+    # others, boolean and string coordinates and the created_at grammar, are
+    # made in the reference's own functions.
     if isinstance(record, str):
         reference_record = record.removeprefix("\ufeff")
     elif isinstance(record, bytes) and record.startswith(codecs.BOM_UTF8 * 2):
@@ -340,6 +344,7 @@ def _assert_parses_as_reference(record) -> None:
 @example(record={"id": "1\udfff", "text": "x", "created_at": 0})
 @example(record={"id": "1", "full_text": "x", "created_at": 0, "entities": {"hashtags": 5}})
 @example(record={"id": "1", "text": "x", "created_at": 0, "coordinates": [-95, True]})
+@example(record={"id": "1", "text": "x", "created_at": 0, "coordinates": {"coordinates": [" -95.3", "2_9.7"]}})
 @example(record={"id": "1", "text": "x", "created_at": True})
 @example(record={"id": True, "text": "x", "created_at": 0})
 def test_parse_tweet_matches_reference(record):

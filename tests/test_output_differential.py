@@ -110,7 +110,7 @@ def reference_to_map_document(requests: list[RescueRequest]) -> str:
     payload = {"viewport": viewport, "markers": markers, "ungeocoded": ungeocoded}
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     text = text.replace("&", "\\u0026").replace("<", "\\u003c").replace(">", "\\u003e")
-    return _MAP_TEMPLATE.format(payload=text)
+    return _MAP_TEMPLATE.replace("{payload}", text)
 
 
 # --- strategies --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -34,7 +35,7 @@ from rescuemap import (
     to_geojson,
     to_map_document,
 )
-from rescuemap import pipeline
+from rescuemap import cli, pipeline
 from rescuemap.cli import _CONFIG_KEYS, _HTTP_CONFIG_KEYS, main
 from rescuemap.geocode import API_KEY_ENV_VAR
 from rescuemap.pipeline import GEOCODE_WORKERS, run_pipeline
@@ -733,7 +734,6 @@ class TestCliPipeline:
     def test_pipeline_via_config_file(self, data_dir, tmp_path, capsys):
         config = {
             "inputs": [str(data_dir / "harvey_sample.ndjson")],
-            "geocoder_backend": "gazetteer",
             "gazetteer": str(data_dir / "gazetteer_sample.tsv"),
             "out_geojson": str(tmp_path / "cfg.geojson"),
         }
@@ -970,7 +970,6 @@ class TestCliPipeline:
             "manifest": str(tmp_path / "manifest.txt"),
             "keywords": ["#HurricaneHarvey", "#Harvey", "Hurricane", "flooding"],
             "bbox": [-99.0, 27.6, -90.8, 33.5],
-            "geocoder_backend": "gazetteer",
             "gazetteer": str(data_dir / "gazetteer.tsv"),
             "lexicons": str(tmp_path),  # no override file: every list keeps its default
             "spanish": False,
@@ -981,13 +980,20 @@ class TestCliPipeline:
         assert set(re.findall(r"`(\w+)`", top)) == values.keys()
         assert set(re.findall(r"`(\w+)`", http.split(".")[0])) == values["http"].keys()
         (tmp_path / "manifest.txt").write_text(str(data_dir / "replay_corpus.ndjson"), encoding="utf-8")
+        # A config names one backend: the run takes the gazetteer, and the
+        # http block alone builds an HttpBackend, without a request.
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(values), encoding="utf-8")
+        config.write_text(json.dumps({k: v for k, v in values.items() if k != "http"}), encoding="utf-8")
         assert self.run_cli("pipeline", "--config", str(config)) == 0
         assert capsys.readouterr().err == ""
         shipped = data_dir.parent / "out"
         assert (tmp_path / "out.geojson").read_bytes() == (shipped / "rescue_requests.geojson").read_bytes()
         assert (tmp_path / "map.html").read_bytes() == (shipped / "rescue_map.html").read_bytes()
+        config.write_text(json.dumps({"http": values["http"]}), encoding="utf-8")
+        args = cli._build_parser().parse_args(["pipeline", "--config", str(config)])
+        with mock.patch("rescuemap.geocode._default_fetch", side_effect=AssertionError("no request")):
+            geocoder = cli._build_geocoder(args, cli._load_config(args.config))
+        assert type(geocoder.backend) is HttpBackend
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -1012,14 +1018,30 @@ class TestCliPipeline:
         assert self.run_cli("pipeline", "--config", str(config)) == 1
         assert capsys.readouterr().err == f"rescuemap: config: {message}\n"
 
-    def test_http_backend_without_url_exits_1(self, data_dir, capsys):
+    def test_http_backend_without_url_exits_1(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"http": {"min_interval": 0.5}}), encoding="utf-8")
         code = self.run_cli(
             "pipeline",
             "--input", str(data_dir / "harvey_sample.ndjson"),
-            "--geocoder", "http",
+            "--config", str(config),
         )
         assert code == 1
         assert "http" in capsys.readouterr().err
+
+    def test_gazetteer_flag_wins_over_the_config_http_block(self, data_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("rescuemap.geocode._default_fetch", mock.Mock(side_effect=AssertionError("request")))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"http": {"url": SERVICE_URL}}), encoding="utf-8")
+        code = self.run_cli(
+            "pipeline",
+            "--config", str(config),
+            "--input", str(data_dir / "harvey_sample.ndjson"),
+            "--gazetteer", str(data_dir / "gazetteer_sample.tsv"),
+        )
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["geocoded_ok"], summary["geocode_failed"]) == (2, 0)
 
     @pytest.mark.parametrize(
         "fields",
@@ -1095,9 +1117,19 @@ class TestCliPipeline:
                 id="empty_keywords_and_no_bbox",
             ),
             pytest.param(
-                {"geocoder_backend": "gazetteer", "gazetteer": None},
-                "geocoder: gazetteer backend needs --gazetteer PATH",
+                {"gazetteer": None},
+                "geocoder: give --gazetteer PATH, or a gazetteer or an http block in the config",
                 id="gazetteer_without_path",
+            ),
+            pytest.param(
+                {"http": {"url": SERVICE_URL}},
+                "geocoder: the config gives both a gazetteer and an http block; give one",
+                id="gazetteer_and_http",
+            ),
+            pytest.param(
+                {"geocoder_backend": "gazetteer"},
+                "config: unknown key 'geocoder_backend'",
+                id="geocoder_backend_is_gone",
             ),
             pytest.param(
                 {"gazetteer": "missing.tsv"},
@@ -1347,10 +1379,31 @@ class TestCliPipeline:
         assert out_geojson.stat().st_mode & 0o7777 == 0o644
         assert out_map.stat().st_mode & 0o7777 == 0o666 & ~0o027
 
-    def test_bad_usage_exits_1(self, capsys):
+    @pytest.mark.parametrize(
+        "argv", [["--no-such-flag"], ["--geocoder", "http"]], ids=["no_such_flag", "geocoder_flag_is_gone"]
+    )
+    def test_bad_usage_exits_1(self, capsys, argv):
         with pytest.raises(SystemExit) as exc_info:
-            self.run_cli("pipeline", "--no-such-flag")
+            self.run_cli("pipeline", *argv)
         assert exc_info.value.code == 1
+
+    def test_every_flag_is_in_the_readme(self, data_dir):
+        readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")
+        parser = cli._build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {
+            (command, flag)
+            for command, subparser in subcommands.items()
+            for action in subparser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert {command for command, _ in flags} == {"pipeline", "classify", "eval"}
+        undocumented = [
+            (command, flag) for command, flag in sorted(flags)
+            if not re.search(re.escape(flag) + r"(?![\w-])", readme)
+        ]
+        assert undocumented == []
 
 
 class TestCliClassify:
